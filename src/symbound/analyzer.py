@@ -32,8 +32,18 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .mat2 import Mat2, Vec2, normalized
-from .schemes import Scheme, SingularCayley, propagator, step
+from .schemes import (
+    Scheme,
+    SingularCayley,
+    propagator,
+    require_shape,
+    s_entries,
+    step,
+    unimodularity_lost,
+)
 from .systems import (
     Equilibrium,
     EquilibriumKind,
@@ -189,6 +199,80 @@ def check_preservation(
     return PreservationVerdict(case, holds, marginal, b_a.dim, b_s.dim, note)
 
 
+class VerdictGrid(NamedTuple):
+    trace: np.ndarray  # tr S per tau; NaN where the Cayley form is singular
+    holds: np.ndarray  # condition_holds per tau; False where singular
+    singular: np.ndarray  # the rows where propagator raises SingularCayley
+
+
+def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
+    """tr S(tau) and the preservation verdict for a whole grid of taus.
+
+    Row for row the same as ``propagator`` followed by
+    ``check_preservation(a, s).condition_holds``: S comes from the same
+    ``s_entries`` expressions, evaluated on an array, and the trace/rank
+    tests repeat check_preservation's operations, so every trace and every
+    verdict is bit-identical to the scalar path.  Raises what ``propagator``
+    raises (ValueError, ShapeMismatch, AssertionError) and, unless every row
+    is singular, what ``classify_equilibrium`` raises; the bounded subspaces
+    are not computed.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if not np.all((taus > 0.0) & (taus < math.inf)):
+        raise ValueError("step size must be positive and finite")
+    require_shape(scheme, a)
+    with np.errstate(all="ignore"):
+        (s11, s12, s21, s22), _, singular = s_entries(scheme, a, taus)
+        singular = np.broadcast_to(singular, taus.shape)
+        det, lost = unimodularity_lost(s11, s12, s21, s22)
+        live = ~singular
+        lost = lost & live
+        # raise what the scalar loop would raise first: at the first
+        # non-singular row either the propagator's guard or the classification
+        kind = None
+        if live.any() and not lost[np.argmax(live)]:
+            kind = classify_equilibrium(a)
+        if lost.any():
+            raise AssertionError(
+                f"propagator lost unimodularity: det={det[lost][0].item()!r}"
+            )
+        tr = s11 + s22
+        if kind is None:  # every row singular
+            holds = np.zeros(taus.shape, dtype=bool)
+        else:
+            holds = _holds_grid(_CASE_INDEX[kind], s11, s12, s21, s22, tr) & live
+    return VerdictGrid(np.where(singular, math.nan, tr), holds, singular)
+
+
+def _holds_grid(case, s11, s12, s21, s22, tr):
+    """check_preservation's condition_holds over arrays of S entries."""
+    if case == 1:
+        return abs(tr) < 2.0
+    if case == 2:
+        return abs(tr) > 2.0
+    # S - I, entry by entry as Mat2.__sub__ computes it
+    m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
+    if case == 3:
+        rank1 = (_max_abs(m11, m12, m21, m22) > _BOUNDARY_TOL) & (
+            abs(m11 * m22 - m12 * m21)
+            <= _BOUNDARY_TOL * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
+        )
+        return (
+            abs(tr - 2.0) <= _BOUNDARY_TOL * (1.0 + _max_abs(s11, s12, s21, s22))
+        ) & rank1
+    return _max_abs(m11, m12, m21, m22) <= _BOUNDARY_TOL
+
+
+def _max_abs(first, *rest):
+    """Mat2.max_norm over arrays: Python's max keeps a NaN only in first
+    place, where np.maximum would propagate any NaN."""
+    out = abs(first)
+    for x in rest:
+        x = abs(x)
+        out = np.where(x > out, x, out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Step-size limits
 
@@ -240,11 +324,18 @@ def bisect_transition(predicate, lo: float, hi: float, tol: float) -> float:
     """Refine a true->false transition of ``predicate`` inside [lo, hi]."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: tol is below their spacing
         if predicate(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# find_transition brackets up to 10*tau_hi and bisects between tau_hi and
+# that top; below this ceiling those taus and their sums stay finite
+TAU_HI_MAX = 1e300
 
 
 def find_transition(
@@ -258,8 +349,8 @@ def find_transition(
     any violation of the true-below/false-above pattern raises
     InconsistentPredicate instead of returning a meaningless midpoint.
     """
-    if tau_hi <= 0.0:
-        raise ValueError("tau_hi must be positive")
+    if not 0.0 < tau_hi <= TAU_HI_MAX:
+        raise ValueError(f"tau_hi must be positive and at most {TAU_HI_MAX!r}")
     tau_min = tau_hi * 1e-8
     if predicate(tau_hi):
         if predicate(10.0 * tau_hi):
@@ -447,7 +538,8 @@ def _fixed_point_preserved(
 CSV_HEADER = "p0,q0,case,detA,traceS,dimBA,dimBS,holds,tau_max,empirical_tau_max"
 
 
-def _fmt_float(x: float | None) -> str:
+def fmt_float(x: float | None) -> str:
+    """repr of a float, with None as nan and infinities as inf / -inf."""
     if x is None:
         return "nan"
     if math.isinf(x):
@@ -466,7 +558,7 @@ def report_to_csv(report: PreservationReport) -> str:
         f"# system = {report.system}",
         f"# scheme = {report.scheme.value}",
         f"# taus = {', '.join(repr(t) for t in report.taus)}",
-        f"# overall_tau_max = {_fmt_float(report.overall_tau_max)}",
+        f"# overall_tau_max = {fmt_float(report.overall_tau_max)}",
         CSV_HEADER,
     ]
     for entry in report.entries:
@@ -475,27 +567,27 @@ def report_to_csv(report: PreservationReport) -> str:
             lines.append(f"# {entry.note}")
         if entry.error:
             lines.append(
-                f"# p0={_fmt_float(eq.point.p)} q0={_fmt_float(eq.point.q)} "
+                f"# p0={fmt_float(eq.point.p)} q0={fmt_float(eq.point.q)} "
                 f"error: {entry.error}"
             )
-        tau_lim = _fmt_float(entry.tau_limit.value if entry.tau_limit else None)
-        emp = _fmt_float(entry.empirical)
+        tau_lim = fmt_float(entry.tau_limit.value if entry.tau_limit else None)
+        emp = fmt_float(entry.empirical)
         for row in entry.rows:
             if row.error is not None:
                 lines.append(
-                    f"# p0={_fmt_float(eq.point.p)} q0={_fmt_float(eq.point.q)} "
-                    f"tau={_fmt_float(row.tau)} error: {row.error}"
+                    f"# p0={fmt_float(eq.point.p)} q0={fmt_float(eq.point.q)} "
+                    f"tau={fmt_float(row.tau)} error: {row.error}"
                 )
                 continue
             v = row.verdict
             lines.append(
                 ",".join(
                     [
-                        _fmt_float(eq.point.p),
-                        _fmt_float(eq.point.q),
+                        fmt_float(eq.point.p),
+                        fmt_float(eq.point.q),
                         str(v.case),
-                        _fmt_float(eq.a.det),
-                        _fmt_float(row.trace_s),
+                        fmt_float(eq.a.det),
+                        fmt_float(row.trace_s),
                         str(v.dim_b_a),
                         str(v.dim_b_s),
                         _fmt_bool(v.condition_holds),
@@ -527,8 +619,8 @@ def report_to_text(report: PreservationReport) -> str:
             lim = entry.tau_limit
             singular = " (solvability singularity)" if lim and lim.singular else ""
             out.append(
-                f"    tau_max closed-form = {_fmt_float(lim.value if lim else None)}"
-                f"{singular}, empirical = {_fmt_float(entry.empirical)}"
+                f"    tau_max closed-form = {fmt_float(lim.value if lim else None)}"
+                f"{singular}, empirical = {fmt_float(entry.empirical)}"
             )
         for row in entry.rows:
             if row.error is not None:
@@ -545,6 +637,6 @@ def report_to_text(report: PreservationReport) -> str:
             )
     out.append(
         f"  preserved for all equilibria up to tau_max = "
-        f"{_fmt_float(report.overall_tau_max)}"
+        f"{fmt_float(report.overall_tau_max)}"
     )
     return "\n".join(out) + "\n"

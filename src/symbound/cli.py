@@ -16,18 +16,19 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .analyzer import (
-    check_preservation,
     empirical_tau_max,
+    fmt_float,
     preservation_report,
     report_to_csv,
     report_to_text,
+    verdict_grid,
 )
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .errorprop import ErrorModel, SingularResolvent, closed_form_error, error_bounded, iterate_error
 from .expr import ParseError
 from .mat2 import Mat2
 from .orbit import orbit_to_csv, simulate
-from .schemes import Scheme, SingularCayley, propagator, scheme_from_name
+from .schemes import Scheme, scheme_from_name
 from .systems import State, find_equilibria
 
 
@@ -82,14 +83,6 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def _fmt(x: float) -> str:
-    if x is None:
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
 
 
 class _Ctx:
@@ -171,7 +164,9 @@ def cmd_analyze(ctx: _Ctx) -> int:
     sys_obj = _resolve_system(cfg, ctx.config_path)
     schemes = _resolve_schemes(cfg, sys_obj, ctx.config_path)
     if not cfg.taus:
-        raise ConfigError("analyze needs [run] tau = ... step sizes")
+        raise ConfigError(
+            "analyze needs [run] tau = ... step sizes", ctx.config_path
+        )
     ctx.prepare_out(cfg)
     eqs = _equilibria(cfg, sys_obj)
     texts = [_classification_table(sys_obj, eqs)]
@@ -192,12 +187,23 @@ def cmd_analyze(ctx: _Ctx) -> int:
     return 0
 
 
+def _sweep_rows(scheme: Scheme, a: Mat2, taus: list[float]) -> list[str]:
+    """tau,traceS,holds rows; a singular Cayley row reads nan,false."""
+    grid = verdict_grid(scheme, a, taus)
+    return [
+        f"{fmt_float(tau)},{fmt_float(trace)},{'true' if holds else 'false'}"
+        for tau, trace, holds in zip(taus, grid.trace.tolist(), grid.holds.tolist())
+    ]
+
+
 def cmd_sweep(ctx: _Ctx) -> int:
     cfg = ctx.load()
     sys_obj = _resolve_system(cfg, ctx.config_path)
     schemes = _resolve_schemes(cfg, sys_obj, ctx.config_path)
     if cfg.sweep is None:
-        raise ConfigError("sweep needs tau_lo / tau_hi / tau_count in [run]")
+        raise ConfigError(
+            "sweep needs tau_lo / tau_hi / tau_count in [run]", ctx.config_path
+        )
     ctx.prepare_out(cfg)
     eqs = _equilibria(cfg, sys_obj)
     if eqs and eqs[0].continuum_suspected:
@@ -208,18 +214,10 @@ def cmd_sweep(ctx: _Ctx) -> int:
             lines = [
                 f"# system = {sys_obj.describe()}",
                 f"# scheme = {scheme.value}",
-                f"# equilibrium p0={_fmt(eq.point.p)} q0={_fmt(eq.point.q)}",
+                f"# equilibrium p0={fmt_float(eq.point.p)} q0={fmt_float(eq.point.q)}",
                 "tau,traceS,holds",
             ]
-            for tau in taus:
-                try:
-                    s = propagator(scheme, eq.a, tau).s
-                    holds = check_preservation(eq.a, s).condition_holds
-                    lines.append(
-                        f"{_fmt(tau)},{_fmt(s.trace)},{'true' if holds else 'false'}"
-                    )
-                except SingularCayley:
-                    lines.append(f"{_fmt(tau)},nan,false")
+            lines += _sweep_rows(scheme, eq.a, taus)
             transition = empirical_tau_max(
                 scheme, eq, tau_hi=cfg.empirical_tau_hi, tol=cfg.bisect_tol
             )
@@ -227,21 +225,13 @@ def cmd_sweep(ctx: _Ctx) -> int:
             if math.isinf(transition):
                 lines.append("inf,nan,true")
             else:
-                try:
-                    s = propagator(scheme, eq.a, transition).s
-                    holds = check_preservation(eq.a, s).condition_holds
-                    lines.append(
-                        f"{_fmt(transition)},{_fmt(s.trace)},"
-                        f"{'true' if holds else 'false'}"
-                    )
-                except SingularCayley:
-                    lines.append(f"{_fmt(transition)},nan,false")
+                lines += _sweep_rows(scheme, eq.a, [transition])
             _write_atomic(
                 ctx.out / f"sweep_{scheme.value}_eq{j}.csv", "\n".join(lines) + "\n"
             )
             ctx.say(
                 f"sweep {scheme.value} at (p={eq.point.p:.6g}, q={eq.point.q:.6g}): "
-                f"transition = {_fmt(transition)}"
+                f"transition = {fmt_float(transition)}"
             )
     return 0
 
@@ -254,23 +244,29 @@ def cmd_simulate(ctx: _Ctx) -> int:
     if not taus and cfg.sweep is not None:
         taus = cfg.sweep.taus()
     if not taus:
-        raise ConfigError("simulate needs [run] tau = ... step sizes")
+        raise ConfigError(
+            "simulate needs [run] tau = ... step sizes", ctx.config_path
+        )
     offsets = cfg.sim.offset_pairs()
     if not offsets:
-        raise ConfigError("simulate needs at least one offset pair")
+        raise ConfigError(
+            "simulate needs at least one offset pair", ctx.config_path
+        )
     ctx.prepare_out(cfg)
     eqs = _equilibria(cfg, sys_obj)
     if eqs and eqs[0].continuum_suspected:
         eqs = eqs[:1]
     if not eqs:
-        raise ConfigError("no equilibria found in the search box")
+        raise ConfigError(
+            "no equilibria found in the search box", ctx.config_path
+        )
     stride = cfg.sim.stride if cfg.sim.stride > 0 else None
     for j, eq in enumerate(eqs):
         for dp, dq in offsets:
             r0 = math.hypot(eq.point.p + dp, eq.point.q + dq)
             if cfg.sim.escape_r <= r0:
                 raise ConfigError(
-                    f"escape_r = {_fmt(cfg.sim.escape_r)} does not exceed the "
+                    f"escape_r = {fmt_float(cfg.sim.escape_r)} does not exceed the "
                     f"initial radius {r0:.6g} of the orbit at equilibrium "
                     f"(p={eq.point.p:.6g}, q={eq.point.q:.6g}) with offset "
                     f"({dp:.6g}, {dq:.6g})",
@@ -293,7 +289,8 @@ def cmd_simulate(ctx: _Ctx) -> int:
                     name = f"orbit_{scheme.value}_t{ti}_eq{j}_off{k}.csv"
                     _write_atomic(ctx.out / name, orbit_to_csv(sys_obj, trace))
                     ctx.say(
-                        f"{name}: tau={_fmt(tau)} from (p={x0.p:.6g}, q={x0.q:.6g}) "
+                        f"{name}: tau={fmt_float(tau)} "
+                        f"from (p={x0.p:.6g}, q={x0.q:.6g}) "
                         f"-> {type(trace.verdict).__name__}"
                     )
     return 0
@@ -302,7 +299,9 @@ def cmd_simulate(ctx: _Ctx) -> int:
 def cmd_errordemo(ctx: _Ctx) -> int:
     cfg = ctx.load()
     if cfg.error is None:
-        raise ConfigError("errordemo needs an [error] section")
+        raise ConfigError(
+            "errordemo needs an [error] section", ctx.config_path
+        )
     ctx.prepare_out(cfg)
     spec = cfg.error
     model = ErrorModel(Mat2(*spec.s), tuple(spec.eta), tuple(spec.y0))
@@ -315,10 +314,10 @@ def cmd_errordemo(ctx: _Ctx) -> int:
         yi = iterate_error(model, n)
         try:
             yc = closed_form_error(model, n)
-            closed = f"{_fmt(yc[0])},{_fmt(yc[1])}"
+            closed = f"{fmt_float(yc[0])},{fmt_float(yc[1])}"
         except SingularResolvent:
             closed = "nan,nan"
-        lines.append(f"{n},{_fmt(yi[0])},{_fmt(yi[1])},{closed},{status}")
+        lines.append(f"{n},{fmt_float(yi[0])},{fmt_float(yi[1])},{closed},{status}")
     text = "\n".join(lines) + "\n"
     _write_atomic(ctx.out / "errordemo.csv", text)
     ctx.say(text.rstrip("\n"))

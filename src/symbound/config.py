@@ -25,6 +25,7 @@ Sections and keys:
 import math
 from dataclasses import dataclass, field
 
+from .analyzer import TAU_HI_MAX
 from .systems import HamiltonianSystem
 
 
@@ -217,6 +218,13 @@ def _get_int_list(raw: dict, section: str, key: str, default, path: str):
         )
 
 
+def _require_finite(raw: dict, key: str, values: list[float], path: str) -> None:
+    """Step sizes read from [run] key must all be finite."""
+    if not all(map(math.isfinite, values)):
+        value, lineno = raw["run"][key]
+        raise ConfigError(f"{key} must be finite, got {value!r}", path, lineno)
+
+
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
     raw = _scan(text, path)
     cfg = RunConfig()
@@ -253,6 +261,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     schemes_str = _get_str(raw, "run", "schemes", "", path)
     cfg.schemes = [s.strip() for s in schemes_str.split(",") if s.strip()]
     cfg.taus = _get_float_list(raw, "run", "tau", [], path)
+    _require_finite(raw, "tau", cfg.taus, path)
     sweep_keys = {"tau_lo", "tau_hi", "tau_count"}
     present = sweep_keys & set(raw.get("run", {}))
     if present:
@@ -268,11 +277,21 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             )
         lo = _get_float(raw, "run", "tau_lo", None, path)
         hi = _get_float(raw, "run", "tau_hi", None, path)
+        _require_finite(raw, "tau_lo", [lo], path)
+        _require_finite(raw, "tau_hi", [hi], path)
         count = _get_int(raw, "run", "tau_count", None, path)
         if not (0.0 < lo <= hi) or count < 1 or (scale == "log" and lo <= 0.0):
             raise ConfigError("invalid sweep range", path, raw["run"]["tau_lo"][1])
         cfg.sweep = SweepSpec(lo, hi, count, scale)
     cfg.empirical_tau_hi = _get_float(raw, "run", "empirical_tau_hi", 10.0, path)
+    _require_finite(raw, "empirical_tau_hi", [cfg.empirical_tau_hi], path)
+    if not 0.0 < cfg.empirical_tau_hi <= TAU_HI_MAX:
+        value, lineno = raw["run"]["empirical_tau_hi"]
+        raise ConfigError(
+            f"empirical_tau_hi must be positive and at most {TAU_HI_MAX!r}, got {value!r}",
+            path,
+            lineno,
+        )
     cfg.bisect_tol = _get_float(raw, "run", "bisect_tol", 1e-6, path)
 
     cfg.search = SearchSpec(

@@ -534,7 +534,8 @@ _PREC_ATOM = 5
 def _prec(e: Expr) -> int:
     match e:
         case Const(value):
-            return _PREC_NEG if value < 0 else _PREC_ATOM
+            # the sign bit, not value < 0: -0.0 also prints with a leading minus
+            return _PREC_NEG if math.copysign(1.0, value) < 0 else _PREC_ATOM
         case Var() | Func():
             return _PREC_ATOM
         case Pow():

@@ -195,11 +195,8 @@ class Propagator:
     __slots__ = ("s", "tau", "scheme")
 
     def __init__(self, s: Mat2, tau: float, scheme: Scheme):
-        s11, s12, s21, s22 = s
-        det = s11 * s22 - s12 * s21
-        if abs(det - 1.0) > 1e-10 * (
-            1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
-        ):
+        det, lost = unimodularity_lost(*s)
+        if lost:
             raise AssertionError(f"propagator lost unimodularity: det={det!r}")
         self.s = s
         self.tau = tau
@@ -210,17 +207,25 @@ class Propagator:
 # Mat2's trace / det / frobenius_sq / max_norm / @ in the same operation
 # order, so every float equals its Mat2 expression bit for bit.
 
-def _require_trace_free(a: Mat2) -> None:
+def unimodularity_lost(s11, s12, s21, s22):
+    """det S and whether it is off 1 past rounding; floats or ndarrays."""
+    det = s11 * s22 - s12 * s21
+    return det, abs(det - 1.0) > 1e-10 * (
+        1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
+    )
+
+
+def require_shape(scheme: Scheme, a: Mat2) -> None:
+    """ShapeMismatch unless A is trace-free, and for the explicit schemes
+    also separable, [[0, *], [*, 0]]."""
     a11, a12, a21, a22 = a
     trace = a11 + a22
     if abs(trace) > 1e-9 * (
         1.0 + math.sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
     ):
         raise ShapeMismatch(f"linearization is not trace-free: trace={trace!r}")
-
-
-def _require_separable(a: Mat2) -> None:
-    a11, a12, a21, a22 = a
+    if scheme is Scheme.IMPLICIT_MIDPOINT:
+        return
     tol = 1e-12 * (1.0 + max(abs(a11), abs(a12), abs(a21), abs(a22)))
     if abs(a11) > tol or abs(a22) > tol:
         raise ShapeMismatch(
@@ -232,10 +237,30 @@ def propagator(scheme: Scheme, a: Mat2, tau: float) -> Propagator:
     """Exact S(tau) for the scheme applied to the linear system y' = A y."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
-    _require_trace_free(a)
+    if not tau < math.inf:
+        raise ValueError(f"step size must be finite, got {tau!r}")
+    require_shape(scheme, a)
+    s, det, singular = s_entries(scheme, a, tau)
+    if singular:
+        raise SingularCayley(
+            f"Cayley denominator determinant {det!r} at tau={tau!r}"
+        )
+    return Propagator(s, tau, scheme)
+
+
+def s_entries(scheme: Scheme, a: Mat2, tau):
+    """The entries of S(tau), unguarded, for a float or an ndarray of taus.
+
+    Returns ``(s, det, singular)``: S as a Mat2 (of arrays for an array
+    of taus), the Cayley denominator determinant and whether it counts as
+    singular (``None`` and ``False`` for the explicit schemes).  The
+    arithmetic is the same on floats and on arrays, so both give the same
+    bits.  A singular float tau returns no entries, because float division
+    by a zero determinant raises; array rows are divided anyway, and the
+    caller masks them.
+    """
     if scheme is Scheme.IMPLICIT_MIDPOINT:
-        return Propagator(_cayley(a, tau), tau, scheme)
-    _require_separable(a)
+        return _cayley(a, tau)
     # Products of the stage matrices kick(c) and drift(c), multiplied out
     # with the stages' 0.0 / 1.0 entries kept wherever dropping them could
     # change a signed zero, an infinity or a NaN.
@@ -255,21 +280,20 @@ def propagator(scheme: Scheme, a: Mat2, tau: float) -> Propagator:
         d = tau * a.a21
         m11, m12, m21 = 1.0 + k * d, 0.0 + k, 0.0 + d
         s = Mat2(m11 + m12 * 0.0, m11 * k + m12, m21 + 0.0, m21 * k + 1.0)
-    return Propagator(s, tau, scheme)
+    return s, None, False
 
 
-def _cayley(a: Mat2, tau: float) -> Mat2:
-    """(I - B)^-1 (I + B) with B = (tau/2) A, or SingularCayley."""
+def _cayley(a: Mat2, tau):
+    """(I - B)^-1 (I + B) with B = (tau/2) A, in the form of s_entries."""
     h = 0.5 * tau
     b11, b12, b21, b22 = h * a.a11, h * a.a12, h * a.a21, h * a.a22
     d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
     det = d11 * d22 - d12 * d21
-    if det <= _SINGULAR_TOL * (
+    singular = det <= _SINGULAR_TOL * (
         1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
-    ):
-        raise SingularCayley(
-            f"Cayley denominator determinant {det!r} at tau={tau!r}"
-        )
+    )
+    if singular is True:
+        return None, det, True
     i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
     p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
     return Mat2(
@@ -277,7 +301,7 @@ def _cayley(a: Mat2, tau: float) -> Mat2:
         i11 * p12 + i12 * p22,
         i21 * p11 + i22 * p21,
         i21 * p12 + i22 * p22,
-    )
+    ), det, singular
 
 
 # ---------------------------------------------------------------------------

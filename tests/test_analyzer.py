@@ -1,11 +1,16 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbound import catalog
 from symbound.analyzer import (
+    TAU_HI_MAX,
     ContainmentNote,
+    bisect_transition,
     InconsistentPredicate,
     NotUnimodular,
     check_preservation,
@@ -18,10 +23,19 @@ from symbound.analyzer import (
     report_to_text,
     tau_max,
     tau_max_from_matrix,
+    verdict_grid,
 )
+from symbound.analyzer import _max_abs
 from symbound.mat2 import Mat2
-from symbound.schemes import NotApplicable, Scheme, propagator, step
-from symbound.systems import Equilibrium, State, find_equilibria
+from symbound.schemes import (
+    NotApplicable,
+    Scheme,
+    ShapeMismatch,
+    SingularCayley,
+    propagator,
+    step,
+)
+from symbound.systems import Equilibrium, NotTraceFree, State, find_equilibria
 from symbound.verify import _SCHEMES_BY_CLASS, catalog_equilibria
 
 
@@ -233,6 +247,157 @@ def test_marginal_flag_near_the_boundary():
 
 
 # ---------------------------------------------------------------------------
+# verdict_grid: the array kernel against propagator + check_preservation
+
+_GRID_KINDS = (
+    "center", "saddle", "rank1", "rank0", "near-rank0",
+    "not-trace-free", "barely-trace-free", "not-separable",
+)
+
+
+def _grid_matrix(draw, scheme, kind) -> Mat2:
+    def mag():
+        return draw(st.floats(1e-3, 1e3))
+
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    zero = draw(st.sampled_from((0.0, -0.0)))
+    x = sign * mag() if scheme is Scheme.IMPLICIT_MIDPOINT else zero
+    b, c = mag(), mag()
+    if kind == "center":
+        return Mat2(x, -b, x * x / b + c, -x)
+    if kind == "saddle":
+        return Mat2(x, sign * b, sign * c, -x)
+    if kind == "rank1":
+        if scheme is Scheme.IMPLICIT_MIDPOINT:
+            return Mat2(x, b, -x * x / b, -x)
+        if draw(st.booleans()):
+            return Mat2(zero, sign * b, zero, zero)
+        return Mat2(zero, zero, sign * c, zero)
+    if kind == "rank0":
+        return Mat2(zero, zero, zero, zero)
+    if kind == "near-rank0":  # classified rank 0, while S - I grows with tau
+        return Mat2(zero, sign * b * 1e-13, c * 1e-13, zero)
+    if kind == "not-trace-free":
+        return Mat2(b, sign * b, c, b)
+    if kind == "barely-trace-free":
+        # a trace that propagator accepts and classify_equilibrium rejects
+        frob = b * b + c * c
+        t = 1e-9 * 0.5 * (math.sqrt(1.0 + frob) + 1.0 + math.sqrt(frob))
+        return Mat2(t, sign * b, c, 0.0)
+    d = sign * mag()  # "not-separable": trace-free with a diagonal
+    return Mat2(d, b, c, -d)
+
+
+def _boundary_taus(scheme, a: Mat2) -> list[float]:
+    """Subnormal and overflowing steps, and steps next to |tr S| = 2
+    (explicit schemes) or in and next to the Cayley singular band."""
+    out = [5e-324, 1e-310, 2.2250738585072014e-308]
+    out += [1e150, 1e300, 1.7976931348623157e308]
+    if scheme is Scheme.IMPLICIT_MIDPOINT:
+        x = -a.det
+        rel = [k * 1e-10 for k in range(-20, 21, 4)]
+        rel += [k * 2.2e-16 for k in range(-3, 4)]
+    else:
+        x = -a.a12 * a.a21
+        rel = [k * 2.2e-16 for k in range(-4, 5)]
+    if x > 0.0:
+        edge = 2.0 / math.sqrt(x)
+        out += [edge * (1.0 + r) for r in rel]
+        out += [math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    return [t for t in out if 0.0 < t < math.inf]
+
+
+@st.composite
+def _grid_cases(draw):
+    scheme = draw(st.sampled_from(tuple(Scheme)))
+    a = _grid_matrix(draw, scheme, draw(st.sampled_from(_GRID_KINDS)))
+    taus = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6))
+    taus += draw(st.lists(st.sampled_from(_boundary_taus(scheme, a)), max_size=10))
+    return scheme, a, draw(st.permutations(taus))
+
+
+def _scalar_rows(scheme, a, taus):
+    """(trace, holds, singular) per tau from the scalar path."""
+    rows = []
+    for tau in taus:
+        try:
+            s = propagator(scheme, a, tau).s
+        except SingularCayley:
+            rows.append((None, False, True))
+            continue
+        rows.append((s.trace, check_preservation(a, s).condition_holds, False))
+    return rows
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_cases())
+def test_verdict_grid_equals_the_scalar_path(case):
+    scheme, a, taus = case
+    try:
+        want = _scalar_rows(scheme, a, taus)
+    except Exception as err:  # noqa: BLE001 - the kernel must raise the same
+        with pytest.raises(type(err)):
+            verdict_grid(scheme, a, taus)
+        return
+    grid = verdict_grid(scheme, a, taus)
+    got = zip(grid.trace.tolist(), grid.holds.tolist(), grid.singular.tolist())
+    for tau, (w_tr, w_holds, w_sing), (g_tr, g_holds, g_sing) in zip(taus, want, got):
+        assert (g_sing, g_holds) == (w_sing, w_holds), (scheme, a, tau)
+        if w_sing:
+            assert math.isnan(g_tr)
+        else:
+            assert _bits(g_tr) == _bits(w_tr), (scheme, a, tau, g_tr, w_tr)
+
+
+def test_verdict_grid_reaches_every_case_and_guard():
+    for scheme, a, case in (
+        (Scheme.EULER_B, Mat2(0.0, -1.0, 1.0, 0.0), 1),
+        (Scheme.STORMER_VERLET, Mat2(0.0, 1.0, 1.0, 0.0), 2),
+        (Scheme.YOSHIDA2, Mat2(0.0, 0.0, 1.0, 0.0), 3),
+        (Scheme.IMPLICIT_MIDPOINT, Mat2.zero(), 4),
+    ):
+        taus = [0.5, 1.9, 2.1, 10.0]
+        want = [check_preservation(a, propagator(scheme, a, t).s) for t in taus]
+        assert {v.case for v in want} == {case}
+        got = verdict_grid(scheme, a, taus).holds.tolist()
+        assert got == [v.condition_holds for v in want]
+    with pytest.raises(ShapeMismatch):
+        verdict_grid(Scheme.EULER_B, Mat2(1.0, 1.0, 1.0, -1.0), [0.5])
+    with pytest.raises(NotTraceFree):
+        verdict_grid(Scheme.IMPLICIT_MIDPOINT, Mat2(2e-9, 1.0, 1.0, 0.0), [1e-3])
+
+
+def test_max_abs_keeps_the_nan_order_of_max_norm():
+    nan = math.nan
+    rows = [(nan, 1.0, 0.0, 2.0), (1.0, nan, 0.0, 2.0), (0.5, -0.0, nan, 0.25)]
+    got = _max_abs(*(np.array(col) for col in zip(*rows))).tolist()
+    want = [Mat2(*row).max_norm for row in rows]
+    assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def test_verdict_grid_masks_the_cayley_band():
+    a = Mat2(-1.0, 0.0, 0.0, 1.0)  # singular from tau = 2 on
+    grid = verdict_grid(Scheme.IMPLICIT_MIDPOINT, a, [1.0, 2.0, 3.0])
+    assert grid.singular.tolist() == [False, True, True]
+    assert grid.holds.tolist() == [True, False, False]
+    assert math.isnan(grid.trace[1]) and math.isnan(grid.trace[2])
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_non_finite_or_non_positive_tau_is_rejected(tau):
+    a = Mat2(0.0, -1.0, 1.0, 0.0)
+    for scheme in Scheme:
+        with pytest.raises(ValueError):
+            propagator(scheme, a, tau)
+        with pytest.raises(ValueError):
+            verdict_grid(scheme, a, [0.5, tau])
+
+
+# ---------------------------------------------------------------------------
 # closed-form limits
 
 def test_tau_max_euler_b_harmonic():
@@ -321,6 +486,21 @@ def test_transition_above_requested_bracket():
     # holds at tau_hi but not at 10 tau_hi: refined upward
     got = find_transition(lambda t: t < 30.0, tau_hi=10.0, tol=1e-6)
     assert abs(got - 30.0) <= 1e-6
+
+
+def test_bracket_top_must_stay_finite():
+    # the upward bracket from the ceiling is finite and can be bisected
+    got = find_transition(lambda t: t < 5e300, tau_hi=TAU_HI_MAX, tol=1e-6)
+    assert abs(got - 5e300) <= 1e-9 * 5e300
+    for tau_hi in (0.0, 1e308, math.nan):
+        with pytest.raises(ValueError):
+            find_transition(lambda t: True, tau_hi=tau_hi, tol=1e-6)
+
+
+def test_bisection_with_zero_tol_stops_at_adjacent_floats():
+    for tol in (0.0, -1.0):
+        t = bisect_transition(lambda x: x < 1.0, 0.5, 3.0, tol)
+        assert t in (math.nextafter(1.0, 0.0), 1.0)
 
 
 def test_inconsistent_predicate_is_reported():

@@ -1,7 +1,13 @@
 import subprocess
 import sys
 
+import pytest
+
+from symbound.analyzer import check_preservation, fmt_float
 from symbound.cli import main
+from symbound.config import load_config
+from symbound.schemes import SingularCayley, propagator, scheme_from_name
+from symbound.systems import EquilibriumKind, find_equilibria
 from symbound.verify import SuiteResult
 
 PENDULUM_NH = """\
@@ -167,6 +173,123 @@ def test_sweep_implicit_midpoint_on_center_unlimited(tmp_path, capsys):
     cfg = _write(tmp_path, text)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert "transition = inf" in capsys.readouterr().out
+
+
+def _scalar_sweep_rows(scheme, a, taus):
+    """The sweep CSV rows as propagator + check_preservation give them."""
+    rows = []
+    for tau in taus:
+        try:
+            s = propagator(scheme, a, tau).s
+        except SingularCayley:
+            rows.append(f"{fmt_float(tau)},nan,false")
+            continue
+        holds = "true" if check_preservation(a, s).condition_holds else "false"
+        rows.append(f"{fmt_float(tau)},{fmt_float(s.trace)},{holds}")
+    return rows
+
+
+@pytest.mark.parametrize(
+    "system, schemes, kind",
+    [
+        # free particle: A = [[0, 0], [1, 0]] at every point, case 3
+        ("class = newtonian\ng = 0", "euler-b, yoshida2, stormer-verlet, "
+         "implicit-midpoint", EquilibriumKind.RANK1_DEGENERATE),
+        # H = 0: A = 0, case 4
+        ("class = separable\nt = 0\nv = 0", "euler-b, yoshida2, implicit-midpoint",
+         EquilibriumKind.RANK0_ZERO),
+    ],
+)
+def test_degenerate_sweep_rows_equal_the_scalar_path(tmp_path, system, schemes, kind):
+    text = (
+        f"[system]\n{system}\n\n[run]\nschemes = {schemes}\n"
+        "tau_lo = 0.001\ntau_hi = 1000.0\ntau_count = 61\ntau_scale = log\n\n"
+        "[search]\ngrid = 4\n"
+    )
+    path = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
+    cfg = load_config(path)
+    eqs = find_equilibria(
+        cfg.system.build(),
+        box=cfg.search.box(),
+        grid=cfg.search.grid,
+        tol=cfg.search.tol,
+    )
+    if eqs[0].continuum_suspected:
+        eqs = eqs[:1]
+    taus = cfg.sweep.taus()
+    for name in cfg.schemes:
+        scheme = scheme_from_name(name)
+        for j, eq in enumerate(eqs):
+            assert eq.kind is kind
+            lines = (out / f"sweep_{name}_eq{j}.csv").read_text().splitlines()
+            assert lines[4:4 + len(taus)] == _scalar_sweep_rows(scheme, eq.a, taus)
+            assert lines[4 + len(taus):] == [
+                "# transition (bisection-refined)",
+                "inf,nan,true",
+            ]
+
+
+def test_sweep_with_zero_bisect_tol_terminates(tmp_path):
+    text = HARMONIC_SWEEP.replace(
+        "tau_scale = linear", "tau_scale = linear\nbisect_tol = 0"
+    )
+    cfg = _write(tmp_path, text)
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", "sweep", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        timeout=5.0,
+    )
+    assert run.returncode == 0
+    assert b"transition = 2.0" in run.stdout
+
+
+def test_sweep_rejects_an_infinite_tau_hi(tmp_path, capsys):
+    cfg = _write(tmp_path, HARMONIC_SWEEP.replace("tau_hi = 4.0", "tau_hi = inf"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:") and "tau_hi must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_bracket_top_beyond_the_ceiling_is_a_config_error(tmp_path, command):
+    # 10 * empirical_tau_hi would overflow to an infinite step size
+    text = HARMONIC_SWEEP.replace(
+        "tau_scale = linear", "tau_scale = linear\nempirical_tau_hi = 1e308"
+    )
+    cfg = _write(tmp_path, text)
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", command, "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith(f"config error: {cfg}:")
+    assert "empirical_tau_hi must be positive and at most 1e+300" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("analyze", HARMONIC_SWEEP.replace("tau = 1.0\n", ""), "analyze needs"),
+        ("sweep", PENDULUM_NH, "sweep needs"),
+        ("simulate", PENDULUM_NH.replace("tau = 0.5, 1.9, 2.1\n", ""), "simulate needs"),
+        ("simulate", HARMONIC_SWEEP.replace("offsets = 0.001, 0.0", "offsets ="),
+         "at least one offset pair"),
+        ("simulate", HARMONIC_SWEEP.replace("v = q^2/2", "v = q"), "no equilibria"),
+        ("errordemo", PENDULUM_NH, "errordemo needs"),
+    ],
+)
+def test_command_config_errors_name_the_file(tmp_path, capsys, command, text, message):
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and message in err
 
 
 def test_simulate_writes_orbit_files(tmp_path, capsys):

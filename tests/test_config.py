@@ -133,6 +133,30 @@ def test_sweep_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "run_lines, key, lineno",
+    [
+        ("tau = 0.5, inf", "tau", 3),
+        ("tau_lo = nan\ntau_hi = 4.0\ntau_count = 5", "tau_lo", 3),
+        ("tau_lo = 0.1\ntau_hi = inf\ntau_count = 5", "tau_hi", 4),
+        ("empirical_tau_hi = -inf", "empirical_tau_hi", 3),
+    ],
+)
+def test_non_finite_step_sizes_rejected_with_file_and_line(run_lines, key, lineno):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# steps\n[run]\n{run_lines}\n", "steps.cfg")
+    assert str(info.value).startswith(f"steps.cfg:{lineno}: {key} must be finite")
+
+
+@pytest.mark.parametrize("value", ["0", "-2.5", "1e308"])
+def test_empirical_tau_hi_outside_the_bracket_range_rejected(value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[run]\nempirical_tau_hi = {value}\n", "steps.cfg")
+    assert str(info.value).startswith(
+        "steps.cfg:2: empirical_tau_hi must be positive and at most 1e+300"
+    )
+
+
 def test_odd_offsets_rejected():
     with pytest.raises(ConfigError):
         parse_config("[simulate]\noffsets = 0.1, 0.2, 0.3\n")

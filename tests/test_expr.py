@@ -268,6 +268,13 @@ def test_print_parse_round_trip_hypothesis(tree, x, y):
     assert a == b or (math.isnan(a) and math.isnan(b))
 
 
+def test_negative_zero_power_base_keeps_its_parentheses():
+    # (-0.0)^0.0 is 1; printed without parentheses it would parse as -(0.0^0.0)
+    tree = Neg(Pow(Const(-0.0), Const(0.0)))
+    assert to_string(tree) == "-(-0.0)^0.0"
+    assert evaluate(parse(to_string(tree)), {}) == evaluate(tree, {}) == -1.0
+
+
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
