@@ -3,9 +3,11 @@
 ``analyze`` and ``sweep`` run on configs/pendulum.cfg and ``errordemo`` on
 configs/errordemo.cfg; each command's stdout and every file it writes must
 equal, byte for byte, tests/golden/<command>.stdout and the files under
-tests/golden/<command>/.  ``simulate`` is left out: on configs/pendulum.cfg
-it takes about 16 s.  An intended output change regenerates the golden
-files with the same commands and says so in CHANGES.md.
+tests/golden/<command>/.  ``simulate`` runs on tests/golden/simulate.cfg,
+configs/pendulum.cfg with a shorter horizon (the full one takes about
+16 s), and ``verify --seed 42`` writes stdout only.  An intended output
+change regenerates the golden files with the same commands and says so in
+CHANGES.md.
 """
 
 import os
@@ -19,6 +21,16 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 
+def _assert_matches_golden(tmp_path, capsys, command, config_path):
+    out = tmp_path / command
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{command}.stdout").read_text()
+    want = GOLDEN / command
+    assert sorted(os.listdir(out)) == sorted(os.listdir(want))
+    for path in want.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -28,11 +40,13 @@ GOLDEN = ROOT / "tests" / "golden"
     ],
 )
 def test_outputs_on_configs_match_the_golden_files(tmp_path, capsys, command, config):
-    out = tmp_path / command
-    config_path = str(ROOT / "configs" / config)
-    assert main([command, "--config", config_path, "--out", str(out)]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{command}.stdout").read_text()
-    want = GOLDEN / command
-    assert sorted(os.listdir(out)) == sorted(os.listdir(want))
-    for path in want.iterdir():
-        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    _assert_matches_golden(tmp_path, capsys, command, ROOT / "configs" / config)
+
+
+def test_simulate_outputs_match_the_golden_files(tmp_path, capsys):
+    _assert_matches_golden(tmp_path, capsys, "simulate", GOLDEN / "simulate.cfg")
+
+
+def test_verify_seed_42_matches_the_golden_stdout(capsys):
+    assert main(["verify", "--seed", "42"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify.stdout").read_text()
