@@ -48,7 +48,6 @@ from .orbit import Bounded, Escaped, OrbitTrace, SolverFailed, hamiltonian_drift
 from .schemes import (
     ImplicitSolveFailed,
     NotApplicable,
-    Propagator,
     Scheme,
     ShapeMismatch,
     SingularCayley,

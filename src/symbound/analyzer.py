@@ -16,15 +16,17 @@ on both sides:
 The preservation verdict holds when the discrete side matches what the
 continuous classification demands: elliptic over a center, hyperbolic over
 a saddle, a shear of matching rank over a degenerate linearization.  The
-per-scheme closed-form step-size limits are
+closed-form step-size limits are
 
-  euler-b / yoshida2   2 / sqrt(T'' V'')   when T'' V'' > 0, else unlimited
-  stormer-verlet       2 / sqrt(-g')       when g'  < 0,     else unlimited
+  explicit schemes     2 / sqrt(det A)     when det A > 0, else unlimited
+                       (det A = T'' V'', or -g' for newtonian systems)
   implicit-midpoint    2 / sqrt(-H0), H0 = H_pp H_qq - H_pq^2, when H0 < 0
                        (a solvability singularity), else unlimited
 
 and the empirical limit is recovered independently by bisecting the
-verdict predicate in tau.
+verdict predicate in tau.  The explicit limit is one formula because every
+stage row of the scheme table has tr S = 2 - tau^2 det A, which reaches -2
+at tau = 2 / sqrt(det A).
 """
 
 import enum
@@ -34,15 +36,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mat2 import Mat2, Vec2, normalized
+from .mat2 import Mat2, Vec2, eigenvector, normalized, unimodularity_lost
 from .schemes import (
+    UNIMODULAR_TOL,
     Scheme,
+    ShapeMismatch,
     SingularCayley,
     propagator,
     require_shape,
     s_entries,
     step,
-    unimodularity_lost,
 )
 from .systems import (
     Equilibrium,
@@ -50,6 +53,7 @@ from .systems import (
     HamiltonianSystem,
     NotApplicable,
     State,
+    SystemClass,
     classify_equilibrium,
     find_equilibria,
 )
@@ -115,12 +119,6 @@ def _kernel_vector(m: Mat2) -> Vec2:
     return (m.a22, -m.a21)
 
 
-def _eigenvector(m: Mat2, lam: float) -> Vec2:
-    u = (m.a12, lam - m.a11)
-    v = (lam - m.a22, m.a21)
-    return u if math.hypot(*u) >= math.hypot(*v) else v
-
-
 def dim_bounded_continuous(a: Mat2, tol: float = 1e-9) -> BoundedSubspace:
     """Bounded-orbit subspace of y' = A y for trace-free A."""
     return _continuous_subspace(a, classify_equilibrium(a, tol))
@@ -131,23 +129,21 @@ def _continuous_subspace(a: Mat2, kind: EquilibriumKind) -> BoundedSubspace:
         return _WHOLE_PLANE
     if kind is EquilibriumKind.SADDLE:
         lam = -math.sqrt(-a.det)
-        return _line(_eigenvector(a, lam))
+        return _line(eigenvector(a, lam))
     return _line(_kernel_vector(a))
 
 
 def dim_bounded_discrete(s: Mat2, tol: float = _BOUNDARY_TOL) -> BoundedSubspace:
     """Bounded-orbit subspace of y_{n+1} = S y_n for unimodular S."""
     s11, s12, s21, s22 = s
-    det = s11 * s22 - s12 * s21
-    if abs(det - 1.0) > 1e-9 * (
-        1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
-    ):
+    det, lost = unimodularity_lost(s11, s12, s21, s22, 1e-9)
+    if lost:
         raise NotUnimodular(f"det S = {det!r} is not 1 within tolerance")
     tr = s11 + s22
     boundary = tol * (1.0 + max(abs(s11), abs(s12), abs(s21), abs(s22)))
     if abs(tr) > 2.0 + boundary:
         lam = 0.5 * (tr - math.copysign(math.sqrt(tr * tr - 4.0 * det), tr))
-        return _line(_eigenvector(s, lam))
+        return _line(eigenvector(s, lam))
     if abs(tr) < 2.0 - boundary:
         return _WHOLE_PLANE
     # parabolic boundary: S is a shear about +I or -I
@@ -224,7 +220,7 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
     with np.errstate(all="ignore"):
         (s11, s12, s21, s22), _, singular = s_entries(scheme, a, taus)
         singular = np.broadcast_to(singular, taus.shape)
-        det, lost = unimodularity_lost(s11, s12, s21, s22)
+        det, lost = unimodularity_lost(s11, s12, s21, s22, UNIMODULAR_TOL)
         live = ~singular
         lost = lost & live
         # raise what the scalar loop would raise first: at the first
@@ -278,34 +274,26 @@ def _max_abs(first, *rest):
 
 def tau_max_from_matrix(scheme: Scheme, a: Mat2) -> TauLimit:
     """Closed-form preserving limit for a scheme at a linearization A."""
-    if scheme in (Scheme.EULER_B, Scheme.YOSHIDA2):
-        _need_separable_shape(a, scheme)
-        product = a.det  # equals T'' V'' for the separable shape
-        if product > 0.0:
-            return TauLimit(2.0 / math.sqrt(product), scheme, singular=False)
+    if not scheme.stages:
+        h0 = a.det  # H_pp H_qq - H_pq^2 for a trace-free hamiltonian Jacobian
+        if h0 < 0.0:
+            return TauLimit(2.0 / math.sqrt(-h0), scheme, singular=True)
         return TauLimit(math.inf, scheme, singular=False)
-    if scheme is Scheme.STORMER_VERLET:
-        _need_separable_shape(a, scheme)
-        if abs(a.a21 - 1.0) > 1e-9 * (1.0 + a.max_norm):
-            raise NotApplicable(
-                "stormer-verlet expects a newtonian linearization [[0, g'], [1, 0]]"
-            )
-        gprime = a.a12
-        if gprime < 0.0:
-            return TauLimit(2.0 / math.sqrt(-gprime), scheme, singular=False)
-        return TauLimit(math.inf, scheme, singular=False)
-    h0 = a.det  # H_pp H_qq - H_pq^2 for a trace-free hamiltonian Jacobian
-    if h0 < 0.0:
-        return TauLimit(2.0 / math.sqrt(-h0), scheme, singular=True)
-    return TauLimit(math.inf, scheme, singular=False)
-
-
-def _need_separable_shape(a: Mat2, scheme: Scheme) -> None:
-    tol = 1e-12 * (1.0 + a.max_norm)
-    if abs(a.a11) > tol or abs(a.a22) > tol:
+    try:
+        require_shape(scheme, a)
+    except ShapeMismatch as err:
         raise NotApplicable(
             f"{scheme.value} needs a separable linearization [[0, *], [*, 0]]"
+        ) from err
+    newtonian_only = scheme.classes == {SystemClass.NEWTONIAN}
+    if newtonian_only and abs(a.a21 - 1.0) > 1e-9 * (1.0 + a.max_norm):
+        raise NotApplicable(
+            f"{scheme.value} expects a newtonian linearization [[0, g'], [1, 0]]"
         )
+    det = a.det  # tr S = 2 - tau^2 det A for every stage row
+    if det > 0.0:
+        return TauLimit(2.0 / math.sqrt(det), scheme, singular=False)
+    return TauLimit(math.inf, scheme, singular=False)
 
 
 def tau_max(scheme: Scheme, eq: Equilibrium) -> TauLimit:
@@ -314,10 +302,10 @@ def tau_max(scheme: Scheme, eq: Equilibrium) -> TauLimit:
 
 def _holds_at(scheme: Scheme, a: Mat2, tau: float) -> bool:
     try:
-        prop = propagator(scheme, a, tau)
+        s = propagator(scheme, a, tau)
     except SingularCayley:
         return False
-    return check_preservation(a, prop.s).condition_holds
+    return check_preservation(a, s).condition_holds
 
 
 def bisect_transition(predicate, lo: float, hi: float, tol: float) -> float:
@@ -498,13 +486,13 @@ def preservation_report(
             entry.error = f"{type(err).__name__}: {err}"
         for tau in tau_list:
             try:
-                prop = propagator(scheme, eq.a, tau)
-                verdict = check_preservation(eq.a, prop.s)
+                s = propagator(scheme, eq.a, tau)
+                verdict = check_preservation(eq.a, s)
                 fp = _fixed_point_preserved(scheme, sys, eq.point, tau)
                 entry.rows.append(
                     TauRow(
                         tau=tau,
-                        trace_s=prop.s.trace,
+                        trace_s=s.trace,
                         verdict=verdict,
                         fixed_point_ok=fp,
                     )

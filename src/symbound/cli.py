@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .analyzer import (
+    InconsistentPredicate,
     empirical_tau_max,
     fmt_float,
     preservation_report,
@@ -218,20 +219,26 @@ def cmd_sweep(ctx: _Ctx) -> int:
                 "tau,traceS,holds",
             ]
             lines += _sweep_rows(scheme, eq.a, taus)
-            transition = empirical_tau_max(
-                scheme, eq, tau_hi=cfg.empirical_tau_hi, tol=cfg.bisect_tol
-            )
             lines.append("# transition (bisection-refined)")
-            if math.isinf(transition):
-                lines.append("inf,nan,true")
+            try:
+                transition = empirical_tau_max(
+                    scheme, eq, tau_hi=cfg.empirical_tau_hi, tol=cfg.bisect_tol
+                )
+            except InconsistentPredicate as err:
+                result = f"transition error: {type(err).__name__}: {err}"
+                lines.append(f"# {result}")
             else:
-                lines += _sweep_rows(scheme, eq.a, [transition])
+                result = f"transition = {fmt_float(transition)}"
+                if math.isinf(transition):
+                    lines.append("inf,nan,true")
+                else:
+                    lines += _sweep_rows(scheme, eq.a, [transition])
             _write_atomic(
                 ctx.out / f"sweep_{scheme.value}_eq{j}.csv", "\n".join(lines) + "\n"
             )
             ctx.say(
                 f"sweep {scheme.value} at (p={eq.point.p:.6g}, q={eq.point.q:.6g}): "
-                f"transition = {fmt_float(transition)}"
+                f"{result}"
             )
     return 0
 

@@ -25,7 +25,7 @@ Sections and keys:
 import math
 from dataclasses import dataclass, field
 
-from .analyzer import TAU_HI_MAX
+from .analyzer import TAU_HI_MAX, fmt_float
 from .systems import HamiltonianSystem
 
 
@@ -333,14 +333,6 @@ def load_config(path) -> RunConfig:
     return parse_config(text, str(path))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical defaults-filled text; parse(serialize(cfg)) == cfg."""
     lines = []
@@ -354,39 +346,39 @@ def serialize_config(cfg: RunConfig) -> str:
     if cfg.schemes:
         lines.append(f"schemes = {', '.join(cfg.schemes)}")
     if cfg.taus:
-        lines.append(f"tau = {', '.join(_fmt(t) for t in cfg.taus)}")
+        lines.append(f"tau = {', '.join(fmt_float(t) for t in cfg.taus)}")
     if cfg.sweep is not None:
         lines += [
-            f"tau_lo = {_fmt(cfg.sweep.lo)}",
-            f"tau_hi = {_fmt(cfg.sweep.hi)}",
+            f"tau_lo = {fmt_float(cfg.sweep.lo)}",
+            f"tau_hi = {fmt_float(cfg.sweep.hi)}",
             f"tau_count = {cfg.sweep.count}",
             f"tau_scale = {cfg.sweep.scale}",
         ]
     lines += [
-        f"empirical_tau_hi = {_fmt(cfg.empirical_tau_hi)}",
-        f"bisect_tol = {_fmt(cfg.bisect_tol)}",
+        f"empirical_tau_hi = {fmt_float(cfg.empirical_tau_hi)}",
+        f"bisect_tol = {fmt_float(cfg.bisect_tol)}",
         "",
         "[search]",
-        f"p_min = {_fmt(cfg.search.p_min)}",
-        f"p_max = {_fmt(cfg.search.p_max)}",
-        f"q_min = {_fmt(cfg.search.q_min)}",
-        f"q_max = {_fmt(cfg.search.q_max)}",
+        f"p_min = {fmt_float(cfg.search.p_min)}",
+        f"p_max = {fmt_float(cfg.search.p_max)}",
+        f"q_min = {fmt_float(cfg.search.q_min)}",
+        f"q_max = {fmt_float(cfg.search.q_max)}",
         f"grid = {cfg.search.grid}",
-        f"tol = {_fmt(cfg.search.tol)}",
+        f"tol = {fmt_float(cfg.search.tol)}",
         "",
         "[simulate]",
         f"n_max = {cfg.sim.n_max}",
-        f"escape_r = {_fmt(cfg.sim.escape_r)}",
+        f"escape_r = {fmt_float(cfg.sim.escape_r)}",
         f"stride = {cfg.sim.stride}",
-        f"offsets = {', '.join(_fmt(x) for x in cfg.sim.offsets)}",
+        f"offsets = {', '.join(fmt_float(x) for x in cfg.sim.offsets)}",
     ]
     if cfg.error is not None:
         lines += [
             "",
             "[error]",
-            f"s = {', '.join(_fmt(x) for x in cfg.error.s)}",
-            f"eta = {', '.join(_fmt(x) for x in cfg.error.eta)}",
-            f"y0 = {', '.join(_fmt(x) for x in cfg.error.y0)}",
+            f"s = {', '.join(fmt_float(x) for x in cfg.error.s)}",
+            f"eta = {', '.join(fmt_float(x) for x in cfg.error.eta)}",
+            f"y0 = {', '.join(fmt_float(x) for x in cfg.error.y0)}",
             f"steps = {', '.join(str(n) for n in cfg.error.steps)}",
         ]
     return "\n".join(lines) + "\n"

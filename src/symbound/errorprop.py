@@ -18,7 +18,7 @@ of Y_0 - c vanishes.
 import math
 from dataclasses import dataclass
 
-from .mat2 import Mat2, Vec2
+from .mat2 import Mat2, Vec2, eigenvector, unimodularity_lost
 
 
 class SingularResolvent(Exception):
@@ -33,8 +33,9 @@ class ErrorModel:
     y0: Vec2
 
     def __post_init__(self):
-        if abs(self.s.det - 1.0) > 1e-9 * (1.0 + self.s.frobenius_sq):
-            raise ValueError(f"propagation matrix has det {self.s.det!r}, not 1")
+        det, lost = unimodularity_lost(*self.s, 1e-9)
+        if lost:
+            raise ValueError(f"propagation matrix has det {det!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,8 @@ def error_bounded(model: ErrorModel, tol: float = 1e-12) -> BoundednessResult:
         disc = math.sqrt(tr * tr - 4.0 * model.s.det)
         lam_expand = 0.5 * (tr + math.copysign(disc, tr))
         lam_contract = 0.5 * (tr - math.copysign(disc, tr))
-        ve = _eigvec(model.s, lam_expand)
-        vc = _eigvec(model.s, lam_contract)
+        ve = eigenvector(model.s, lam_expand)
+        vc = eigenvector(model.s, lam_contract)
         basis = Mat2(ve[0], vc[0], ve[1], vc[1])
         coeff_expand, _ = basis.solve(xi)
         scale = 1.0 + math.hypot(*xi)
@@ -121,9 +122,3 @@ def error_bounded(model: ErrorModel, tol: float = 1e-12) -> BoundednessResult:
     return BoundednessResult(
         False, "parabolic about -I: the shear component grows linearly"
     )
-
-
-def _eigvec(m: Mat2, lam: float) -> Vec2:
-    u = (m.a12, lam - m.a11)
-    v = (lam - m.a22, m.a21)
-    return u if math.hypot(*u) >= math.hypot(*v) else v

@@ -120,6 +120,26 @@ class Mat2(NamedTuple):
         return (self - other).max_norm <= tol
 
 
+def unimodularity_lost(s11, s12, s21, s22, tol: float):
+    """det S and whether it is off 1 by more than tol * (1 + |S|_F^2).
+
+    Spelled out in Mat2.det and frobenius_sq's operation order, so it works
+    on floats or on ndarrays of entries and gives the same bits as both.
+    """
+    det = s11 * s22 - s12 * s21
+    return det, abs(det - 1.0) > tol * (
+        1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
+    )
+
+
+def eigenvector(m: Mat2, lam: float) -> Vec2:
+    """An unnormalized eigenvector of m for its real eigenvalue lam: of the
+    two vectors orthogonal to a row of m - lam I, the longer one."""
+    u = (m.a12, lam - m.a11)
+    v = (lam - m.a22, m.a21)
+    return u if math.hypot(*u) >= math.hypot(*v) else v
+
+
 def norm2(v: Vec2) -> float:
     return math.hypot(v[0], v[1])
 

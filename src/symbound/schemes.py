@@ -1,23 +1,32 @@
 """The four symplectic one-step methods and their linear propagators.
 
-Nonlinear steppers:
+Each scheme is one row of the Scheme table: its name, the system classes it
+applies to and, for the explicit schemes, its stages, applied in order.  A
+kick moves p and a drift moves q by a fraction c of the step:
 
-  euler-b            P = p - tau*V'(q);  Q = q + tau*T'(P)
-  yoshida2           half drift, full kick, half drift (order 2 leapfrog)
-  stormer-verlet     half kick, full drift, half kick, newtonian systems only
-  implicit-midpoint  P = p - tau*H_q(mid), Q = q + tau*H_p(mid), mid = (x+X)/2,
-                     solved by damped Newton
+  euler-b         kick 1, drift 1
+  yoshida2        drift 1/2, kick 1, drift 1/2 (order 2 leapfrog)
+  stormer-verlet  kick 1/2, drift 1, kick 1/2, newtonian systems only
 
-At a trace-free linearization A the one-step map restricts to a 2x2 matrix
-S(tau) with det S = 1.  For the three explicit schemes A must have the
-separable shape [[0, a12], [a21, 0]]; S is then assembled by composing the
-exact stage matrices
+  separable  kick: p <- p - c*tau*V'(q)    drift: q <- q + c*tau*T'(p)
+  newtonian  kick: p <- p + c*tau*g(q)     drift: q <- q + c*tau*p
+
+step folds the row over the state.  At a trace-free linearization A of the
+separable shape [[0, a12], [a21, 0]] the stages are the exact matrices
 
     kick(c)  = [[1, c*tau*a12], [0, 1]]
     drift(c) = [[1, 0], [c*tau*a21, 1]]
 
-so the propagator entries carry no differencing error.  The implicit
-midpoint propagator is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
+and s_entries folds the row into their product S(tau), last stage leftmost,
+so the propagator entries carry no differencing error.  Every row so far
+has tr S = 2 - tau^2 det A, hence the one explicit limit 2 / sqrt(det A).
+
+The implicit midpoint rule has no stages:
+
+  implicit-midpoint  P = p - tau*H_q(mid), Q = q + tau*H_p(mid), mid = (x+X)/2,
+                     solved by damped Newton
+
+Its propagator is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
 it ceases to exist at the first tau where the denominator determinant
 reaches zero, and is reported singular from that point on (the one-step
 family is not continued past the singularity).
@@ -29,7 +38,7 @@ call concurrently.
 import enum
 import math
 
-from .mat2 import Mat2
+from .mat2 import Mat2, unimodularity_lost
 from .systems import HamiltonianSystem, NotApplicable, State, SystemClass
 
 
@@ -50,30 +59,41 @@ class ShapeMismatch(Exception):
     pass
 
 
-class Scheme(enum.Enum):
-    EULER_B = "euler-b"
-    YOSHIDA2 = "yoshida2"
-    STORMER_VERLET = "stormer-verlet"
-    IMPLICIT_MIDPOINT = "implicit-midpoint"
+KICK, DRIFT = True, False  # a stage is (move, fraction c of the step)
 
-    @property
-    def applicable_classes(self) -> frozenset[SystemClass]:
-        return _APPLICABLE[self]
+_EXPLICIT = frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN})
+
+
+class Scheme(enum.Enum):
+    """The scheme table: (name, applicable classes, stages) per row."""
+
+    EULER_B = ("euler-b", _EXPLICIT, ((KICK, 1.0), (DRIFT, 1.0)))
+    YOSHIDA2 = ("yoshida2", _EXPLICIT, ((DRIFT, 0.5), (KICK, 1.0), (DRIFT, 0.5)))
+    STORMER_VERLET = (
+        "stormer-verlet",
+        frozenset({SystemClass.NEWTONIAN}),
+        ((KICK, 0.5), (DRIFT, 1.0), (KICK, 0.5)),
+    )
+    IMPLICIT_MIDPOINT = ("implicit-midpoint", frozenset(SystemClass), ())
+
+    def __new__(cls, value, classes, stages):
+        scheme = object.__new__(cls)
+        scheme._value_ = value
+        scheme.classes = classes  # frozenset of SystemClass
+        scheme.stages = stages  # empty for the implicit midpoint rule
+        return scheme
 
     def applicable_to(self, sys: HamiltonianSystem) -> bool:
-        return sys.kind in _APPLICABLE[self]
+        return sys.kind in self.classes
 
 
-_APPLICABLE = {
-    Scheme.EULER_B: frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN}),
-    Scheme.YOSHIDA2: frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN}),
-    Scheme.STORMER_VERLET: frozenset({SystemClass.NEWTONIAN}),
-    Scheme.IMPLICIT_MIDPOINT: frozenset(
-        {SystemClass.GENERAL, SystemClass.SEPARABLE, SystemClass.NEWTONIAN}
-    ),
+# the schemes that apply to each system class, in table order
+SCHEMES_BY_CLASS = {
+    kind: tuple(s for s in Scheme if kind in s.classes) for kind in SystemClass
 }
 
 _SINGULAR_TOL = 1e-9
+UNIMODULAR_TOL = 1e-10  # propagator's bound on |det S - 1| / (1 + |S|_F^2)
 
 
 def scheme_from_name(name: str) -> Scheme:
@@ -95,38 +115,25 @@ def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
         raise NotApplicable(
             f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
         )
-    if scheme is Scheme.EULER_B:
-        return _euler_b(sys, x, tau)
-    if scheme is Scheme.YOSHIDA2:
-        return _yoshida2(sys, x, tau)
-    if scheme is Scheme.STORMER_VERLET:
-        return _stormer_verlet(sys, x, tau)
-    return _implicit_midpoint(sys, x, tau)
-
-
-def _euler_b(sys, x, tau):
+    stages = scheme.stages
+    if not stages:
+        return _implicit_midpoint(sys, x, tau)
+    p, q = x
     if sys.kind is SystemClass.SEPARABLE:
-        p_new = x.p - tau * sys.v1(x.q)
-        return State(p_new, x.q + tau * sys.t1(p_new))
-    p_new = x.p + tau * sys.g(x.q)
-    return State(p_new, x.q + tau * p_new)
-
-
-def _yoshida2(sys, x, tau):
-    half = 0.5 * tau
-    if sys.kind is SystemClass.SEPARABLE:
-        q_mid = x.q + half * sys.t1(x.p)
-        p_new = x.p - tau * sys.v1(q_mid)
-        return State(p_new, q_mid + half * sys.t1(p_new))
-    q_mid = x.q + half * x.p
-    p_new = x.p + tau * sys.g(q_mid)
-    return State(p_new, q_mid + half * p_new)
-
-
-def _stormer_verlet(sys, x, tau):
-    p_half = x.p + 0.5 * tau * sys.g(x.q)
-    q_new = x.q + tau * p_half
-    return State(p_half + 0.5 * tau * sys.g(q_new), q_new)
+        t1, v1 = sys.t1, sys.v1
+        for move, c in stages:
+            if move is KICK:
+                p = p - (c * tau) * v1(q)
+            else:
+                q = q + (c * tau) * t1(p)
+    else:
+        g = sys.g
+        for move, c in stages:
+            if move is KICK:
+                p = p + (c * tau) * g(q)
+            else:
+                q = q + (c * tau) * p
+    return State(p, q)
 
 
 def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):
@@ -189,31 +196,9 @@ def explicit_euler_step(sys: HamiltonianSystem, x: State, tau: float) -> State:
 # ---------------------------------------------------------------------------
 # Closed-form propagators
 
-class Propagator:
-    """The 2x2 matrix of one scheme step applied to a linearization."""
-
-    __slots__ = ("s", "tau", "scheme")
-
-    def __init__(self, s: Mat2, tau: float, scheme: Scheme):
-        det, lost = unimodularity_lost(*s)
-        if lost:
-            raise AssertionError(f"propagator lost unimodularity: det={det!r}")
-        self.s = s
-        self.tau = tau
-        self.scheme = scheme
-
-
 # The guards and the closed forms below unpack the entries once and spell out
 # Mat2's trace / det / frobenius_sq / max_norm / @ in the same operation
 # order, so every float equals its Mat2 expression bit for bit.
-
-def unimodularity_lost(s11, s12, s21, s22):
-    """det S and whether it is off 1 past rounding; floats or ndarrays."""
-    det = s11 * s22 - s12 * s21
-    return det, abs(det - 1.0) > 1e-10 * (
-        1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
-    )
-
 
 def require_shape(scheme: Scheme, a: Mat2) -> None:
     """ShapeMismatch unless A is trace-free, and for the explicit schemes
@@ -224,7 +209,7 @@ def require_shape(scheme: Scheme, a: Mat2) -> None:
         1.0 + math.sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
     ):
         raise ShapeMismatch(f"linearization is not trace-free: trace={trace!r}")
-    if scheme is Scheme.IMPLICIT_MIDPOINT:
+    if not scheme.stages:
         return
     tol = 1e-12 * (1.0 + max(abs(a11), abs(a12), abs(a21), abs(a22)))
     if abs(a11) > tol or abs(a22) > tol:
@@ -233,7 +218,7 @@ def require_shape(scheme: Scheme, a: Mat2) -> None:
         )
 
 
-def propagator(scheme: Scheme, a: Mat2, tau: float) -> Propagator:
+def propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
     """Exact S(tau) for the scheme applied to the linear system y' = A y."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
@@ -245,7 +230,10 @@ def propagator(scheme: Scheme, a: Mat2, tau: float) -> Propagator:
         raise SingularCayley(
             f"Cayley denominator determinant {det!r} at tau={tau!r}"
         )
-    return Propagator(s, tau, scheme)
+    det, lost = unimodularity_lost(*s, UNIMODULAR_TOL)
+    if lost:
+        raise AssertionError(f"propagator lost unimodularity: det={det!r}")
+    return s
 
 
 def s_entries(scheme: Scheme, a: Mat2, tau):
@@ -259,28 +247,34 @@ def s_entries(scheme: Scheme, a: Mat2, tau):
     by a zero determinant raises; array rows are divided anyway, and the
     caller masks them.
     """
-    if scheme is Scheme.IMPLICIT_MIDPOINT:
+    stages = scheme.stages
+    if not stages:
         return _cayley(a, tau)
-    # Products of the stage matrices kick(c) and drift(c), multiplied out
-    # with the stages' 0.0 / 1.0 entries kept wherever dropping them could
-    # change a signed zero, an infinity or a NaN.
-    if scheme is Scheme.EULER_B:
-        # drift(1) @ kick(1)
-        d = tau * a.a21
-        k = tau * a.a12
-        s = Mat2(1.0, k + 0.0, d + 0.0, d * k + 1.0)
-    elif scheme is Scheme.YOSHIDA2:
-        # (drift(1/2) @ kick(1)) @ drift(1/2)
-        h = 0.5 * tau * a.a21
-        k = tau * a.a12
-        m12, m21, m22 = k + 0.0, h + 0.0, h * k + 1.0
-        s = Mat2(1.0 + m12 * h, 0.0 + m12, m21 + m22 * h, m21 * 0.0 + m22)
-    else:  # Stoermer-Verlet: (kick(1/2) @ drift(1)) @ kick(1/2)
-        k = 0.5 * tau * a.a12
-        d = tau * a.a21
-        m11, m12, m21 = 1.0 + k * d, 0.0 + k, 0.0 + d
-        s = Mat2(m11 + m12 * 0.0, m11 * k + m12, m21 + 0.0, m21 * k + 1.0)
-    return s, None, False
+    return _stage_product(stages, a, tau), None, False
+
+
+def _stage_product(stages, a: Mat2, tau) -> Mat2:
+    """Start from the last stage's matrix and right-multiply by each earlier
+    one, as Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0
+    terms stay, because they decide signed zeros, infinities and NaNs."""
+    _, a12, a21, _ = a
+    move, c = stages[-1]
+    if move is KICK:
+        m11, m12, m21, m22 = 1.0, (c * tau) * a12, 0.0, 1.0
+    else:
+        m11, m12, m21, m22 = 1.0, 0.0, (c * tau) * a21, 1.0
+    for move, c in stages[-2::-1]:
+        if move is KICK:  # M @ [[1, k], [0, 1]]
+            k = (c * tau) * a12
+            m11, m12, m21, m22 = (
+                m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22
+            )
+        else:  # M @ [[1, 0], [d, 1]]
+            d = (c * tau) * a21
+            m11, m12, m21, m22 = (
+                m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22
+            )
+    return Mat2(m11, m12, m21, m22)
 
 
 def _cayley(a: Mat2, tau):
@@ -348,6 +342,6 @@ def propagator_matches_linearization(
 ) -> float:
     """max-norm gap between the closed-form propagator and the differenced
     Jacobian of the nonlinear step at the equilibrium point."""
-    prop = propagator(scheme, equilibrium.a, tau)
+    s = propagator(scheme, equilibrium.a, tau)
     m = _fd_jacobian(lambda y: step(scheme, sys, y, tau), equilibrium.point, h)
-    return (prop.s - m).max_norm
+    return (s - m).max_norm

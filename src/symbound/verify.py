@@ -17,6 +17,7 @@ from .analyzer import check_preservation, empirical_tau_max, tau_max
 from .errorprop import ErrorModel, closed_form_error, iterate_error
 from .mat2 import Mat2
 from .schemes import (
+    SCHEMES_BY_CLASS,
     Scheme,
     SingularCayley,
     explicit_euler_defect,
@@ -31,13 +32,6 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
-
-
-_SCHEMES_BY_CLASS = {
-    SystemClass.GENERAL: (Scheme.IMPLICIT_MIDPOINT,),
-    SystemClass.SEPARABLE: (Scheme.EULER_B, Scheme.YOSHIDA2, Scheme.IMPLICIT_MIDPOINT),
-    SystemClass.NEWTONIAN: tuple(Scheme),
-}
 
 
 _DERIVATIVE_SAMPLES = (
@@ -97,10 +91,10 @@ def suite_det_unimodular(entries=None) -> SuiteResult:
     checked = 0
     for _, sys, eqs in entries:
         for eq in eqs:
-            for scheme in _SCHEMES_BY_CLASS[sys.kind]:
+            for scheme in SCHEMES_BY_CLASS[sys.kind]:
                 for tau in taus:
                     try:
-                        s = propagator(scheme, eq.a, tau).s
+                        s = propagator(scheme, eq.a, tau)
                     except SingularCayley:
                         continue
                     gap = abs(s.det - 1.0)
@@ -128,11 +122,11 @@ def _random_trace_free(rng, shape: int) -> Mat2:
     return Mat2(0.0, float(rng.uniform(-5.0, 5.0)), 1.0, 0.0)
 
 
-_SCHEMES_BY_SHAPE = {
-    0: (Scheme.IMPLICIT_MIDPOINT,),
-    1: (Scheme.EULER_B, Scheme.YOSHIDA2, Scheme.IMPLICIT_MIDPOINT),
-    2: tuple(Scheme),
-}
+# indexed by _random_trace_free's shape: general, separable, newtonian
+_SCHEMES_BY_SHAPE = tuple(
+    SCHEMES_BY_CLASS[kind]
+    for kind in (SystemClass.GENERAL, SystemClass.SEPARABLE, SystemClass.NEWTONIAN)
+)
 
 
 def suite_trace_rank_agreement(
@@ -155,7 +149,7 @@ def suite_trace_rank_agreement(
             tau = math.exp(lt)
             for scheme in _SCHEMES_BY_SHAPE[i % 3]:
                 try:
-                    s = propagator(scheme, a, tau).s
+                    s = propagator(scheme, a, tau)
                 except SingularCayley:
                     continue
                 if abs(abs(s.trace) - 2.0) <= margin:
@@ -221,7 +215,7 @@ def suite_tau_max_vs_empirical(entries=None) -> SuiteResult:
     agree_inf = True
     for _, sys, eqs in entries:
         for eq in eqs:
-            for scheme in _SCHEMES_BY_CLASS[sys.kind]:
+            for scheme in SCHEMES_BY_CLASS[sys.kind]:
                 closed = tau_max(scheme, eq).value
                 empirical = empirical_tau_max(scheme, eq, tau_hi=10.0, tol=1e-6)
                 checked += 1

@@ -28,6 +28,7 @@ from symbound.analyzer import (
 from symbound.analyzer import _max_abs
 from symbound.mat2 import Mat2
 from symbound.schemes import (
+    SCHEMES_BY_CLASS,
     NotApplicable,
     Scheme,
     ShapeMismatch,
@@ -36,7 +37,7 @@ from symbound.schemes import (
     step,
 )
 from symbound.systems import Equilibrium, NotTraceFree, State, find_equilibria
-from symbound.verify import _SCHEMES_BY_CLASS, catalog_equilibria
+from symbound.verify import catalog_equilibria
 
 
 def _eq_from_matrix(a: Mat2, point=State(0.0, 0.0)) -> Equilibrium:
@@ -183,7 +184,7 @@ def test_subspace_and_verdict_fields_are_read_only():
 
 def test_center_with_large_trace_fails():
     # euler-b on the harmonic oscillator at tau = 3: trace 2 - 9 = -7
-    s = propagator(Scheme.EULER_B, Mat2(0, -1, 1, 0), 3.0).s
+    s = propagator(Scheme.EULER_B, Mat2(0, -1, 1, 0), 3.0)
     assert s.trace == -7.0
     v = check_preservation(Mat2(0, -1, 1, 0), s)
     assert v.case == 1 and not v.condition_holds
@@ -208,7 +209,7 @@ def test_rank0_requires_identity():
 def test_rank1_with_off_axis_kernel_under_implicit_midpoint():
     # nilpotent A (trace 0, det 0): Cayley gives S = I + tau A exactly
     a = Mat2(1.0, 1.0, -1.0, -1.0)
-    s = propagator(Scheme.IMPLICIT_MIDPOINT, a, 0.7).s
+    s = propagator(Scheme.IMPLICIT_MIDPOINT, a, 0.7)
     assert (s - (Mat2.identity() + a.scale(0.7))).max_norm <= 1e-12
     v = check_preservation(a, s)
     assert v.case == 3 and v.condition_holds
@@ -223,7 +224,7 @@ def test_cross_term_center_is_elliptic_at_every_tau():
     a = linearize(sys, State(0.0, 0.0))
     assert abs(a.det - 1.0) <= 1e-12 and abs(a.trace) <= 1e-12
     for tau in (0.5, 2.0, 10.0, 200.0):
-        v = check_preservation(a, propagator(Scheme.IMPLICIT_MIDPOINT, a, tau).s)
+        v = check_preservation(a, propagator(Scheme.IMPLICIT_MIDPOINT, a, tau))
         assert v.case == 1 and v.condition_holds
     eq = find_equilibria(sys)[0]
     assert math.isinf(tau_max(Scheme.IMPLICIT_MIDPOINT, eq).value)
@@ -232,7 +233,7 @@ def test_cross_term_center_is_elliptic_at_every_tau():
 
 def test_saddle_needs_large_trace():
     a = Mat2(0, 1, 1, 0)
-    s = propagator(Scheme.EULER_B, a, 0.5).s
+    s = propagator(Scheme.EULER_B, a, 0.5)
     v = check_preservation(a, s)
     assert v.case == 2 and v.condition_holds
     assert v.dim_b_a == v.dim_b_s == 1
@@ -241,7 +242,7 @@ def test_saddle_needs_large_trace():
 
 def test_marginal_flag_near_the_boundary():
     a = Mat2(0, -1, 1, 0)
-    s = propagator(Scheme.EULER_B, a, 2.0).s  # trace exactly -2
+    s = propagator(Scheme.EULER_B, a, 2.0)  # trace exactly -2
     v = check_preservation(a, s)
     assert v.marginal and not v.condition_holds
 
@@ -321,7 +322,7 @@ def _scalar_rows(scheme, a, taus):
     rows = []
     for tau in taus:
         try:
-            s = propagator(scheme, a, tau).s
+            s = propagator(scheme, a, tau)
         except SingularCayley:
             rows.append((None, False, True))
             continue
@@ -361,7 +362,7 @@ def test_verdict_grid_reaches_every_case_and_guard():
         (Scheme.IMPLICIT_MIDPOINT, Mat2.zero(), 4),
     ):
         taus = [0.5, 1.9, 2.1, 10.0]
-        want = [check_preservation(a, propagator(scheme, a, t).s) for t in taus]
+        want = [check_preservation(a, propagator(scheme, a, t)) for t in taus]
         assert {v.case for v in want} == {case}
         got = verdict_grid(scheme, a, taus).holds.tolist()
         assert got == [v.condition_holds for v in want]
@@ -473,7 +474,7 @@ def test_empirical_finds_cayley_singularity():
 def test_closed_form_equals_empirical_across_catalog():
     for name, sys, eqs in catalog_equilibria():
         for eq in eqs:
-            for scheme in _SCHEMES_BY_CLASS[sys.kind]:
+            for scheme in SCHEMES_BY_CLASS[sys.kind]:
                 closed = tau_max(scheme, eq).value
                 emp = empirical_tau_max(scheme, eq, tau_hi=10.0, tol=1e-6)
                 if math.isinf(closed):
@@ -516,7 +517,7 @@ def test_inconsistent_predicate_is_reported():
 def test_equilibria_are_fixed_points():
     for name, sys, eqs in catalog_equilibria():
         for eq in eqs:
-            for scheme in _SCHEMES_BY_CLASS[sys.kind]:
+            for scheme in SCHEMES_BY_CLASS[sys.kind]:
                 for tau in (0.1, 1.0):
                     y = step(scheme, sys, eq.point, tau)
                     gap = math.hypot(y.p - eq.point.p, y.q - eq.point.q)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,7 +181,7 @@ def _scalar_sweep_rows(scheme, a, taus):
     rows = []
     for tau in taus:
         try:
-            s = propagator(scheme, a, tau).s
+            s = propagator(scheme, a, tau)
         except SingularCayley:
             rows.append(f"{fmt_float(tau)},nan,false")
             continue
@@ -271,6 +272,36 @@ def test_bracket_top_beyond_the_ceiling_is_a_config_error(tmp_path, command):
     assert run.stderr.startswith(f"config error: {cfg}:")
     assert "empirical_tau_hi must be positive and at most 1e+300" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_sweep_writes_an_inconsistent_transition_as_a_comment(tmp_path):
+    # with the bracket top at 1e9 the scan misses the centre's preserving
+    # range; analyze reports that per equilibrium, and so must sweep
+    pendulum = Path(__file__).resolve().parent.parent / "configs" / "pendulum.cfg"
+    text = pendulum.read_text().replace(
+        "tau_scale = linear", "tau_scale = linear\nempirical_tau_hi = 1e9"
+    )
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", "sweep", "--config", cfg,
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert run.returncode == 0
+    assert "Traceback" not in run.stderr
+    error = (
+        "transition error: InconsistentPredicate: predicate fails for every "
+        "scanned tau; no preserving range found"
+    )
+    assert f"sweep euler-b at (p=0, q=-3.30872e-24): {error}" in run.stdout
+    lines = (out / "sweep_euler-b_eq1.csv").read_text().splitlines()
+    assert lines[-2:] == ["# transition (bisection-refined)", f"# {error}"]
+    # the saddles still get their transition row
+    saddle = (out / "sweep_euler-b_eq0.csv").read_text().splitlines()
+    assert saddle[-1] == "inf,nan,true"
 
 
 @pytest.mark.parametrize(

@@ -138,13 +138,14 @@ def test_linear_verdict_governs_catalog_center_orbits():
     """Every catalog center with the explicit-scheme trace 2 - tau^2:
     holding margin >= 0.1 keeps nearby orbits bounded over 1e5 steps, and
     failing margin >= 0.1 escapes within 1e4 steps."""
-    from symbound.verify import _SCHEMES_BY_CLASS, catalog_equilibria
+    from symbound.schemes import SCHEMES_BY_CLASS
+    from symbound.verify import catalog_equilibria
 
     for name, sys, eqs in catalog_equilibria():
         centers = [e for e in eqs if e.kind.value == "center"]
         for eq in centers:
             x0 = State(eq.point.p + 1e-3, eq.point.q)
-            for scheme in _SCHEMES_BY_CLASS[sys.kind]:
+            for scheme in SCHEMES_BY_CLASS[sys.kind]:
                 ok = simulate(
                     sys, scheme, x0, 1.9,
                     n_max=100_000, escape_radius=1.0, stride=10_000,

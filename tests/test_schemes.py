@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symbound import catalog
 from symbound.mat2 import Mat2
 from symbound.schemes import (
+    SCHEMES_BY_CLASS,
     ImplicitSolveFailed,
     NotApplicable,
     Scheme,
@@ -21,17 +22,17 @@ from symbound.schemes import (
     step,
     symplecticity_defect,
 )
-from symbound.systems import State, find_equilibria
+from symbound.systems import HamiltonianSystem, State, SystemClass, find_equilibria
 
 ALL_SCHEMES = tuple(Scheme)
 
 
 def catalog_equilibria_with_schemes():
-    from symbound.verify import _SCHEMES_BY_CLASS, catalog_equilibria
+    from symbound.verify import catalog_equilibria
 
     for name, sys, eqs in catalog_equilibria():
         for eq in eqs:
-            for scheme in _SCHEMES_BY_CLASS[sys.kind]:
+            for scheme in SCHEMES_BY_CLASS[sys.kind]:
                 yield name, sys, eq, scheme
 
 
@@ -66,7 +67,7 @@ def test_implicit_midpoint_is_exact_cayley_on_linear_systems():
     sys = catalog.harmonic()
     a = Mat2(0.0, -1.0, 1.0, 0.0)
     for tau in (0.1, 0.5, 2.0, 7.0):
-        s = propagator(Scheme.IMPLICIT_MIDPOINT, a, tau).s
+        s = propagator(Scheme.IMPLICIT_MIDPOINT, a, tau)
         x = State(0.8, -0.4)
         stepped = step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
         lin = s.apply((x.p, x.q))
@@ -82,6 +83,64 @@ def test_applicability_is_enforced():
     step(Scheme.EULER_B, catalog.harmonic_newtonian(), State(0.0, 1.0), 0.1)
 
 
+def _hand_step(scheme: Scheme, sys, x: State, tau: float) -> State:
+    """The explicit steppers written out stage by stage, one per class."""
+    if sys.kind is SystemClass.SEPARABLE:
+        if scheme is Scheme.EULER_B:
+            p_new = x.p - tau * sys.v1(x.q)
+            return State(p_new, x.q + tau * sys.t1(p_new))
+        half = 0.5 * tau  # yoshida2
+        q_mid = x.q + half * sys.t1(x.p)
+        p_new = x.p - tau * sys.v1(q_mid)
+        return State(p_new, q_mid + half * sys.t1(p_new))
+    if scheme is Scheme.EULER_B:
+        p_new = x.p + tau * sys.g(x.q)
+        return State(p_new, x.q + tau * p_new)
+    if scheme is Scheme.YOSHIDA2:
+        half = 0.5 * tau
+        q_mid = x.q + half * x.p
+        p_new = x.p + tau * sys.g(q_mid)
+        return State(p_new, q_mid + half * p_new)
+    p_half = x.p + 0.5 * tau * sys.g(x.q)  # stormer-verlet
+    q_new = x.q + tau * p_half
+    return State(p_half + 0.5 * tau * sys.g(q_new), q_new)
+
+
+_FOLD_SYSTEMS = (
+    catalog.pendulum(),
+    HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)"),
+    catalog.pendulum_newtonian(),
+    HamiltonianSystem.newtonian("q - q^3"),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the failure is part of the outcome
+        return type(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_FOLD_SYSTEMS),
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+)
+def test_step_folds_the_stage_table_bitwise(sys, p, q, tau):
+    x = State(p, q)
+    for scheme in SCHEMES_BY_CLASS[sys.kind]:
+        if scheme is Scheme.IMPLICIT_MIDPOINT:
+            continue
+        got = _outcome(step, scheme, sys, x, tau)
+        want = _outcome(_hand_step, scheme, sys, x, tau)
+        if isinstance(want, type):
+            assert got is want, (scheme, x, tau)
+        else:
+            assert all(map(_same_float, got, want)), (scheme, x, tau, got, want)
+
+
 def test_scheme_names_round_trip():
     for scheme in ALL_SCHEMES:
         assert scheme_from_name(scheme.value) is scheme
@@ -93,20 +152,20 @@ def test_scheme_names_round_trip():
 # propagators
 
 def test_euler_b_propagator_hand_value():
-    s = propagator(Scheme.EULER_B, Mat2(0, -1, 1, 0), 1.0).s
+    s = propagator(Scheme.EULER_B, Mat2(0, -1, 1, 0), 1.0)
     assert s == Mat2(1.0, -1.0, 1.0, 0.0)
     assert s.trace == 1.0 and s.det == 1.0
 
 
 def test_implicit_midpoint_propagator_hand_value():
-    s = propagator(Scheme.IMPLICIT_MIDPOINT, Mat2(0, -1, 1, 0), 2.0).s
+    s = propagator(Scheme.IMPLICIT_MIDPOINT, Mat2(0, -1, 1, 0), 2.0)
     assert (s - Mat2(0.0, -1.0, 1.0, 0.0)).max_norm <= 1e-15
     assert abs(s.trace) <= 1e-15 and abs(s.det - 1.0) <= 1e-15
 
 
 def test_zero_field_gives_identity_for_every_scheme():
     for scheme in ALL_SCHEMES:
-        s = propagator(scheme, Mat2.zero(), 3.7).s
+        s = propagator(scheme, Mat2.zero(), 3.7)
         assert s == Mat2.identity()
 
 
@@ -115,7 +174,7 @@ def test_stormer_verlet_propagator_matches_stage_algebra():
     for gamma in (-1.0, -0.3, 0.7):
         for tau in (0.2, 1.0, 2.5):
             a = Mat2(0.0, gamma, 1.0, 0.0)
-            s = propagator(Scheme.STORMER_VERLET, a, tau).s
+            s = propagator(Scheme.STORMER_VERLET, a, tau)
             expected = Mat2(
                 1.0 + tau * tau * gamma / 2.0,
                 tau * gamma * (1.0 + tau * tau * gamma / 4.0),
@@ -166,7 +225,7 @@ def test_propagator_is_bitwise_the_stage_product():
             for scheme in ALL_SCHEMES:
                 if math.isfinite(tau):
                     try:
-                        got = propagator(scheme, a, tau).s
+                        got = propagator(scheme, a, tau)
                     except (SingularCayley, AssertionError):
                         continue
                 else:
@@ -208,7 +267,7 @@ def test_unimodularity_across_catalog_and_tau_grid():
     for name, sys, eq, scheme in catalog_equilibria_with_schemes():
         for tau in taus:
             try:
-                s = propagator(scheme, eq.a, tau).s
+                s = propagator(scheme, eq.a, tau)
             except SingularCayley:
                 continue
             gap = abs(s.det - 1.0)
@@ -228,10 +287,10 @@ def test_explicit_trace_formula():
         for scheme in (Scheme.EULER_B, Scheme.YOSHIDA2, Scheme.STORMER_VERLET):
             if scheme is Scheme.STORMER_VERLET:
                 a_sv = Mat2(0.0, -v, 1.0, 0.0)  # newtonian shape, t = 1
-                tr = propagator(scheme, a_sv, tau).s.trace
+                tr = propagator(scheme, a_sv, tau).trace
                 expected = 2.0 - tau * tau * v
             else:
-                tr = propagator(scheme, a, tau).s.trace
+                tr = propagator(scheme, a, tau).trace
                 expected = 2.0 - tau * tau * t * v
             assert abs(tr - expected) <= 1e-12 * (1.0 + abs(expected))
 
@@ -243,7 +302,7 @@ def test_implicit_midpoint_trace_stays_elliptic_for_centers():
         c = float(rng.uniform(0.1, 4.0))
         a = Mat2(0.0, -b, c, 0.0)  # det = bc > 0
         for tau in (0.01, 0.5, 3.0, 50.0, 1000.0):
-            s = propagator(Scheme.IMPLICIT_MIDPOINT, a, tau).s
+            s = propagator(Scheme.IMPLICIT_MIDPOINT, a, tau)
             assert abs(s.trace) < 2.0
 
 
@@ -257,7 +316,7 @@ def test_unimodularity_property(v, t, tau):
     # arbitrary magnitudes: double precision holds det to ~eps * |S|^2
     a = Mat2(0.0, -float(v), float(t), 0.0)
     for scheme in (Scheme.EULER_B, Scheme.YOSHIDA2):
-        s = propagator(scheme, a, float(tau)).s
+        s = propagator(scheme, a, float(tau))
         assert abs(s.det - 1.0) <= 1e-12 * (1.0 + s.frobenius_sq)
 
 
