@@ -11,6 +11,7 @@ Sections and keys:
                 h = <expr>            (general)
                 t = <expr>, v = <expr>  (separable)
                 g = <expr>            (newtonian)
+                the keys of each class are its row of the SystemClass table
     [run]       schemes = euler-b, yoshida2, stormer-verlet, implicit-midpoint
                 tau = 0.5, 1.0            explicit step sizes
                 tau_lo, tau_hi, tau_count, tau_scale = linear|log   sweep grid
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .analyzer import TAU_HI_MAX, fmt_float
-from .systems import HamiltonianSystem
+from .systems import HamiltonianSystem, SystemClass
 
 
 class ConfigError(Exception):
@@ -43,11 +44,8 @@ class SystemSpec:
     exprs: dict[str, str]
 
     def build(self) -> HamiltonianSystem:
-        if self.class_tag == "general":
-            return HamiltonianSystem.general(self.exprs["h"])
-        if self.class_tag == "separable":
-            return HamiltonianSystem.separable(self.exprs["t"], self.exprs["v"])
-        return HamiltonianSystem.newtonian(self.exprs["g"])
+        kind = SystemClass(self.class_tag)
+        return HamiltonianSystem(kind, *(self.exprs[key] for key in kind.keys))
 
 
 @dataclass
@@ -117,7 +115,7 @@ class RunConfig:
     error: ErrorSpec | None = None
 
 
-_SYSTEM_KEYS = {"class", "h", "t", "v", "g"}
+_SYSTEM_KEYS = {"class", *(key for kind in SystemClass for key in kind.keys)}
 _RUN_KEYS = {
     "schemes",
     "tau",
@@ -234,21 +232,23 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         if "class" not in sec:
             raise ConfigError("[system] needs a class key", path)
         class_tag, lineno = sec["class"]
-        needed = {"general": ("h",), "separable": ("t", "v"), "newtonian": ("g",)}
-        if class_tag not in needed:
+        try:
+            kind = SystemClass(class_tag)
+        except ValueError:
+            *names, last = (kind.value for kind in SystemClass)
             raise ConfigError(
-                f"class must be general, separable or newtonian, got {class_tag!r}",
+                f"class must be {', '.join(names)} or {last}, got {class_tag!r}",
                 path,
                 lineno,
             )
         exprs = {}
-        for key in needed[class_tag]:
+        for key in kind.keys:
             if key not in sec:
                 raise ConfigError(
                     f"system class {class_tag} needs key {key!r}", path, lineno
                 )
             exprs[key] = sec[key][0]
-        extra = set(sec) - {"class", *needed[class_tag]}
+        extra = set(sec) - {"class", *kind.keys}
         if extra:
             key = sorted(extra)[0]
             raise ConfigError(
@@ -338,9 +338,8 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     if cfg.system is not None:
         lines += [f"[system]", f"class = {cfg.system.class_tag}"]
-        for key in ("h", "t", "v", "g"):
-            if key in cfg.system.exprs:
-                lines.append(f"{key} = {cfg.system.exprs[key]}")
+        for key in SystemClass(cfg.system.class_tag).keys:
+            lines.append(f"{key} = {cfg.system.exprs[key]}")
         lines.append("")
     lines.append("[run]")
     if cfg.schemes:

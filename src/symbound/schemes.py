@@ -8,8 +8,11 @@ kick moves p and a drift moves q by a fraction c of the step:
   yoshida2        drift 1/2, kick 1, drift 1/2 (order 2 leapfrog)
   stormer-verlet  kick 1/2, drift 1, kick 1/2, newtonian systems only
 
-  separable  kick: p <- p - c*tau*V'(q)    drift: q <- q + c*tau*T'(p)
-  newtonian  kick: p <- p + c*tau*g(q)     drift: q <- q + c*tau*p
+  kick: p <- p - c*tau*H_q(p, q)    drift: q <- q + c*tau*H_p(p, q)
+
+with the system's compiled derivatives, so one fold serves every class:
+H_q = V'(q), H_p = T'(p) for a separable system, H_q = -g(q), H_p = p for a
+newtonian one.
 
 step folds the row over the state.  At a trace-free linearization A of the
 separable shape [[0, a12], [a21, 0]] the stages are the exact matrices
@@ -119,20 +122,12 @@ def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
     if not stages:
         return _implicit_midpoint(sys, x, tau)
     p, q = x
-    if sys.kind is SystemClass.SEPARABLE:
-        t1, v1 = sys.t1, sys.v1
-        for move, c in stages:
-            if move is KICK:
-                p = p - (c * tau) * v1(q)
-            else:
-                q = q + (c * tau) * t1(p)
-    else:
-        g = sys.g
-        for move, c in stages:
-            if move is KICK:
-                p = p + (c * tau) * g(q)
-            else:
-                q = q + (c * tau) * p
+    h_p, h_q = sys.h_p, sys.h_q
+    for move, c in stages:
+        if move is KICK:
+            p = p - (c * tau) * h_q(p, q)
+        else:
+            q = q + (c * tau) * h_p(p, q)
     return State(p, q)
 
 

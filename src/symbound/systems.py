@@ -1,14 +1,20 @@
 """One-degree-of-freedom Hamiltonian systems and their equilibria.
 
-Three system classes are supported:
+Three system classes are supported, one row each of the SystemClass
+table, which names the expressions that define a system of the class:
 
-  * general     dp/dt = -dH/dq,  dq/dt = dH/dp   for an energy H(p, q)
-  * separable   H = T(p) + V(q), so dp/dt = -V'(q), dq/dt = T'(p)
-  * newtonian   dp/dt = g(q),    dq/dt = p        (kinetic part fixed p^2/2)
+  * general     h        dp/dt = -dH/dq,  dq/dt = dH/dp  for an energy H(p, q)
+  * separable   t, v     H = T(p) + V(q), so dp/dt = -V'(q), dq/dt = T'(p)
+  * newtonian   g        dp/dt = g(q),    dq/dt = p   (kinetic part fixed p^2/2)
 
-All derivative trees are produced symbolically at construction time, so
-linearizations carry no differencing error.  Systems are immutable after
-construction and safe to share between threads.
+Every class maps once to one set of derivative trees of H, all functions
+of (p, q): H_p, H_q and the second derivatives H_pp, H_pq, H_qq.  A
+newtonian system has H_p = p and H_q = -g(q) and no explicit H.  The trees
+are produced symbolically and compiled at construction time, so
+linearizations carry no differencing error, and the vector field, the
+Jacobian and the steppers read the same compiled set for every class.
+Systems are immutable after construction and safe to share between
+threads.
 """
 
 import enum
@@ -35,9 +41,17 @@ class NotApplicable(Exception):
 
 
 class SystemClass(enum.Enum):
-    GENERAL = "general"
-    SEPARABLE = "separable"
-    NEWTONIAN = "newtonian"
+    """The class table: (name, expression keys) per row."""
+
+    GENERAL = ("general", ("h",))
+    SEPARABLE = ("separable", ("t", "v"))
+    NEWTONIAN = ("newtonian", ("g",))
+
+    def __new__(cls, value, keys):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.keys = keys  # the expressions that define a system, in order
+        return kind
 
 
 class State(NamedTuple):
@@ -68,80 +82,69 @@ def _diff(e: ex.Expr, var: str) -> ex.Expr:
     return ex.simplify(ex.differentiate(e, var))
 
 
-class HamiltonianSystem:
-    """A system of one of the three classes, with cached compiled derivatives.
+_ZERO = ex.Const(0.0)
+_PQ = ("p", "q")  # the arguments of every compiled tree
 
-    The uniform accessors ``h_p``, ``h_q``, ``h_pp``, ``h_pq``, ``h_qq`` are
-    callables of (p, q) valid for every class; class-specific pieces
-    (``t1``, ``v1``, ``g`` ...) exist where the class defines them.
+
+def _energy_trees(kind: SystemClass, *exprs: ex.Expr):
+    """(H, H_p, H_q, H_pq) of a class after its variable checks; H is None
+    for a newtonian system, whose potential is not reconstructed."""
+    if kind is SystemClass.GENERAL:
+        (h,) = exprs
+        _check_vars(h, {"p", "q"}, "H")
+        h_p = _diff(h, "p")
+        return h, h_p, _diff(h, "q"), _diff(h_p, "q")
+    if kind is SystemClass.SEPARABLE:
+        t, v = exprs
+        _check_vars(t, {"p"}, "T")
+        _check_vars(v, {"q"}, "V")
+        return ex.Add(t, v), _diff(t, "p"), _diff(v, "q"), _ZERO
+    (g,) = exprs
+    _check_vars(g, {"q"}, "g")
+    return None, ex.Var("p"), ex.Neg(g), _ZERO
+
+
+class HamiltonianSystem:
+    """A system of one of the three classes, with its compiled derivatives.
+
+    ``h_p``, ``h_q``, ``h_pp``, ``h_pq`` and ``h_qq`` are compiled callables
+    of (p, q), the same accessors for every class.  A system is built from
+    its class and one expression (a tree or its text) per key of the class;
+    ``exprs`` maps each key to its parsed tree.
     """
 
-    def __init__(self, kind: SystemClass, exprs: dict[str, ex.Expr]):
+    def __init__(self, kind: SystemClass, *exprs: ex.Expr | str):
+        trees = tuple(map(_as_expr, exprs))
         self.kind = kind
-        self.exprs = dict(exprs)
-        both = ("p", "q")
-        if kind is SystemClass.GENERAL:
-            h = exprs["h"]
-            _check_vars(h, {"p", "q"}, "H")
-            hp, hq = _diff(h, "p"), _diff(h, "q")
-            self._h = ex.compile_expr(h, both)
-            self.h_p = ex.compile_expr(hp, both)
-            self.h_q = ex.compile_expr(hq, both)
-            self.h_pp = ex.compile_expr(_diff(hp, "p"), both)
-            self.h_pq = ex.compile_expr(_diff(hp, "q"), both)
-            self.h_qq = ex.compile_expr(_diff(hq, "q"), both)
-        elif kind is SystemClass.SEPARABLE:
-            t, v = exprs["t"], exprs["v"]
-            _check_vars(t, {"p"}, "T")
-            _check_vars(v, {"q"}, "V")
-            self._t = ex.compile_expr(t, ("p",))
-            self._v = ex.compile_expr(v, ("q",))
-            self.t1 = ex.compile_expr(_diff(t, "p"), ("p",))
-            self.t2 = ex.compile_expr(_diff(_diff(t, "p"), "p"), ("p",))
-            self.v1 = ex.compile_expr(_diff(v, "q"), ("q",))
-            self.v2 = ex.compile_expr(_diff(_diff(v, "q"), "q"), ("q",))
-            self.h_p = lambda p, q: self.t1(p)
-            self.h_q = lambda p, q: self.v1(q)
-            self.h_pp = lambda p, q: self.t2(p)
-            self.h_pq = lambda p, q: 0.0
-            self.h_qq = lambda p, q: self.v2(q)
-        elif kind is SystemClass.NEWTONIAN:
-            g = exprs["g"]
-            _check_vars(g, {"q"}, "g")
-            self.g = ex.compile_expr(g, ("q",))
-            self.g1 = ex.compile_expr(_diff(g, "q"), ("q",))
-            self.h_p = lambda p, q: p
-            self.h_q = lambda p, q: -self.g(q)
-            self.h_pp = lambda p, q: 1.0
-            self.h_pq = lambda p, q: 0.0
-            self.h_qq = lambda p, q: -self.g1(q)
-        else:  # pragma: no cover
-            raise ValueError(kind)
+        self.exprs = dict(zip(kind.keys, trees, strict=True))
+        h, h_p, h_q, h_pq = _energy_trees(kind, *trees)
+        derivatives = (h_p, h_q, _diff(h_p, "p"), h_pq, _diff(h_q, "q"))
+        self._h_tree = h
+        self._h = None if h is None else ex.compile_expr(h, _PQ)
+        self.h_p, self.h_q, self.h_pp, self.h_pq, self.h_qq = (
+            ex.compile_expr(tree, _PQ) for tree in derivatives
+        )
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def general(h) -> "HamiltonianSystem":
-        return HamiltonianSystem(SystemClass.GENERAL, {"h": _as_expr(h)})
+        return HamiltonianSystem(SystemClass.GENERAL, h)
 
     @staticmethod
     def separable(t, v) -> "HamiltonianSystem":
-        return HamiltonianSystem(
-            SystemClass.SEPARABLE, {"t": _as_expr(t), "v": _as_expr(v)}
-        )
+        return HamiltonianSystem(SystemClass.SEPARABLE, t, v)
 
     @staticmethod
     def newtonian(g) -> "HamiltonianSystem":
-        return HamiltonianSystem(SystemClass.NEWTONIAN, {"g": _as_expr(g)})
+        return HamiltonianSystem(SystemClass.NEWTONIAN, g)
 
     def as_general(self) -> "HamiltonianSystem":
         """Reduce a separable system to the general class via H = T + V."""
         if self.kind is SystemClass.GENERAL:
             return self
-        if self.kind is SystemClass.SEPARABLE:
-            return HamiltonianSystem.general(
-                ex.Add(self.exprs["t"], self.exprs["v"])
-            )
+        if self._h_tree is not None:
+            return HamiltonianSystem.general(self._h_tree)
         raise ValueError(
             "a newtonian system has no explicit potential; construct the "
             "separable form with T = p^2/2 and a V satisfying V' = -g"
@@ -150,19 +153,13 @@ class HamiltonianSystem:
     # -- evaluation --------------------------------------------------------
 
     def vector_field(self, x: State) -> tuple[float, float]:
-        """(dp/dt, dq/dt) at x."""
-        if self.kind is SystemClass.SEPARABLE:
-            return (-self.v1(x.q), self.t1(x.p))
-        if self.kind is SystemClass.NEWTONIAN:
-            return (self.g(x.q), x.p)
+        """(dp/dt, dq/dt) = (-H_q, H_p) at x."""
         return (-self.h_q(x.p, x.q), self.h_p(x.p, x.q))
 
     def energy(self, x: State) -> float:
         """H(p, q); unavailable for the newtonian class (no explicit V)."""
-        if self.kind is SystemClass.GENERAL:
+        if self._h is not None:
             return self._h(x.p, x.q)
-        if self.kind is SystemClass.SEPARABLE:
-            return self._t(x.p) + self._v(x.q)
         raise NotApplicable(
             "energy is not evaluable for a newtonian system without its potential"
         )
@@ -179,11 +176,8 @@ class HamiltonianSystem:
         return Mat2(-hpq, -hqq, hpp, hpq)
 
     def describe(self) -> str:
-        parts = [self.kind.value]
-        for key in ("h", "t", "v", "g"):
-            if key in self.exprs:
-                parts.append(f"{key}={ex.to_string(self.exprs[key])}")
-        return " ".join(parts)
+        parts = [f"{key}={ex.to_string(e)}" for key, e in self.exprs.items()]
+        return " ".join([self.kind.value, *parts])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
-"""Shared test helpers: random expression trees and finite differences."""
+"""Shared test helpers: random expression trees, finite differences and
+per-class reference formulas for the systems' compiled accessors."""
 
+import functools
 import math
 
 import numpy as np
 
 from symbound import expr as ex
+from symbound.mat2 import Mat2
+from symbound.systems import NotApplicable
 
 SAFE_FUNCS = ("sin", "cos", "tanh", "exp", "sinh", "cosh", "sqrt", "log")
 
@@ -67,3 +71,72 @@ def central_diff(tree: ex.Expr, bindings: dict, var: str, h: float = 1e-5):
     if fu is None or fd is None:
         return None
     return (fu - fd) / (2.0 * h)
+
+
+def same_float(x: float, y: float) -> bool:
+    """Bit equality, except that every NaN equals every other NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _d(e: ex.Expr, var: str) -> ex.Expr:
+    return ex.simplify(ex.differentiate(e, var))
+
+
+class ClassFormulas:
+    """A system's derivatives compiled on their own from ``sys.exprs``, one
+    class at a time, in each class's own terms: H and its derivatives for a
+    general system, T, T', T'', V, V', V'' for a separable one, g and g' for
+    a newtonian one.  The reference the one accessor set is checked against.
+    """
+
+    def __init__(self, sys):
+        self.kind = sys.kind.value
+        e = sys.exprs
+        if self.kind == "general":
+            h = e["h"]
+            hp, hq = _d(h, "p"), _d(h, "q")
+            self.h, self.hp, self.hq, self.hpp, self.hpq, self.hqq = (
+                ex.compile_expr(tree, ("p", "q"))
+                for tree in (h, hp, hq, _d(hp, "p"), _d(hp, "q"), _d(hq, "q"))
+            )
+        elif self.kind == "separable":
+            t, v = e["t"], e["v"]
+            self.t, self.t1, self.t2 = (
+                ex.compile_expr(tree, ("p",)) for tree in (t, _d(t, "p"), _d(_d(t, "p"), "p"))
+            )
+            self.v, self.v1, self.v2 = (
+                ex.compile_expr(tree, ("q",)) for tree in (v, _d(v, "q"), _d(_d(v, "q"), "q"))
+            )
+        else:
+            self.g = ex.compile_expr(e["g"], ("q",))
+            self.g1 = ex.compile_expr(_d(e["g"], "q"), ("q",))
+
+    def vector_field(self, p: float, q: float) -> tuple[float, float]:
+        if self.kind == "general":
+            return (-self.hq(p, q), self.hp(p, q))
+        if self.kind == "separable":
+            return (-self.v1(q), self.t1(p))
+        return (self.g(q), p)
+
+    def jacobian(self, p: float, q: float) -> Mat2:
+        if self.kind == "general":
+            hpp, hpq, hqq = self.hpp(p, q), self.hpq(p, q), self.hqq(p, q)
+        elif self.kind == "separable":
+            hpp, hpq, hqq = self.t2(p), 0.0, self.v2(q)
+        else:
+            hpp, hpq, hqq = 1.0, 0.0, -self.g1(q)
+        return Mat2(-hpq, -hqq, hpp, hpq)
+
+    def energy(self, p: float, q: float) -> float:
+        if self.kind == "general":
+            return self.h(p, q)
+        if self.kind == "separable":
+            return self.t(p) + self.v(q)
+        raise NotApplicable("a newtonian system has no explicit energy")
+
+
+@functools.lru_cache(maxsize=None)
+def class_formulas(sys) -> ClassFormulas:
+    return ClassFormulas(sys)

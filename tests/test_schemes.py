@@ -22,7 +22,9 @@ from symbound.schemes import (
     step,
     symplecticity_defect,
 )
-from symbound.systems import HamiltonianSystem, State, SystemClass, find_equilibria
+from symbound.systems import HamiltonianSystem, State, find_equilibria
+
+from conftest import class_formulas, same_float
 
 ALL_SCHEMES = tuple(Scheme)
 
@@ -84,26 +86,28 @@ def test_applicability_is_enforced():
 
 
 def _hand_step(scheme: Scheme, sys, x: State, tau: float) -> State:
-    """The explicit steppers written out stage by stage, one per class."""
-    if sys.kind is SystemClass.SEPARABLE:
+    """The explicit steppers written out stage by stage, one per class, on
+    T', V' and g compiled apart from the system's accessors."""
+    ref = class_formulas(sys)
+    if ref.kind == "separable":
         if scheme is Scheme.EULER_B:
-            p_new = x.p - tau * sys.v1(x.q)
-            return State(p_new, x.q + tau * sys.t1(p_new))
+            p_new = x.p - tau * ref.v1(x.q)
+            return State(p_new, x.q + tau * ref.t1(p_new))
         half = 0.5 * tau  # yoshida2
-        q_mid = x.q + half * sys.t1(x.p)
-        p_new = x.p - tau * sys.v1(q_mid)
-        return State(p_new, q_mid + half * sys.t1(p_new))
+        q_mid = x.q + half * ref.t1(x.p)
+        p_new = x.p - tau * ref.v1(q_mid)
+        return State(p_new, q_mid + half * ref.t1(p_new))
     if scheme is Scheme.EULER_B:
-        p_new = x.p + tau * sys.g(x.q)
+        p_new = x.p + tau * ref.g(x.q)
         return State(p_new, x.q + tau * p_new)
     if scheme is Scheme.YOSHIDA2:
         half = 0.5 * tau
         q_mid = x.q + half * x.p
-        p_new = x.p + tau * sys.g(q_mid)
+        p_new = x.p + tau * ref.g(q_mid)
         return State(p_new, q_mid + half * p_new)
-    p_half = x.p + 0.5 * tau * sys.g(x.q)  # stormer-verlet
+    p_half = x.p + 0.5 * tau * ref.g(x.q)  # stormer-verlet
     q_new = x.q + tau * p_half
-    return State(p_half + 0.5 * tau * sys.g(q_new), q_new)
+    return State(p_half + 0.5 * tau * ref.g(q_new), q_new)
 
 
 _FOLD_SYSTEMS = (
@@ -138,7 +142,7 @@ def test_step_folds_the_stage_table_bitwise(sys, p, q, tau):
         if isinstance(want, type):
             assert got is want, (scheme, x, tau)
         else:
-            assert all(map(_same_float, got, want)), (scheme, x, tau, got, want)
+            assert all(map(same_float, got, want)), (scheme, x, tau, got, want)
 
 
 def test_scheme_names_round_trip():
@@ -182,12 +186,6 @@ def test_stormer_verlet_propagator_matches_stage_algebra():
                 1.0 + tau * tau * gamma / 2.0,
             )
             assert (s - expected).max_norm <= 1e-12 * (1 + expected.max_norm)
-
-
-def _same_float(x: float, y: float) -> bool:
-    if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _stage_product(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
@@ -236,7 +234,7 @@ def test_propagator_is_bitwise_the_stage_product():
                     got, _, singular = s_entries(scheme, a, tau)
                     assert not singular
                 want = _stage_product(scheme, a, tau)
-                assert all(map(_same_float, got, want)), (scheme, a, tau, got, want)
+                assert all(map(same_float, got, want)), (scheme, a, tau, got, want)
                 checked += 1
     assert checked > 10_000
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbound import catalog
 from symbound.mat2 import Mat2
@@ -16,6 +18,8 @@ from symbound.systems import (
     find_equilibria,
     linearize,
 )
+
+from conftest import class_formulas, same_float
 
 
 def test_vector_field_separable():
@@ -193,3 +197,54 @@ def test_newtonian_reduces_to_separable(g_text, v_text):
 def test_energy_not_applicable_for_newtonian():
     with pytest.raises(NotApplicable):
         catalog.pendulum_newtonian().energy(State(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the one accessor set against the per-class formulas
+
+_ACCESSOR_SYSTEMS = (
+    catalog.shear(),
+    catalog.zero(),
+    HamiltonianSystem.general("cosh(p) - cos(q) + 0.3*p*sin(q)"),
+    HamiltonianSystem.general("log(p) + sqrt(q) * p^3 / q"),
+    catalog.pendulum(),
+    catalog.zero_separable(),
+    HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)"),
+    HamiltonianSystem.separable("sqrt(p) + exp(p)", "log(q) - 1/q"),
+    catalog.pendulum_newtonian(),
+    catalog.free_particle(),
+    HamiltonianSystem.newtonian("q - q^3"),
+    HamiltonianSystem.newtonian("log(q) + sqrt(q) / q"),
+)
+
+
+def _outcome(fn, *args):
+    """fn's value as a tuple of floats, or the type of what it raised."""
+    try:
+        value = fn(*args)
+    except Exception as err:  # noqa: BLE001 - the failure is part of the outcome
+        return type(err)
+    return (value,) if isinstance(value, float) else tuple(value)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(_ACCESSOR_SYSTEMS),
+    st.one_of(st.floats(min_value=-1e4, max_value=1e4), _EDGES),
+    st.one_of(st.floats(min_value=-1e4, max_value=1e4), _EDGES),
+)
+def test_accessors_equal_the_class_formulas_bitwise(sys, p, q):
+    ref = class_formulas(sys)
+    x = State(p, q)
+    for got, want in (
+        (_outcome(sys.vector_field, x), _outcome(ref.vector_field, p, q)),
+        (_outcome(sys.jacobian, x), _outcome(ref.jacobian, p, q)),
+        (_outcome(sys.energy, x), _outcome(ref.energy, p, q)),
+    ):
+        if isinstance(want, type):
+            assert got is want, (sys.describe(), x)
+        else:
+            assert all(map(same_float, got, want)), (sys.describe(), x, got, want)
