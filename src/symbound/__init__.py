@@ -47,6 +47,7 @@ from .mat2 import Mat2
 from .orbit import Bounded, Escaped, OrbitTrace, SolverFailed, hamiltonian_drift, simulate
 from .schemes import (
     ImplicitSolveFailed,
+    NonFiniteLinearization,
     NotApplicable,
     Scheme,
     ShapeMismatch,

@@ -39,10 +39,12 @@ import numpy as np
 from .mat2 import Mat2, Vec2, eigenvector, normalized, unimodularity_lost
 from .schemes import (
     UNIMODULAR_TOL,
+    NonFiniteLinearization,
     Scheme,
     ShapeMismatch,
     SingularCayley,
     propagator,
+    require_finite,
     require_shape,
     s_entries,
     step,
@@ -55,6 +57,7 @@ from .systems import (
     State,
     SystemClass,
     classify_equilibrium,
+    collapse_continuum,
     find_equilibria,
 )
 
@@ -162,8 +165,10 @@ def check_preservation(
     The verdict is normative from the trace/rank tests; the bounded-subspace
     dimensions and the containment note expose how literally the continuous
     bounded set sits inside the discrete one (for saddles the two stable
-    lines generally differ by O(tau), hence DIM_ONLY).
+    lines generally differ by O(tau), hence DIM_ONLY).  A non-finite A
+    raises NonFiniteLinearization.
     """
+    require_finite(a)
     kind = classify_equilibrium(a)
     case = _CASE_INDEX[kind]
     b_a = _continuous_subspace(a, kind)
@@ -209,7 +214,8 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
     ``s_entries`` expressions, evaluated on an array, and the trace/rank
     tests repeat check_preservation's operations, so every trace and every
     verdict is bit-identical to the scalar path.  Raises what ``propagator``
-    raises (ValueError, ShapeMismatch, AssertionError) and, unless every row
+    raises (ValueError, NonFiniteLinearization, ShapeMismatch,
+    AssertionError) and, unless every row
     is singular, what ``classify_equilibrium`` raises; the bounded subspaces
     are not computed.
     """
@@ -274,6 +280,7 @@ def _max_abs(first, *rest):
 
 def tau_max_from_matrix(scheme: Scheme, a: Mat2) -> TauLimit:
     """Closed-form preserving limit for a scheme at a linearization A."""
+    require_finite(a)
     if not scheme.stages:
         h0 = a.det  # H_pp H_qq - H_pq^2 for a trace-free hamiltonian Jacobian
         if h0 < 0.0:
@@ -466,14 +473,14 @@ def preservation_report(
     if equilibria is None:
         equilibria = find_equilibria(sys, box=box, grid=grid, tol=tol)
     entries: list[EquilibriumReport] = []
+    covered = collapse_continuum(equilibria)
     note = None
-    if equilibria and equilibria[0].continuum_suspected:
+    if len(covered) < len(equilibria):
         note = (
             f"continuum suspected: {len(equilibria)} grid representatives "
             "collapsed to one"
         )
-        equilibria = equilibria[:1]
-    for eq in equilibria:
+    for eq in covered:
         entry = EquilibriumReport(
             equilibrium=eq, tau_limit=None, empirical=None, rows=[], note=note
         )
@@ -482,7 +489,7 @@ def preservation_report(
             entry.empirical = empirical_tau_max(
                 scheme, eq, tau_hi=tau_hi, tol=bisect_tol
             )
-        except (NotApplicable, InconsistentPredicate) as err:
+        except (NotApplicable, NonFiniteLinearization, InconsistentPredicate) as err:
             entry.error = f"{type(err).__name__}: {err}"
         for tau in tau_list:
             try:

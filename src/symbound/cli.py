@@ -26,11 +26,11 @@ from .analyzer import (
 )
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .errorprop import ErrorModel, SingularResolvent, closed_form_error, error_bounded, iterate_error
-from .expr import ParseError
+from .expr import ExprError
 from .mat2 import Mat2
 from .orbit import orbit_to_csv, simulate
 from .schemes import Scheme, scheme_from_name
-from .systems import State, find_equilibria
+from .systems import State, collapse_continuum, find_equilibria
 
 
 class UsageError(Exception):
@@ -112,7 +112,7 @@ def _resolve_system(cfg: RunConfig, path: str):
         raise ConfigError("config has no [system] section", path)
     try:
         return cfg.system.build()
-    except (ParseError, ValueError) as err:
+    except (ExprError, ValueError) as err:
         raise ConfigError(f"bad system expression: {err}", path)
 
 
@@ -206,9 +206,7 @@ def cmd_sweep(ctx: _Ctx) -> int:
             "sweep needs tau_lo / tau_hi / tau_count in [run]", ctx.config_path
         )
     ctx.prepare_out(cfg)
-    eqs = _equilibria(cfg, sys_obj)
-    if eqs and eqs[0].continuum_suspected:
-        eqs = eqs[:1]
+    eqs = collapse_continuum(_equilibria(cfg, sys_obj))
     taus = cfg.sweep.taus()
     for scheme in schemes:
         for j, eq in enumerate(eqs):
@@ -260,9 +258,7 @@ def cmd_simulate(ctx: _Ctx) -> int:
             "simulate needs at least one offset pair", ctx.config_path
         )
     ctx.prepare_out(cfg)
-    eqs = _equilibria(cfg, sys_obj)
-    if eqs and eqs[0].continuum_suspected:
-        eqs = eqs[:1]
+    eqs = collapse_continuum(_equilibria(cfg, sys_obj))
     if not eqs:
         raise ConfigError(
             "no equilibria found in the search box", ctx.config_path

@@ -2,8 +2,9 @@
 
 The parser is deliberately hand-rolled: unknown sections or keys are hard
 errors reported with file and line, values are typed (strings, reals,
-integer counts, comma-separated lists), and serialization round-trips
-exactly (floats via repr).  Full-line comments start with '#'.
+integer counts, comma-separated lists) and range-checked here, before any
+command runs, and serialization round-trips exactly (floats via repr).
+Full-line comments start with '#'.
 
 Sections and keys:
 
@@ -11,22 +12,25 @@ Sections and keys:
                 h = <expr>            (general)
                 t = <expr>, v = <expr>  (separable)
                 g = <expr>            (newtonian)
-                the keys of each class are its row of the SystemClass table
+                each class's keys come from its row of the SystemClass table
     [run]       schemes = euler-b, yoshida2, stormer-verlet, implicit-midpoint
-                tau = 0.5, 1.0            explicit step sizes
+                tau = 0.5, 1.0            explicit step sizes, positive and finite
                 tau_lo, tau_hi, tau_count, tau_scale = linear|log   sweep grid
                 empirical_tau_hi = 10.0   bracket top for bisection
                 bisect_tol = 1e-06
-    [search]    p_min, p_max, q_min, q_max, grid, tol
-    [simulate]  n_max, escape_r, stride (0 = auto), offsets = dp, dq, ...
-    [error]     s = s11, s12, s21, s22;  eta = e1, e2;  y0 = y1, y2
-                steps = 1, 10, 100
+    [search]    p_min < p_max, q_min < q_max (finite), grid >= 4, tol
+    [simulate]  n_max >= 1, escape_r, stride >= 0 (0 = auto),
+                offsets = dp, dq, ...
+    [error]     s = s11, s12, s21, s22 (unimodular);  eta = e1, e2;
+                y0 = y1, y2;  steps = 1, 10, 100 (non-negative)
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .analyzer import TAU_HI_MAX, fmt_float
+from .errorprop import ErrorModel
+from .mat2 import Mat2
 from .systems import HamiltonianSystem, SystemClass
 
 
@@ -216,11 +220,15 @@ def _get_int_list(raw: dict, section: str, key: str, default, path: str):
         )
 
 
-def _require_finite(raw: dict, key: str, values: list[float], path: str) -> None:
-    """Step sizes read from [run] key must all be finite."""
-    if not all(map(math.isfinite, values)):
-        value, lineno = raw["run"][key]
-        raise ConfigError(f"{key} must be finite, got {value!r}", path, lineno)
+def _require(raw: dict, section: str, key: str, ok: bool, what: str, path: str) -> None:
+    """ConfigError at the key's line unless ok; every default value is ok."""
+    if not ok:
+        value, lineno = raw[section][key]
+        raise ConfigError(f"{key} must be {what}, got {value!r}", path, lineno)
+
+
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -261,7 +269,8 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     schemes_str = _get_str(raw, "run", "schemes", "", path)
     cfg.schemes = [s.strip() for s in schemes_str.split(",") if s.strip()]
     cfg.taus = _get_float_list(raw, "run", "tau", [], path)
-    _require_finite(raw, "tau", cfg.taus, path)
+    _require(raw, "run", "tau", _finite(cfg.taus), "finite", path)
+    _require(raw, "run", "tau", all(t > 0.0 for t in cfg.taus), "positive", path)
     sweep_keys = {"tau_lo", "tau_hi", "tau_count"}
     present = sweep_keys & set(raw.get("run", {}))
     if present:
@@ -277,21 +286,19 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             )
         lo = _get_float(raw, "run", "tau_lo", None, path)
         hi = _get_float(raw, "run", "tau_hi", None, path)
-        _require_finite(raw, "tau_lo", [lo], path)
-        _require_finite(raw, "tau_hi", [hi], path)
+        _require(raw, "run", "tau_lo", math.isfinite(lo), "finite", path)
+        _require(raw, "run", "tau_hi", math.isfinite(hi), "finite", path)
         count = _get_int(raw, "run", "tau_count", None, path)
         if not (0.0 < lo <= hi) or count < 1 or (scale == "log" and lo <= 0.0):
             raise ConfigError("invalid sweep range", path, raw["run"]["tau_lo"][1])
         cfg.sweep = SweepSpec(lo, hi, count, scale)
     cfg.empirical_tau_hi = _get_float(raw, "run", "empirical_tau_hi", 10.0, path)
-    _require_finite(raw, "empirical_tau_hi", [cfg.empirical_tau_hi], path)
-    if not 0.0 < cfg.empirical_tau_hi <= TAU_HI_MAX:
-        value, lineno = raw["run"]["empirical_tau_hi"]
-        raise ConfigError(
-            f"empirical_tau_hi must be positive and at most {TAU_HI_MAX!r}, got {value!r}",
-            path,
-            lineno,
-        )
+    tau_hi = cfg.empirical_tau_hi
+    _require(raw, "run", "empirical_tau_hi", math.isfinite(tau_hi), "finite", path)
+    _require(
+        raw, "run", "empirical_tau_hi", 0.0 < tau_hi <= TAU_HI_MAX,
+        f"positive and at most {TAU_HI_MAX!r}", path,
+    )
     cfg.bisect_tol = _get_float(raw, "run", "bisect_tol", 1e-6, path)
 
     cfg.search = SearchSpec(
@@ -302,6 +309,14 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         grid=_get_int(raw, "search", "grid", 32, path),
         tol=_get_float(raw, "search", "tol", 1e-10, path),
     )
+    search = cfg.search
+    for lo_key, hi_key in (("p_min", "p_max"), ("q_min", "q_max")):
+        lo, hi = getattr(search, lo_key), getattr(search, hi_key)
+        _require(raw, "search", lo_key, math.isfinite(lo), "finite", path)
+        _require(raw, "search", hi_key, math.isfinite(hi), "finite", path)
+        key = hi_key if hi_key in raw.get("search", {}) else lo_key
+        _require(raw, "search", key, lo < hi, f"such that {lo_key} < {hi_key}", path)
+    _require(raw, "search", "grid", search.grid >= 4, "at least 4", path)
     cfg.sim = SimulateSpec(
         n_max=_get_int(raw, "simulate", "n_max", 100_000, path),
         escape_r=_get_float(raw, "simulate", "escape_r", 1e6, path),
@@ -310,6 +325,11 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     )
     if len(cfg.sim.offsets) % 2 != 0:
         raise ConfigError("offsets must contain an even number of reals", path)
+    _require(raw, "simulate", "n_max", cfg.sim.n_max >= 1, "at least 1", path)
+    _require(
+        raw, "simulate", "stride", cfg.sim.stride >= 0,
+        "non-negative (0 chooses it from n_max)", path,
+    )
 
     if "error" in raw:
         s = _get_float_list(raw, "error", "s", None, path)
@@ -321,6 +341,13 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 raise ConfigError(f"[error] needs {name} with {n} reals", path)
         if steps is None or not steps:
             raise ConfigError("[error] needs a non-empty steps list", path)
+        for name, val in (("s", s), ("eta", eta), ("y0", y0)):
+            _require(raw, "error", name, _finite(val), "finite", path)
+        _require(raw, "error", "steps", min(steps) >= 0, "non-negative", path)
+        try:
+            ErrorModel(Mat2(*s), tuple(eta), tuple(y0))
+        except ValueError as err:  # S is not unimodular
+            _require(raw, "error", "s", False, f"unimodular ({err})", path)
         cfg.error = ErrorSpec(s, eta, y0, steps)
     return cfg
 

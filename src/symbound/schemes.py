@@ -62,6 +62,10 @@ class ShapeMismatch(Exception):
     pass
 
 
+class NonFiniteLinearization(ValueError):
+    """The linearization A has an infinite or NaN entry."""
+
+
 KICK, DRIFT = True, False  # a stage is (move, fraction c of the step)
 
 _EXPLICIT = frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN})
@@ -195,9 +199,21 @@ def explicit_euler_step(sys: HamiltonianSystem, x: State, tau: float) -> State:
 # Mat2's trace / det / frobenius_sq / max_norm / @ in the same operation
 # order, so every float equals its Mat2 expression bit for bit.
 
+def require_finite(a: Mat2) -> None:
+    """NonFiniteLinearization unless every entry of A is finite, so that no
+    propagator, verdict or limit is built from an infinity or a NaN."""
+    a11, a12, a21, a22 = a
+    # x * 0.0 is 0.0 for every finite x and NaN for an infinity or a NaN
+    if not a11 * 0.0 + a12 * 0.0 + a21 * 0.0 + a22 * 0.0 == 0.0:
+        raise NonFiniteLinearization(
+            f"linearization has a non-finite entry: {tuple(a)!r}"
+        )
+
+
 def require_shape(scheme: Scheme, a: Mat2) -> None:
-    """ShapeMismatch unless A is trace-free, and for the explicit schemes
-    also separable, [[0, *], [*, 0]]."""
+    """NonFiniteLinearization unless A is finite; ShapeMismatch unless it is
+    trace-free, and for the explicit schemes also separable, [[0, *], [*, 0]]."""
+    require_finite(a)
     a11, a12, a21, a22 = a
     trace = a11 + a22
     if abs(trace) > 1e-9 * (

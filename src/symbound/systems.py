@@ -189,6 +189,12 @@ class Equilibrium:
     continuum_suspected: bool = False
 
 
+def collapse_continuum(eqs: list[Equilibrium]) -> list[Equilibrium]:
+    """The equilibria a report covers: all of them, or only the first grid
+    representative of a suspected continuum."""
+    return eqs[:1] if eqs and eqs[0].continuum_suspected else eqs
+
+
 def classify_equilibrium(a: Mat2, tol: float = 1e-9) -> EquilibriumKind:
     """Classify a trace-free linearization by its determinant and rank.
 
@@ -285,7 +291,8 @@ def find_equilibria(
     (p_lo, p_hi), (q_lo, q_hi) = box
     if grid < 4:
         raise ValueError("grid must be at least 4")
-    if not (p_hi > p_lo and q_hi > q_lo):
+    width, height = p_hi - p_lo, q_hi - q_lo
+    if not (width > 0.0 and height > 0.0 and math.isfinite(width + height)):
         raise ValueError("degenerate search box")
     ps = [p_lo + (p_hi - p_lo) * i / (grid - 1) for i in range(grid)]
     qs = [q_lo + (q_hi - q_lo) * i / (grid - 1) for i in range(grid)]

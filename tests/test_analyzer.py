@@ -29,6 +29,7 @@ from symbound.analyzer import _max_abs
 from symbound.mat2 import Mat2
 from symbound.schemes import (
     SCHEMES_BY_CLASS,
+    NonFiniteLinearization,
     NotApplicable,
     Scheme,
     ShapeMismatch,
@@ -252,7 +253,7 @@ def test_marginal_flag_near_the_boundary():
 
 _GRID_KINDS = (
     "center", "saddle", "rank1", "rank0", "near-rank0",
-    "not-trace-free", "barely-trace-free", "not-separable",
+    "not-trace-free", "barely-trace-free", "not-separable", "non-finite",
 )
 
 
@@ -280,6 +281,12 @@ def _grid_matrix(draw, scheme, kind) -> Mat2:
         return Mat2(zero, sign * b * 1e-13, c * 1e-13, zero)
     if kind == "not-trace-free":
         return Mat2(b, sign * b, c, b)
+    if kind == "non-finite":
+        entries = [x, sign * b, c, -x]
+        entries[draw(st.integers(0, 3))] = draw(
+            st.sampled_from((math.nan, math.inf, -math.inf))
+        )
+        return Mat2(*entries)
     if kind == "barely-trace-free":
         # a trace that propagator accepts and classify_equilibrium rejects
         frob = b * b + c * c
@@ -442,6 +449,21 @@ def test_tau_max_rejects_wrong_shapes():
     with pytest.raises(NotApplicable):
         tau_max_from_matrix(Scheme.STORMER_VERLET, a)
     assert tau_max_from_matrix(Scheme.EULER_B, a).value == 2.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [Mat2(0.0, math.nan, 1.0, 0.0), Mat2(0.0, -2.5, math.inf, 0.0),
+     Mat2(-math.inf, -1.0, 1.0, math.inf)],
+)
+def test_non_finite_linearization_is_rejected_everywhere(a):
+    with pytest.raises(NonFiniteLinearization):
+        check_preservation(a, Mat2.identity())
+    for scheme in Scheme:
+        with pytest.raises(NonFiniteLinearization):
+            tau_max_from_matrix(scheme, a)
+        with pytest.raises(NonFiniteLinearization):
+            verdict_grid(scheme, a, [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------

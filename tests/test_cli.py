@@ -323,6 +323,31 @@ def test_command_config_errors_name_the_file(tmp_path, capsys, command, text, me
     assert err.startswith(f"config error: {cfg}: ") and message in err
 
 
+_ERRORDEMO = "[error]\ns = 1, 0, 0, 1\neta = 0.01, 0\ny0 = 0, 0\nsteps = 1, 5\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, old, new, lineno",
+    [
+        ("analyze", PENDULUM_NH, "grid = 16", "grid = 2", 14),
+        ("simulate", HARMONIC_SWEEP, "n_max = 5000", "n_max = 0", 15),
+        ("simulate", HARMONIC_SWEEP, "tau = 1.0", "tau = -0.5", 8),
+        ("simulate", HARMONIC_SWEEP, "n_max = 5000", "n_max = 5000\nstride = -1", 16),
+        ("errordemo", _ERRORDEMO, "steps = 1, 5", "steps = -1, 5", 5),
+        ("errordemo", _ERRORDEMO, "s = 1, 0, 0, 1", "s = 2, 0, 0, 2", 2),
+    ],
+    ids=["grid", "n_max", "tau", "stride", "steps", "s"],
+)
+def test_out_of_range_values_are_config_errors(
+    tmp_path, capsys, command, text, old, new, lineno
+):
+    assert old in text
+    cfg = _write(tmp_path, text.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{lineno}: ")
+
+
 def test_simulate_writes_orbit_files(tmp_path, capsys):
     cfg = _write(tmp_path, HARMONIC_SWEEP)
     out = tmp_path / "out"
@@ -389,6 +414,13 @@ def test_expression_error_reports_file_and_offset(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "run.cfg" in err and "zin" in err and "offset" in err
+
+
+def test_non_differentiable_expression_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, PENDULUM_NH.replace("g = -sin(q)", "g = abs(q) - 1"))
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: bad system expression: abs")
 
 
 def test_unknown_command_is_usage_error(capsys):

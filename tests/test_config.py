@@ -157,6 +157,41 @@ def test_empirical_tau_hi_outside_the_bracket_range_rejected(value):
     )
 
 
+_ERROR_SECTION = "[error]\ns = 1, 0, 0, 1\neta = 0, 0\ny0 = 0, 0\nsteps = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("[search]\ngrid = 2\n", 2, "grid must be at least 4, got '2'"),
+        ("[search]\nq_max = inf\n", 2, "q_max must be finite"),
+        ("[search]\nq_max = -6\n", 2, "q_max must be such that q_min < q_max"),
+        ("[search]\np_min = 5\n", 2, "p_min must be such that p_min < p_max"),
+        ("[simulate]\nn_max = 0\n", 2, "n_max must be at least 1, got '0'"),
+        ("[simulate]\nstride = -1\n", 2, "stride must be non-negative"),
+        ("[run]\ntau = 0.5, -0.5\n", 2, "tau must be positive, got '0.5, -0.5'"),
+        ("[run]\ntau = 0\n", 2, "tau must be positive"),
+        (_ERROR_SECTION.replace("steps = 1", "steps = -1, 5"), 5,
+         "steps must be non-negative, got '-1, 5'"),
+        (_ERROR_SECTION.replace("s = 1, 0, 0, 1", "s = 2, 0, 0, 2"), 2,
+         "s must be unimodular (propagation matrix has det 4.0, not 1)"),
+        (_ERROR_SECTION.replace("eta = 0, 0", "eta = nan, 0"), 3, "eta must be finite"),
+    ],
+)
+def test_out_of_range_values_rejected_with_file_and_line(text, lineno, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, "range.cfg")
+    assert str(info.value).startswith(f"range.cfg:{lineno}: {message}")
+
+
+def test_boundary_values_are_accepted():
+    cfg = parse_config(
+        "[search]\ngrid = 4\n[simulate]\nn_max = 1\nstride = 0\n"
+        + _ERROR_SECTION.replace("steps = 1", "steps = 0")
+    )
+    assert (cfg.search.grid, cfg.sim.n_max, cfg.error.steps) == (4, 1, [0])
+
+
 def test_odd_offsets_rejected():
     with pytest.raises(ConfigError):
         parse_config("[simulate]\noffsets = 0.1, 0.2, 0.3\n")

@@ -10,6 +10,7 @@ from symbound.mat2 import Mat2
 from symbound.schemes import (
     SCHEMES_BY_CLASS,
     ImplicitSolveFailed,
+    NonFiniteLinearization,
     NotApplicable,
     Scheme,
     ShapeMismatch,
@@ -167,6 +168,16 @@ def test_implicit_midpoint_propagator_hand_value():
     assert abs(s.trace) <= 1e-15 and abs(s.det - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", range(4))
+def test_propagator_rejects_a_non_finite_linearization(entry, bad):
+    a = list(Mat2(0.0, -2.5, 1.0, 0.0))
+    a[entry] = bad
+    for scheme in ALL_SCHEMES:
+        with pytest.raises(NonFiniteLinearization):
+            propagator(scheme, Mat2(*a), 0.5)
+
+
 def test_zero_field_gives_identity_for_every_scheme():
     for scheme in ALL_SCHEMES:
         s = propagator(scheme, Mat2.zero(), 3.7)
@@ -221,18 +232,22 @@ def test_propagator_is_bitwise_the_stage_product():
     for b, c, tau in cases:
         for a in (Mat2(0.0, b, c, 0.0), Mat2(-0.0, b, c, -0.0)):
             for scheme in ALL_SCHEMES:
-                if math.isfinite(tau):
+                finite_a = all(map(math.isfinite, a))
+                if math.isfinite(tau) and finite_a:
                     try:
                         got = propagator(scheme, a, tau)
                     except (SingularCayley, AssertionError):
                         continue
                 else:
-                    # propagator rejects such a step; the closed form it
-                    # evaluates, shared with verdict_grid, is checked as is
+                    # propagator rejects such a step or such an A; the closed
+                    # form it evaluates, shared with verdict_grid, is checked
+                    # as is
                     with pytest.raises(ValueError):
                         propagator(scheme, a, tau)
                     got, _, singular = s_entries(scheme, a, tau)
-                    assert not singular
+                    if singular:  # only a non-finite A makes it singular here
+                        assert not finite_a
+                        continue
                 want = _stage_product(scheme, a, tau)
                 assert all(map(same_float, got, want)), (scheme, a, tau, got, want)
                 checked += 1

@@ -15,6 +15,7 @@ from symbound.systems import (
     NotTraceFree,
     State,
     classify_equilibrium,
+    collapse_continuum,
     find_equilibria,
     linearize,
 )
@@ -47,6 +48,16 @@ def test_variable_validation():
 
 # ---------------------------------------------------------------------------
 # equilibria
+
+@pytest.mark.parametrize(
+    "box",
+    [((-1.0, 1.0), (1.0, 1.0)), ((-1.0, 1.0), (-4.0, math.inf)),
+     ((math.nan, 1.0), (-4.0, 4.0)), ((-1e308, 1e308), (-4.0, 4.0))],
+)
+def test_find_equilibria_rejects_a_degenerate_or_infinite_box(box):
+    with pytest.raises(ValueError, match="degenerate search box"):
+        find_equilibria(catalog.pendulum(), box=box, grid=8)
+
 
 def test_pendulum_equilibria():
     eqs = find_equilibria(catalog.pendulum(), box=((-1, 1), (-4, 4)), grid=16)
@@ -192,6 +203,15 @@ def test_newtonian_reduces_to_separable(g_text, v_text):
     eq_s = find_equilibria(sep, box=((-1, 1), (-1, 1)), grid=8)
     for en, es in zip(eq_n[:2], eq_s[:2]):
         assert en.kind == es.kind
+
+
+def test_collapse_continuum_keeps_one_representative_of_a_continuum():
+    plane = find_equilibria(catalog.zero(), grid=8)
+    assert len(plane) > 8 and plane[0].continuum_suspected
+    assert collapse_continuum(plane) == plane[:1]
+    points = find_equilibria(catalog.pendulum(), grid=8)
+    assert collapse_continuum(points) == points and len(points) > 1
+    assert collapse_continuum([]) == []
 
 
 def test_energy_not_applicable_for_newtonian():
