@@ -44,7 +44,15 @@ from .expr import (
     to_string,
 )
 from .mat2 import Mat2
-from .orbit import Bounded, Escaped, OrbitTrace, SolverFailed, hamiltonian_drift, simulate
+from .orbit import (
+    Bounded,
+    Escaped,
+    LeftDomain,
+    OrbitTrace,
+    SolverFailed,
+    hamiltonian_drift,
+    simulate,
+)
 from .schemes import (
     ImplicitSolveFailed,
     NonFiniteLinearization,

@@ -267,7 +267,7 @@ def cmd_simulate(ctx: _Ctx) -> int:
     for j, eq in enumerate(eqs):
         for dp, dq in offsets:
             r0 = math.hypot(eq.point.p + dp, eq.point.q + dq)
-            if cfg.sim.escape_r <= r0:
+            if not cfg.sim.escape_r > r0:
                 raise ConfigError(
                     f"escape_r = {fmt_float(cfg.sim.escape_r)} does not exceed the "
                     f"initial radius {r0:.6g} of the orbit at equilibrium "

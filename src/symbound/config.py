@@ -19,8 +19,8 @@ Sections and keys:
                 empirical_tau_hi = 10.0   bracket top for bisection
                 bisect_tol = 1e-06
     [search]    p_min < p_max, q_min < q_max (finite), grid >= 4, tol
-    [simulate]  n_max >= 1, escape_r, stride >= 0 (0 = auto),
-                offsets = dp, dq, ...
+    [simulate]  n_max >= 1, escape_r > 0, stride >= 0 (0 = auto),
+                offsets = dp, dq, ...  (finite)
     [error]     s = s11, s12, s21, s22 (unimodular);  eta = e1, e2;
                 y0 = y1, y2;  steps = 1, 10, 100 (non-negative)
 """
@@ -325,6 +325,8 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     )
     if len(cfg.sim.offsets) % 2 != 0:
         raise ConfigError("offsets must contain an even number of reals", path)
+    _require(raw, "simulate", "offsets", _finite(cfg.sim.offsets), "finite", path)
+    _require(raw, "simulate", "escape_r", cfg.sim.escape_r > 0.0, "positive", path)
     _require(raw, "simulate", "n_max", cfg.sim.n_max >= 1, "at least 1", path)
     _require(
         raw, "simulate", "stride", cfg.sim.stride >= 0,

@@ -20,6 +20,7 @@ Trees are immutable and every operation here is pure, so expressions can
 be shared freely across threads.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -581,9 +582,58 @@ def to_string(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python callables.  Generated code goes through the
-# same guarded kernels as the tree evaluator, in the same order, so results
-# are bit-identical; this is the fast path used by the systems layer.
+# Compilation to plain Python code.  Generated code goes through the same
+# guarded kernels as the tree evaluator, in the same order, so results are
+# bit-identical; this is the fast path used by the systems and schemes
+# layers.  Constants are read from a tuple _c, so the source text depends
+# only on the shape of a tree, and compiled code is cached by its text: all
+# trees of one shape share one code object.
+
+_CODE_CACHE_SIZE = 256  # distinct sources kept compiled
+
+_KERNELS = {"_div": _div, "_pow": _pow}
+_KERNELS.update({f"_f_{name}": fn for name, fn in _FUNC_IMPL.items()})
+
+
+def emit(expr: Expr, consts: list[float]) -> str:
+    """Python source evaluating expr, with each variable read as the local
+    name it has in the tree; each constant is appended to consts and read
+    as _c[i]."""
+    match expr:
+        case Const(value):
+            consts.append(value)
+            return f"_c[{len(consts) - 1}]"
+        case Var(name):
+            return name
+        case Neg(arg):
+            return f"(-{emit(arg, consts)})"
+        case Add(l, r):
+            return f"({emit(l, consts)} + {emit(r, consts)})"
+        case Sub(l, r):
+            return f"({emit(l, consts)} - {emit(r, consts)})"
+        case Mul(l, r):
+            return f"({emit(l, consts)} * {emit(r, consts)})"
+        case Div(l, r):
+            return f"_div({emit(l, consts)}, {emit(r, consts)})"
+        case Pow(b, x):
+            return f"_pow({emit(b, consts)}, {emit(x, consts)})"
+        case Func(name, arg):
+            return f"_f_{name}({emit(arg, consts)})"
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source: str):
+    return compile(source, "<symbound-expr>", "exec")
+
+
+def define(source: str, name: str, consts, **names):
+    """Run source, compiled once per text, with the guarded kernels,
+    _c = tuple(consts) and names as its globals; return what it binds to name."""
+    namespace = dict(_KERNELS, _c=tuple(consts), **names)
+    exec(_code(source), namespace)
+    return namespace[name]
+
 
 def compile_expr(expr: Expr, args: tuple[str, ...]):
     free = variables(expr)
@@ -591,36 +641,5 @@ def compile_expr(expr: Expr, args: tuple[str, ...]):
     if missing:
         raise UnboundVariable(f"unbound variables {sorted(missing)!r}")
     consts: list[float] = []
-
-    def code(e: Expr) -> str:
-        match e:
-            case Const(value):
-                consts.append(value)
-                return f"_c[{len(consts) - 1}]"
-            case Var(name):
-                return name
-            case Neg(arg):
-                return f"(-{code(arg)})"
-            case Add(l, r):
-                return f"({code(l)} + {code(r)})"
-            case Sub(l, r):
-                return f"({code(l)} - {code(r)})"
-            case Mul(l, r):
-                return f"({code(l)} * {code(r)})"
-            case Div(l, r):
-                return f"_div({code(l)}, {code(r)})"
-            case Pow(b, x):
-                return f"_pow({code(b)}, {code(x)})"
-            case Func(name, arg):
-                return f"_f_{name}({code(arg)})"
-        raise TypeError(f"not an expression node: {e!r}")
-
-    body = code(expr)
-    namespace = {
-        "_div": _div,
-        "_pow": _pow,
-        "_c": tuple(consts),
-    }
-    namespace.update({f"_f_{name}": fn for name, fn in _FUNC_IMPL.items()})
-    source = f"lambda {', '.join(args)}: {body}"
-    return eval(compile(source, "<symbound-expr>", "eval"), namespace)
+    body = emit(expr, consts)
+    return define(f"_f = lambda {', '.join(args)}: {body}", "_f", consts)

@@ -9,6 +9,7 @@ the linearized analysis governs what these runs should show.
 import math
 from dataclasses import dataclass
 
+from .expr import DomainError
 from .schemes import ImplicitSolveFailed, Scheme, step
 from .systems import HamiltonianSystem, State
 
@@ -30,7 +31,16 @@ class SolverFailed:
     step: int
 
 
-OrbitVerdict = Bounded | Escaped | SolverFailed
+@dataclass(frozen=True)
+class LeftDomain:
+    """The step from state ``step`` evaluated an expression outside its
+    domain, for the reason given."""
+
+    step: int
+    reason: str
+
+
+OrbitVerdict = Bounded | Escaped | SolverFailed | LeftDomain
 
 
 @dataclass
@@ -56,10 +66,13 @@ def simulate(
     escape_radius: float = 1e6,
     stride: int | None = None,
 ) -> OrbitTrace:
-    """Iterate the scheme from x0; stop on escape, solver failure, or horizon.
+    """Iterate the scheme from x0; stop on escape, solver failure, leaving
+    an expression's domain, or the horizon.
 
     Every stride-th state is recorded plus the final one.  The run is pure
-    and deterministic: identical inputs give bit-identical traces.
+    and deterministic: identical inputs give bit-identical traces.  A failed
+    step's ImplicitSolveFailed gets the index of the state it started from
+    as its step_index, which is also the SolverFailed verdict's step.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -68,7 +81,7 @@ def simulate(
     if stride < 1:
         raise ValueError("stride must be at least 1")
     r0 = math.hypot(x0.p, x0.q)
-    if escape_radius <= r0:
+    if not escape_radius > r0:
         raise ValueError("escape radius must exceed the initial radius")
     steps = [0]
     states = [x0]
@@ -83,8 +96,13 @@ def simulate(
     for n in range(1, n_max + 1):
         try:
             x = step(scheme, sys, x, tau)
-        except ImplicitSolveFailed:
+        except ImplicitSolveFailed as err:
+            err.step_index = n - 1
             return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
+        except DomainError as err:
+            record(n - 1, x)
+            verdict = LeftDomain(n - 1, str(err))
+            return OrbitTrace(x0, scheme, tau, steps, states, verdict)
         r = math.hypot(x.p, x.q)
         if not math.isfinite(r):
             record(n, x)
@@ -124,8 +142,10 @@ def orbit_to_csv(sys: HamiltonianSystem, trace: OrbitTrace) -> str:
         summary = f"bounded n_steps={verdict.n_steps} max_radius={verdict.max_radius!r}"
     elif isinstance(verdict, Escaped):
         summary = f"escaped step={verdict.step} radius={verdict.radius!r}"
-    else:
+    elif isinstance(verdict, SolverFailed):
         summary = f"solver-failed step={verdict.step}"
+    else:
+        summary = f"left-domain step={verdict.step} reason={verdict.reason}"
     lines = [
         f"# verdict(heuristic) = {summary}",
         f"# scheme={trace.scheme.value} tau={trace.tau!r} "

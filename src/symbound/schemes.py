@@ -10,11 +10,14 @@ kick moves p and a drift moves q by a fraction c of the step:
 
   kick: p <- p - c*tau*H_q(p, q)    drift: q <- q + c*tau*H_p(p, q)
 
-with the system's compiled derivatives, so one fold serves every class:
-H_q = V'(q), H_p = T'(p) for a separable system, H_q = -g(q), H_p = p for a
-newtonian one.
+with the system's derivatives, so one fold serves every class: H_q = V'(q),
+H_p = T'(p) for a separable system, H_q = -g(q), H_p = p for a newtonian
+one.
 
-step folds the row over the state.  At a trace-free linearization A of the
+step runs a kernel generated once per (scheme, system) and cached on the
+system: Python source in which each kick and drift of the row is one
+straight line holding the text compile_expr emits for H_q or H_p, the
+constants read from one shared tuple.  At a trace-free linearization A of the
 separable shape [[0, a12], [a21, 0]] the stages are the exact matrices
 
     kick(c)  = [[1, c*tau*a12], [0, 1]]
@@ -29,18 +32,25 @@ The implicit midpoint rule has no stages:
   implicit-midpoint  P = p - tau*H_q(mid), Q = q + tau*H_p(mid), mid = (x+X)/2,
                      solved by damped Newton
 
+Its kernel is one template of that solve with the five derivative texts
+inlined and the 2x2 Newton matrix spelled out in Mat2's operation order,
+so it gives the same bits and raises the same errors at the same points as
+the solve written on the compiled accessors and Mat2.
+
 Its propagator is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
 it ceases to exist at the first tau where the denominator determinant
 reaches zero, and is reported singular from that point on (the one-step
 family is not continued past the singularity).
 
 Schemes are stateless: step and propagator are pure functions, safe to
-call concurrently.
+call concurrently (two threads may build the same kernel once each).
 """
 
 import enum
 import math
+import string
 
+from . import expr as ex
 from .mat2 import Mat2, unimodularity_lost
 from .systems import HamiltonianSystem, NotApplicable, State, SystemClass
 
@@ -115,74 +125,98 @@ def scheme_from_name(name: str) -> Scheme:
 # Nonlinear stepping
 
 def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
-    """Advance one step of size tau > 0."""
+    """Advance one step of size tau > 0 with the scheme's kernel for sys."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
-    if not scheme.applicable_to(sys):
-        raise NotApplicable(
-            f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
-        )
-    stages = scheme.stages
-    if not stages:
-        return _implicit_midpoint(sys, x, tau)
-    p, q = x
-    h_p, h_q = sys.h_p, sys.h_q
-    for move, c in stages:
-        if move is KICK:
-            p = p - (c * tau) * h_q(p, q)
-        else:
-            q = q + (c * tau) * h_p(p, q)
-    return State(p, q)
+    kernel = sys.kernels.get(scheme._value_) or _new_kernel(scheme, sys)
+    return kernel(x, tau)
 
 
-def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):
-    p_new, q_new = x.p, x.q
-
-    def residual(pn, qn):
-        mp, mq = 0.5 * (x.p + pn), 0.5 * (x.q + qn)
-        return (
-            pn - x.p + tau * sys.h_q(mp, mq),
-            qn - x.q - tau * sys.h_p(mp, mq),
-        )
-
-    r = residual(p_new, q_new)
-    rn = math.hypot(*r)
+# The implicit midpoint rule's damped Newton solve.  p, q are the midpoint,
+# at which the derivative texts are evaluated; (pn, qn) is the iterate.  The
+# Newton matrix is spelled out in Mat2's det, frobenius_sq and solve order.
+_MIDPOINT = string.Template("""\
+def _step(x, tau):
+    xp, xq = x
+    pn, qn = xp, xq
+    p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
+    r0, r1 = pn - xp + tau * $h_q, qn - xq - tau * $h_p
+    rn = _hypot(r0, r1)
     # absolute 1e-12 is unreachable at large amplitudes; scale accordingly
-    target = tol * (1.0 + math.hypot(x.p, x.q) + math.hypot(p_new, q_new))
-    for _ in range(max_iter):
+    target = 1e-12 * (1.0 + _hypot(xp, xq) + _hypot(pn, qn))
+    for _ in range(100):
         if rn <= target:
-            return State(p_new, q_new)
-        mp, mq = 0.5 * (x.p + p_new), 0.5 * (x.q + q_new)
-        jac = Mat2(
-            1.0 + 0.5 * tau * sys.h_pq(mp, mq),
-            0.5 * tau * sys.h_qq(mp, mq),
-            -0.5 * tau * sys.h_pp(mp, mq),
-            1.0 - 0.5 * tau * sys.h_pq(mp, mq),
+            return State(pn, qn)
+        p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
+        h_pq = $h_pq
+        a11, a12, a21, a22 = (
+            1.0 + 0.5 * tau * h_pq,
+            0.5 * tau * $h_qq,
+            -0.5 * tau * $h_pp,
+            1.0 - 0.5 * tau * h_pq,
         )
-        if abs(jac.det) <= _SINGULAR_TOL * (1.0 + jac.frobenius_sq):
-            raise ImplicitSolveFailed(
-                f"singular Newton matrix at tau={tau!r}"
-            )
-        dp, dq = jac.solve((-r[0], -r[1]))
+        det = a11 * a22 - a12 * a21
+        if abs(det) <= $singular_tol * (
+            1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
+        ):
+            raise ImplicitSolveFailed(f"singular Newton matrix at tau={tau!r}")
+        # Mat2.solve's zero check cannot fire here: the test above catches a zero
+        # det unless its bound is NaN, which takes a NaN entry, and then
+        # det is NaN too
+        b0, b1 = -r0, -r1
+        dp, dq = (b0 * a22 - a12 * b1) / det, (a11 * b1 - b0 * a21) / det
         lam = 1.0
         for _ in range(60):
-            cand_p, cand_q = p_new + lam * dp, q_new + lam * dq
-            rc = residual(cand_p, cand_q)
-            rcn = math.hypot(*rc)
+            cp, cq = pn + lam * dp, qn + lam * dq
+            p, q = 0.5 * (xp + cp), 0.5 * (xq + cq)
+            c0, c1 = cp - xp + tau * $h_q, cq - xq - tau * $h_p
+            rcn = _hypot(c0, c1)
             if rcn < rn or rcn <= target:
-                p_new, q_new, r, rn = cand_p, cand_q, rc, rcn
+                pn, qn, r0, r1, rn = cp, cq, c0, c1, rcn
                 break
             lam *= 0.5
         else:
             raise ImplicitSolveFailed(
                 f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
             )
-        target = tol * (1.0 + math.hypot(x.p, x.q) + math.hypot(p_new, q_new))
+        target = 1e-12 * (1.0 + _hypot(xp, xq) + _hypot(pn, qn))
     if rn <= target:
-        return State(p_new, q_new)
+        return State(pn, qn)
     raise ImplicitSolveFailed(
-        f"no convergence after {max_iter} iterations (tau={tau!r})"
+        f"no convergence after 100 iterations (tau={tau!r})"
     )
+""")
+
+
+def _new_kernel(scheme: Scheme, sys: HamiltonianSystem):
+    """Generate the scheme's step function (x, tau) -> State from the
+    system's derivative trees, compile it and cache it on the system."""
+    if not scheme.applicable_to(sys):
+        raise NotApplicable(
+            f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
+        )
+    consts: list[float] = []
+    h_p, h_q, h_pp, h_pq, h_qq = (ex.emit(tree, consts) for tree in sys.derivatives)
+    if scheme.stages:
+        moves = [
+            f"    p = p - ({c!r} * tau) * {h_q}" if move is KICK
+            else f"    q = q + ({c!r} * tau) * {h_p}"
+            for move, c in scheme.stages
+        ]
+        source = "\n".join(
+            ["def _step(x, tau):", "    p, q = x", *moves, "    return State(p, q)"]
+        )
+    else:
+        source = _MIDPOINT.substitute(
+            h_p=h_p, h_q=h_q, h_pp=h_pp, h_pq=h_pq, h_qq=h_qq,
+            singular_tol=repr(_SINGULAR_TOL),
+        )
+    kernel = ex.define(
+        source, "_step", consts,
+        State=State, ImplicitSolveFailed=ImplicitSolveFailed, _hypot=math.hypot,
+    )
+    sys.kernels[scheme._value_] = kernel
+    return kernel
 
 
 def explicit_euler_step(sys: HamiltonianSystem, x: State, tau: float) -> State:

@@ -12,9 +12,11 @@ of (p, q): H_p, H_q and the second derivatives H_pp, H_pq, H_qq.  A
 newtonian system has H_p = p and H_q = -g(q) and no explicit H.  The trees
 are produced symbolically and compiled at construction time, so
 linearizations carry no differencing error, and the vector field, the
-Jacobian and the steppers read the same compiled set for every class.
-Systems are immutable after construction and safe to share between
-threads.
+Jacobian and the step kernels are built from the same set for every class.
+Systems are immutable after construction, except for a cache of step
+kernels that schemes.step fills the first time it steps a scheme on the
+system.  They are safe to share between threads: a race on the cache only
+builds one kernel twice.
 """
 
 import enum
@@ -108,9 +110,11 @@ class HamiltonianSystem:
     """A system of one of the three classes, with its compiled derivatives.
 
     ``h_p``, ``h_q``, ``h_pp``, ``h_pq`` and ``h_qq`` are compiled callables
-    of (p, q), the same accessors for every class.  A system is built from
-    its class and one expression (a tree or its text) per key of the class;
-    ``exprs`` maps each key to its parsed tree.
+    of (p, q), the same accessors for every class, and ``derivatives`` holds
+    their trees in that order.  A system is built from its class and one
+    expression (a tree or its text) per key of the class; ``exprs`` maps
+    each key to its parsed tree.  ``kernels`` is the step-kernel cache of
+    schemes.step, keyed by scheme name.
     """
 
     def __init__(self, kind: SystemClass, *exprs: ex.Expr | str):
@@ -118,12 +122,13 @@ class HamiltonianSystem:
         self.kind = kind
         self.exprs = dict(zip(kind.keys, trees, strict=True))
         h, h_p, h_q, h_pq = _energy_trees(kind, *trees)
-        derivatives = (h_p, h_q, _diff(h_p, "p"), h_pq, _diff(h_q, "q"))
+        self.derivatives = (h_p, h_q, _diff(h_p, "p"), h_pq, _diff(h_q, "q"))
         self._h_tree = h
         self._h = None if h is None else ex.compile_expr(h, _PQ)
         self.h_p, self.h_q, self.h_pp, self.h_pq, self.h_qq = (
-            ex.compile_expr(tree, _PQ) for tree in derivatives
+            ex.compile_expr(tree, _PQ) for tree in self.derivatives
         )
+        self.kernels = {}
 
     # -- constructors ------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Shared test helpers: random expression trees, finite differences and
-per-class reference formulas for the systems' compiled accessors."""
+"""Shared test helpers: random expression trees, finite differences,
+per-class reference formulas for the systems' compiled accessors and the
+generic reference step for the generated step kernels."""
 
 import functools
 import math
@@ -8,7 +9,8 @@ import numpy as np
 
 from symbound import expr as ex
 from symbound.mat2 import Mat2
-from symbound.systems import NotApplicable
+from symbound.schemes import KICK, ImplicitSolveFailed
+from symbound.systems import NotApplicable, State
 
 SAFE_FUNCS = ("sin", "cos", "tanh", "exp", "sinh", "cosh", "sqrt", "log")
 
@@ -140,3 +142,72 @@ class ClassFormulas:
 @functools.lru_cache(maxsize=None)
 def class_formulas(sys) -> ClassFormulas:
     return ClassFormulas(sys)
+
+
+def reference_step(scheme, sys, x: State, tau: float) -> State:
+    """One step through the system's compiled accessors: the fold of the
+    scheme's stages, or the damped-Newton midpoint solve on Mat2.  The
+    generic path the generated kernels of schemes.step must equal bitwise."""
+    if tau <= 0.0:
+        raise ValueError("step size must be positive")
+    if not scheme.applicable_to(sys):
+        raise NotApplicable(
+            f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
+        )
+    stages = scheme.stages
+    if not stages:
+        return _implicit_midpoint(sys, x, tau)
+    p, q = x
+    for move, c in stages:
+        if move is KICK:
+            p = p - (c * tau) * sys.h_q(p, q)
+        else:
+            q = q + (c * tau) * sys.h_p(p, q)
+    return State(p, q)
+
+
+def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):
+    p_new, q_new = x.p, x.q
+
+    def residual(pn, qn):
+        mp, mq = 0.5 * (x.p + pn), 0.5 * (x.q + qn)
+        return (
+            pn - x.p + tau * sys.h_q(mp, mq),
+            qn - x.q - tau * sys.h_p(mp, mq),
+        )
+
+    r = residual(p_new, q_new)
+    rn = math.hypot(*r)
+    target = tol * (1.0 + math.hypot(x.p, x.q) + math.hypot(p_new, q_new))
+    for _ in range(max_iter):
+        if rn <= target:
+            return State(p_new, q_new)
+        mp, mq = 0.5 * (x.p + p_new), 0.5 * (x.q + q_new)
+        jac = Mat2(
+            1.0 + 0.5 * tau * sys.h_pq(mp, mq),
+            0.5 * tau * sys.h_qq(mp, mq),
+            -0.5 * tau * sys.h_pp(mp, mq),
+            1.0 - 0.5 * tau * sys.h_pq(mp, mq),
+        )
+        if abs(jac.det) <= 1e-9 * (1.0 + jac.frobenius_sq):
+            raise ImplicitSolveFailed(f"singular Newton matrix at tau={tau!r}")
+        dp, dq = jac.solve((-r[0], -r[1]))
+        lam = 1.0
+        for _ in range(60):
+            cand_p, cand_q = p_new + lam * dp, q_new + lam * dq
+            rc = residual(cand_p, cand_q)
+            rcn = math.hypot(*rc)
+            if rcn < rn or rcn <= target:
+                p_new, q_new, r, rn = cand_p, cand_q, rc, rcn
+                break
+            lam *= 0.5
+        else:
+            raise ImplicitSolveFailed(
+                f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
+            )
+        target = tol * (1.0 + math.hypot(x.p, x.q) + math.hypot(p_new, q_new))
+    if rn <= target:
+        return State(p_new, q_new)
+    raise ImplicitSolveFailed(
+        f"no convergence after {max_iter} iterations (tau={tau!r})"
+    )

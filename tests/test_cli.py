@@ -335,8 +335,10 @@ _ERRORDEMO = "[error]\ns = 1, 0, 0, 1\neta = 0.01, 0\ny0 = 0, 0\nsteps = 1, 5\n"
         ("simulate", HARMONIC_SWEEP, "n_max = 5000", "n_max = 5000\nstride = -1", 16),
         ("errordemo", _ERRORDEMO, "steps = 1, 5", "steps = -1, 5", 5),
         ("errordemo", _ERRORDEMO, "s = 1, 0, 0, 1", "s = 2, 0, 0, 2", 2),
+        ("simulate", HARMONIC_SWEEP, "escape_r = 1000.0", "escape_r = nan", 16),
+        ("simulate", HARMONIC_SWEEP, "offsets = 0.001, 0.0", "offsets = nan, 0.0", 17),
     ],
-    ids=["grid", "n_max", "tau", "stride", "steps", "s"],
+    ids=["grid", "n_max", "tau", "stride", "steps", "s", "escape_r", "offsets"],
 )
 def test_out_of_range_values_are_config_errors(
     tmp_path, capsys, command, text, old, new, lineno
@@ -375,6 +377,45 @@ def test_simulate_escape_is_a_result_not_an_error(tmp_path, capsys):
     assert "Escaped" in stdout
     text = (out / "orbit_euler-b_t0_eq0_off0.csv").read_text()
     assert text.splitlines()[0].startswith("# verdict(heuristic) = escaped")
+
+
+def test_simulate_ends_an_orbit_that_leaves_the_domain(tmp_path):
+    # euler-b steps q past -1, where sqrt(q + 1) has no real value
+    text = """\
+[system]
+class = newtonian
+g = 1 - sqrt(q + 1)
+
+[run]
+schemes = euler-b
+tau = 3.5
+
+[search]
+p_min = -0.5
+p_max = 0.5
+q_min = -0.5
+q_max = 0.5
+
+[simulate]
+n_max = 2000
+offsets = 0.1, 0.0
+"""
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", "simulate", "--config",
+         _write(tmp_path, text), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "orbit_euler-b_t0_eq0_off0.csv: tau=3.5 " in run.stdout
+    assert run.stdout.rstrip().endswith("-> LeftDomain")
+    lines = (out / "orbit_euler-b_t0_eq0_off0.csv").read_text().splitlines()
+    assert lines[0] == (
+        "# verdict(heuristic) = left-domain step=2 reason=sqrt of a negative value"
+    )
 
 
 def test_errordemo_csv(tmp_path, capsys):

@@ -176,6 +176,10 @@ _ERROR_SECTION = "[error]\ns = 1, 0, 0, 1\neta = 0, 0\ny0 = 0, 0\nsteps = 1\n"
         (_ERROR_SECTION.replace("s = 1, 0, 0, 1", "s = 2, 0, 0, 2"), 2,
          "s must be unimodular (propagation matrix has det 4.0, not 1)"),
         (_ERROR_SECTION.replace("eta = 0, 0", "eta = nan, 0"), 3, "eta must be finite"),
+        ("[simulate]\nescape_r = nan\n", 2, "escape_r must be positive, got 'nan'"),
+        ("[simulate]\nescape_r = 0\n", 2, "escape_r must be positive"),
+        ("[simulate]\noffsets = nan, 0.0\n", 2, "offsets must be finite"),
+        ("[simulate]\noffsets = 0.1, 0, 0, -inf\n", 2, "offsets must be finite"),
     ],
 )
 def test_out_of_range_values_rejected_with_file_and_line(text, lineno, message):

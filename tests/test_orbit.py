@@ -3,9 +3,11 @@ import math
 import pytest
 
 from symbound import catalog
+from symbound import orbit
 from symbound.orbit import (
     Bounded,
     Escaped,
+    LeftDomain,
     OrbitTrace,
     SolverFailed,
     default_stride,
@@ -13,8 +15,8 @@ from symbound.orbit import (
     orbit_to_csv,
     simulate,
 )
-from symbound.schemes import NotApplicable, Scheme
-from symbound.systems import State
+from symbound.schemes import ImplicitSolveFailed, NotApplicable, Scheme
+from symbound.systems import HamiltonianSystem, State
 
 
 def test_harmonic_euler_b_stays_bounded_below_the_limit():
@@ -42,6 +44,34 @@ def test_cayley_singularity_reports_solver_failure():
         n_max=100, escape_radius=1e6,
     )
     assert trace.verdict == SolverFailed(0)
+
+
+def test_failed_solve_carries_the_step_index_of_its_verdict(monkeypatch):
+    err, calls, real_step = ImplicitSolveFailed("no convergence"), [], orbit.step
+
+    def fifth_step_fails(scheme, sys, x, tau):
+        calls.append(x)
+        if len(calls) == 5:
+            raise err
+        return real_step(scheme, sys, x, tau)
+
+    monkeypatch.setattr(orbit, "step", fifth_step_fails)
+    sys = catalog.harmonic()
+    trace = simulate(sys, Scheme.IMPLICIT_MIDPOINT, State(0.1, 0.0), 0.5, n_max=10)
+    assert trace.verdict == SolverFailed(4)
+    assert err.step_index == 4
+    # the index rides on the exception only; the CSV keeps its layout
+    assert orbit_to_csv(sys, trace).startswith("# verdict(heuristic) = solver-failed step=4\n")
+
+
+def test_leaving_the_domain_ends_the_orbit_with_its_reason():
+    sys = HamiltonianSystem.newtonian("1 - sqrt(q + 1)")
+    trace = simulate(sys, Scheme.EULER_B, State(0.1, 0.0), 3.5, n_max=2000, stride=1000)
+    assert trace.verdict == LeftDomain(2, "sqrt of a negative value")
+    assert trace.steps == [0, 2]  # the last state the orbit reached
+    assert orbit_to_csv(sys, trace).startswith(
+        "# verdict(heuristic) = left-domain step=2 reason=sqrt of a negative value\n"
+    )
 
 
 def test_recording_stride_and_endpoints():
@@ -76,6 +106,11 @@ def test_input_validation():
         simulate(
             catalog.harmonic(), Scheme.EULER_B, State(3.0, 4.0), 0.1,
             escape_radius=5.0,
+        )
+    with pytest.raises(ValueError):  # no radius exceeds a NaN one
+        simulate(
+            catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 0.1,
+            escape_radius=math.nan,
         )
 
 

@@ -25,7 +25,7 @@ from symbound.schemes import (
 )
 from symbound.systems import HamiltonianSystem, State, find_equilibria
 
-from conftest import class_formulas, same_float
+from conftest import class_formulas, reference_step, same_float
 
 ALL_SCHEMES = tuple(Scheme)
 
@@ -123,7 +123,7 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except Exception as err:  # noqa: BLE001 - the failure is part of the outcome
-        return type(err)
+        return type(err), str(err)
 
 
 @settings(max_examples=400, deadline=None)
@@ -140,10 +140,58 @@ def test_step_folds_the_stage_table_bitwise(sys, p, q, tau):
             continue
         got = _outcome(step, scheme, sys, x, tau)
         want = _outcome(_hand_step, scheme, sys, x, tau)
-        if isinstance(want, type):
-            assert got is want, (scheme, x, tau)
+        if not isinstance(want, State):
+            assert got[0] is want[0], (scheme, x, tau)
         else:
             assert all(map(same_float, got, want)), (scheme, x, tau, got, want)
+
+
+_KERNEL_SYSTEMS = (
+    catalog.pendulum(),
+    catalog.shear(),
+    HamiltonianSystem.general("p^2/2 + q^4/4 - q^2/2 + 0.3*p*q"),
+    HamiltonianSystem.general("sqrt(1 + p^2) + log(2 + sin(q)) + p*q^2/5"),
+    HamiltonianSystem.general("exp(p*q/4) + p^2/2 + q^2/2"),
+    HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)"),
+    HamiltonianSystem.separable("sqrt(1 + p^2)", "log(q + 3) - q/2"),
+    catalog.pendulum_newtonian(),
+    HamiltonianSystem.newtonian("q - q^3"),
+    HamiltonianSystem.newtonian("1 - sqrt(q + 1)"),
+    HamiltonianSystem.newtonian("-q/(1 + q^2)"),
+)
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300)
+_COORD = st.one_of(st.floats(min_value=-1e4, max_value=1e4), st.sampled_from(_SPECIAL))
+_TAU = st.one_of(
+    st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+    st.sampled_from((5e-324, 1e8, math.inf, math.nan)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_KERNEL_SYSTEMS), _COORD, _COORD, _TAU)
+def test_step_kernels_equal_the_reference_bitwise(sys, p, q, tau):
+    # every scheme, inapplicable ones included: states bit for bit (any NaN
+    # equals any NaN), failures by exception type and message
+    x = State(p, q)
+    for scheme in ALL_SCHEMES:
+        got = _outcome(step, scheme, sys, x, tau)
+        want = _outcome(reference_step, scheme, sys, x, tau)
+        if isinstance(want, State):
+            assert isinstance(got, State), (scheme, x, tau, got, want)
+            assert all(map(same_float, got, want)), (scheme, x, tau, got, want)
+        else:
+            assert got == want, (scheme, x, tau)
+
+
+def test_kernels_of_one_tree_shape_share_compiled_code():
+    slow = HamiltonianSystem.newtonian("-2*sin(q)")
+    fast = HamiltonianSystem.newtonian("-3*sin(q)")
+    x = State(0.1, 0.2)
+    for scheme in SCHEMES_BY_CLASS[slow.kind]:
+        assert step(scheme, slow, x, 0.5) != step(scheme, fast, x, 0.5)
+        kernels = slow.kernels[scheme.value], fast.kernels[scheme.value]
+        assert kernels[0] is not kernels[1]
+        assert kernels[0].__code__ is kernels[1].__code__
 
 
 def test_scheme_names_round_trip():
