@@ -27,6 +27,12 @@ and the empirical limit is recovered independently by bisecting the
 verdict predicate in tau.  The explicit limit is one formula because every
 stage row of the scheme table has tr S = 2 - tau^2 det A, which reaches -2
 at tau = 2 / sqrt(det A).
+
+The trace/rank test has one definition, _condition_holds, over floats or
+arrays of S entries.  check_preservation applies it and also builds both
+bounded subspaces; verdict_grid applies it to a whole tau grid at once; the
+bisection's predicate computes only the verdict: it classifies A once and
+then applies the test to each S(tau), building no subspace.
 """
 
 import enum
@@ -145,7 +151,9 @@ def dim_bounded_discrete(s: Mat2, tol: float = _BOUNDARY_TOL) -> BoundedSubspace
     tr = s11 + s22
     boundary = tol * (1.0 + max(abs(s11), abs(s12), abs(s21), abs(s22)))
     if abs(tr) > 2.0 + boundary:
-        lam = 0.5 * (tr - math.copysign(math.sqrt(tr * tr - 4.0 * det), tr))
+        # for large entries det S can round above tr^2 / 4; read that as 0
+        disc = max(tr * tr - 4.0 * det, 0.0)
+        lam = 0.5 * (tr - math.copysign(math.sqrt(disc), tr))
         return _line(eigenvector(s, lam))
     if abs(tr) < 2.0 - boundary:
         return _WHOLE_PLANE
@@ -173,20 +181,9 @@ def check_preservation(
     case = _CASE_INDEX[kind]
     b_a = _continuous_subspace(a, kind)
     b_s = dim_bounded_discrete(s, tol)
-    tr = s.a11 + s.a22
-    marginal = False
-    if case == 1:
-        holds = abs(tr) < 2.0
-        marginal = abs(abs(tr) - 2.0) <= tol
-    elif case == 2:
-        holds = abs(tr) > 2.0
-        marginal = abs(abs(tr) - 2.0) <= tol
-    elif case == 3:
-        m = s - Mat2.identity()
-        rank1 = m.max_norm > tol and abs(m.det) <= tol * (1.0 + m.frobenius_sq)
-        holds = abs(tr - 2.0) <= tol * (1.0 + s.max_norm) and rank1
-    else:
-        holds = (s - Mat2.identity()).max_norm <= tol
+    s11, s12, s21, s22 = s
+    holds = _condition_holds(case, s11, s12, s21, s22, tol, _max_norm)
+    marginal = case <= 2 and abs(abs(s11 + s22) - 2.0) <= tol
     if not holds:
         note = ContainmentNote.NOT_APPLICABLE
     elif b_a.whole_space and b_s.whole_space:
@@ -212,7 +209,7 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
     Row for row the same as ``propagator`` followed by
     ``check_preservation(a, s).condition_holds``: S comes from the same
     ``s_entries`` expressions, evaluated on an array, and the trace/rank
-    tests repeat check_preservation's operations, so every trace and every
+    test is check_preservation's own, on arrays, so every trace and every
     verdict is bit-identical to the scalar path.  Raises what ``propagator``
     raises (ValueError, NonFiniteLinearization, ShapeMismatch,
     AssertionError) and, unless every row
@@ -238,16 +235,24 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
             raise AssertionError(
                 f"propagator lost unimodularity: det={det[lost][0].item()!r}"
             )
-        tr = s11 + s22
         if kind is None:  # every row singular
             holds = np.zeros(taus.shape, dtype=bool)
         else:
-            holds = _holds_grid(_CASE_INDEX[kind], s11, s12, s21, s22, tr) & live
-    return VerdictGrid(np.where(singular, math.nan, tr), holds, singular)
+            holds = _condition_holds(
+                _CASE_INDEX[kind], s11, s12, s21, s22, _BOUNDARY_TOL, _max_abs
+            ) & live
+    return VerdictGrid(np.where(singular, math.nan, s11 + s22), holds, singular)
 
 
-def _holds_grid(case, s11, s12, s21, s22, tr):
-    """check_preservation's condition_holds over arrays of S entries."""
+def _condition_holds(case, s11, s12, s21, s22, tol, max_abs):
+    """The trace/rank preservation test of S = [[s11, s12], [s21, s22]] for
+    the case of A (1 center, 2 saddle, 3 rank 1, 4 zero), on floats with
+    max_abs = _max_norm or on arrays of entries with max_abs = _max_abs.
+
+    The operations are Mat2's (trace, S - I, det, frobenius_sq, max_norm),
+    in their order, so floats and arrays give the same verdicts.
+    """
+    tr = s11 + s22
     if case == 1:
         return abs(tr) < 2.0
     if case == 2:
@@ -255,14 +260,17 @@ def _holds_grid(case, s11, s12, s21, s22, tr):
     # S - I, entry by entry as Mat2.__sub__ computes it
     m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
     if case == 3:
-        rank1 = (_max_abs(m11, m12, m21, m22) > _BOUNDARY_TOL) & (
+        rank1 = (max_abs(m11, m12, m21, m22) > tol) & (
             abs(m11 * m22 - m12 * m21)
-            <= _BOUNDARY_TOL * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
+            <= tol * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
         )
-        return (
-            abs(tr - 2.0) <= _BOUNDARY_TOL * (1.0 + _max_abs(s11, s12, s21, s22))
-        ) & rank1
-    return _max_abs(m11, m12, m21, m22) <= _BOUNDARY_TOL
+        return (abs(tr - 2.0) <= tol * (1.0 + max_abs(s11, s12, s21, s22))) & rank1
+    return max_abs(m11, m12, m21, m22) <= tol
+
+
+def _max_norm(a, b, c, d):
+    """Mat2.max_norm of four floats."""
+    return max(abs(a), abs(b), abs(c), abs(d))
 
 
 def _max_abs(first, *rest):
@@ -305,14 +313,6 @@ def tau_max_from_matrix(scheme: Scheme, a: Mat2) -> TauLimit:
 
 def tau_max(scheme: Scheme, eq: Equilibrium) -> TauLimit:
     return tau_max_from_matrix(scheme, eq.a)
-
-
-def _holds_at(scheme: Scheme, a: Mat2, tau: float) -> bool:
-    try:
-        s = propagator(scheme, a, tau)
-    except SingularCayley:
-        return False
-    return check_preservation(a, s).condition_holds
 
 
 def bisect_transition(predicate, lo: float, hi: float, tol: float) -> float:
@@ -410,8 +410,31 @@ def empirical_tau_max(
     tol: float = 1e-6,
 ) -> float:
     """Locate the preservation-verdict transition in tau by bisection."""
-    a = eq.a
-    return find_transition(lambda t: _holds_at(scheme, a, t), tau_hi, tol)
+    return find_transition(_verdict_predicate(scheme, eq.a), tau_hi, tol)
+
+
+def _verdict_predicate(scheme: Scheme, a: Mat2):
+    """tau -> check_preservation(a, propagator(scheme, a, tau)).condition_holds,
+    False where the Cayley form is singular.
+
+    Computes the verdict only: A is classified once, at the first tau where
+    S exists, and each call then applies the trace/rank test of that case to
+    S; no bounded subspace is built.  Raises what propagator raises, and
+    what classify_equilibrium raises.
+    """
+    case = None
+
+    def holds(tau: float) -> bool:
+        nonlocal case
+        try:
+            s11, s12, s21, s22 = propagator(scheme, a, tau)
+        except SingularCayley:
+            return False
+        if case is None:
+            case = _CASE_INDEX[classify_equilibrium(a)]
+        return _condition_holds(case, s11, s12, s21, s22, _BOUNDARY_TOL, _max_norm)
+
+    return holds
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ Known functions: sin cos tan exp log sqrt sinh cosh tanh abs.
 
 Evaluation is IEEE double precision with real-valued semantics: log and
 sqrt of non-positive/negative arguments, division by zero, zero to a
-negative power and a negative base to a fractional power raise DomainError
-instead of producing NaN or complex values.  Overflow saturates to inf,
-matching IEEE behaviour.
+negative power and a negative base to a fractional or non-finite power
+raise DomainError instead of producing NaN or complex values.  Overflow
+saturates to inf, matching IEEE behaviour.
 
 Trees are immutable and every operation here is pure, so expressions can
 be shared freely across threads.
@@ -132,8 +132,12 @@ FUNCTIONS = frozenset(
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise DomainError("zero raised to a negative power")
-    if a < 0.0 and b != math.floor(b):
-        raise DomainError("negative base raised to a fractional power")
+    if a < 0.0:
+        # b * 0.0 is 0.0 for finite b; math.floor raises on an infinity or a NaN
+        if not b * 0.0 == 0.0:
+            raise DomainError("negative base raised to a non-finite power")
+        if b != math.floor(b):
+            raise DomainError("negative base raised to a fractional power")
     try:
         return a ** b
     except OverflowError:

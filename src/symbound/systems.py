@@ -13,14 +13,17 @@ newtonian system has H_p = p and H_q = -g(q) and no explicit H.  The trees
 are produced symbolically and compiled at construction time, so
 linearizations carry no differencing error, and the vector field, the
 Jacobian and the step kernels are built from the same set for every class.
-Systems are immutable after construction, except for a cache of step
-kernels that schemes.step fills the first time it steps a scheme on the
-system.  They are safe to share between threads: a race on the cache only
-builds one kernel twice.
+Systems are immutable after construction, except for a cache of
+kernels generated from the same trees: the step kernel of each scheme,
+which schemes.step fills the first time it steps the scheme on the system,
+and the damped-Newton kernel find_equilibria runs from every grid seed.
+They are safe to share between threads: a race on the cache only builds
+one kernel twice.
 """
 
 import enum
 import math
+import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,8 +116,9 @@ class HamiltonianSystem:
     of (p, q), the same accessors for every class, and ``derivatives`` holds
     their trees in that order.  A system is built from its class and one
     expression (a tree or its text) per key of the class; ``exprs`` maps
-    each key to its parsed tree.  ``kernels`` is the step-kernel cache of
-    schemes.step, keyed by scheme name.
+    each key to its parsed tree.  ``kernels`` caches the generated kernels:
+    schemes.step's, keyed by scheme name, and find_equilibria's Newton
+    kernel, under a key that is not a string.
     """
 
     def __init__(self, kind: SystemClass, *exprs: ex.Expr | str):
@@ -233,52 +237,92 @@ def linearize(
     return sys.jacobian(x0)
 
 
-def _newton_root(
-    sys: HamiltonianSystem, seed: State, tol: float, max_iter: int = 50
-) -> State | None:
-    """Damped Newton iteration on the vector field from one grid seed.
-
-    Iterates past ``tol`` down to the rounding floor so accepted roots are
-    fixed points of the schemes to full precision, not merely within tol.
-    """
-    x = seed
+# The damped Newton iteration of find_equilibria on the vector field, from one
+# grid seed (xp, xq).  p, q are the point the derivative texts are evaluated
+# at; (xp, xq) is the iterate and (f0, f1) the field there, the one its
+# residual r was computed from.  The residual, Mat2.det, frobenius_sq and
+# solve are spelled out in their operation order.  It iterates past tol down
+# to the rounding floor, so accepted roots are fixed points of the schemes to
+# full precision, not merely within tol.
+_NEWTON = string.Template("""\
+def _newton_root(xp, xq, tol):
+    p, q = xp, xq
     try:
-        r = sys.residual(x)
-    except ex.DomainError:
+        f0, f1 = -$h_q, $h_p
+    except DomainError:
         return None
-    for _ in range(max_iter):
-        if r <= 1e-15 * (1.0 + math.hypot(*x)):
+    r = _hypot(f0, f1)
+    for _ in range(50):
+        floor = 1e-15 * (1.0 + _hypot(xp, xq))
+        if r <= floor:
             break
-        try:
-            f = sys.vector_field(x)
-            j = sys.jacobian(x)
-        except ex.DomainError:
+        try:  # p, q == xp, xq here
+            a21 = $h_pp
+            a22 = $h_pq
+            a12 = -$h_qq
+        except DomainError:
             return None
-        scale = 1.0 + j.frobenius_sq
-        if abs(j.det) > 1e-14 * scale:
-            step = j.solve((-f[0], -f[1]))
+        a11 = -a22
+        det = a11 * a22 - a12 * a21
+        if abs(det) > 1e-14 * (
+            1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
+        ):
+            b0, b1 = -f0, -f1
+            s0, s1 = (b0 * a22 - a12 * b1) / det, (a11 * b1 - b0 * a21) / det
         else:
-            # singular Jacobian: minimum-norm least-squares direction
-            jm = np.array([[j.a11, j.a12], [j.a21, j.a22]])
-            sol = np.linalg.lstsq(jm, np.array([-f[0], -f[1]]), rcond=None)[0]
-            step = (float(sol[0]), float(sol[1]))
-        if math.hypot(*step) < 1e-15 * (1.0 + math.hypot(*x)):
+            step = _least_squares_step(a11, a12, a21, a22, f0, f1)
+            if step is None:
+                break  # a non-finite entry: no improving step left
+            s0, s1 = step
+        if _hypot(s0, s1) < floor:
             break
         # halve the step while the residual grows
         lam = 1.0
         for _ in range(25):
-            cand = State(x.p + lam * step[0], x.q + lam * step[1])
+            p, q = xp + lam * s0, xq + lam * s1
             try:
-                rc = sys.residual(cand)
-            except ex.DomainError:
-                rc = math.inf
+                c0, c1 = -$h_q, $h_p
+                rc = _hypot(c0, c1)
+            except DomainError:
+                rc = _inf
             if rc < r:
-                x, r = cand, rc
+                xp, xq, r, f0, f1 = p, q, rc, c0, c1
                 break
             lam *= 0.5
         else:
             break  # no improving step left; the residual is at its floor
-    return x if r < tol else None
+    return State(xp, xq) if r < tol else None
+""")
+_NEWTON_KEY = ("newton",)  # its key in kernels: no scheme name, a str, equals it
+
+
+def _least_squares_step(a11, a12, a21, a22, f0, f1):
+    """The Newton step at a singular Jacobian: the minimum-norm least-squares
+    direction, or None when an entry of the Jacobian or the field is not
+    finite, which lstsq cannot take."""
+    # x * 0.0 is 0.0 for every finite x and NaN for an infinity or a NaN
+    if not a11 * 0.0 + a12 * 0.0 + a21 * 0.0 + a22 * 0.0 + f0 * 0.0 + f1 * 0.0 == 0.0:
+        return None
+    jm = np.array([[a11, a12], [a21, a22]])
+    sol = np.linalg.lstsq(jm, np.array([-f0, -f1]), rcond=None)[0]
+    return float(sol[0]), float(sol[1])
+
+
+def _newton_kernel(sys: HamiltonianSystem):
+    """The system's Newton kernel (p0, q0, tol) -> State | None, generated
+    from its derivative trees the first time and cached in sys.kernels."""
+    kernel = sys.kernels.get(_NEWTON_KEY)
+    if kernel is None:
+        consts: list[float] = []
+        h_p, h_q, h_pp, h_pq, h_qq = (ex.emit(t, consts) for t in sys.derivatives)
+        source = _NEWTON.substitute(h_p=h_p, h_q=h_q, h_pp=h_pp, h_pq=h_pq, h_qq=h_qq)
+        kernel = ex.define(
+            source, "_newton_root", consts,
+            State=State, DomainError=ex.DomainError, _hypot=math.hypot,
+            _inf=math.inf, _least_squares_step=_least_squares_step,
+        )
+        sys.kernels[_NEWTON_KEY] = kernel
+    return kernel
 
 
 def find_equilibria(
@@ -302,10 +346,11 @@ def find_equilibria(
     ps = [p_lo + (p_hi - p_lo) * i / (grid - 1) for i in range(grid)]
     qs = [q_lo + (q_hi - q_lo) * i / (grid - 1) for i in range(grid)]
     margin = 1e-9 * (1.0 + max(abs(p_lo), abs(p_hi), abs(q_lo), abs(q_hi)))
+    newton_root = _newton_kernel(sys)
     found: list[State] = []
     for q0 in qs:
         for p0 in ps:
-            root = _newton_root(sys, State(p0, q0), tol)
+            root = newton_root(p0, q0, tol)
             if root is None:
                 continue
             # Newton may wander out of the box; only report roots inside it

@@ -1,18 +1,50 @@
 """Shared test helpers: random expression trees, finite differences,
-per-class reference formulas for the systems' compiled accessors and the
-generic reference step for the generated step kernels."""
+per-class reference formulas for the systems' compiled accessors, and the
+generic references for the generated kernels: the step of schemes.step and
+the damped Newton root of find_equilibria."""
 
 import functools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import symbound
+from symbound import catalog
 from symbound import expr as ex
 from symbound.mat2 import Mat2
 from symbound.schemes import KICK, ImplicitSolveFailed
-from symbound.systems import NotApplicable, State
+from symbound.systems import HamiltonianSystem, NotApplicable, State
+
+
+def pytest_configure(config):
+    """Make the child processes of the CLI tests (python -m symbound) import
+    the source tree these tests import, also where PYTHONPATH does not name it."""
+    src = str(Path(symbound.__file__).resolve().parent.parent)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path
+    )
+
 
 SAFE_FUNCS = ("sin", "cos", "tanh", "exp", "sinh", "cosh", "sqrt", "log")
+
+# systems of the three classes, with domain edges, that the generated
+# kernels are held to their references on
+KERNEL_SYSTEMS = (
+    catalog.pendulum(),
+    catalog.shear(),
+    HamiltonianSystem.general("p^2/2 + q^4/4 - q^2/2 + 0.3*p*q"),
+    HamiltonianSystem.general("sqrt(1 + p^2) + log(2 + sin(q)) + p*q^2/5"),
+    HamiltonianSystem.general("exp(p*q/4) + p^2/2 + q^2/2"),
+    HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)"),
+    HamiltonianSystem.separable("sqrt(1 + p^2)", "log(q + 3) - q/2"),
+    catalog.pendulum_newtonian(),
+    HamiltonianSystem.newtonian("q - q^3"),
+    HamiltonianSystem.newtonian("1 - sqrt(q + 1)"),
+    HamiltonianSystem.newtonian("-q/(1 + q^2)"),
+)
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300)
 
 
 def random_tree(rng: np.random.Generator, depth: int, var_names=("x", "y")) -> ex.Expr:
@@ -73,6 +105,14 @@ def central_diff(tree: ex.Expr, bindings: dict, var: str, h: float = 1e-5):
     if fu is None or fd is None:
         return None
     return (fu - fd) / (2.0 * h)
+
+
+def outcome_type(fn, *args):
+    """fn's value, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the failure is part of the outcome
+        return type(err)
 
 
 def same_float(x: float, y: float) -> bool:
@@ -211,3 +251,50 @@ def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):
     raise ImplicitSolveFailed(
         f"no convergence after {max_iter} iterations (tau={tau!r})"
     )
+
+
+def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
+    """Damped Newton iteration on the vector field from one grid seed,
+    through the system's compiled accessors and Mat2.  The generic path the
+    generated Newton kernel of find_equilibria must equal bitwise."""
+    x = seed
+    try:
+        r = sys.residual(x)
+    except ex.DomainError:
+        return None
+    for _ in range(max_iter):
+        if r <= 1e-15 * (1.0 + math.hypot(*x)):
+            break
+        try:
+            f = sys.vector_field(x)
+            j = sys.jacobian(x)
+        except ex.DomainError:
+            return None
+        scale = 1.0 + j.frobenius_sq
+        if abs(j.det) > 1e-14 * scale:
+            step = j.solve((-f[0], -f[1]))
+        else:
+            # singular Jacobian: minimum-norm least-squares direction, unless
+            # an entry is not finite, which leaves no improving step
+            if not all(math.isfinite(v) for v in (*j, *f)):
+                break
+            jm = np.array([[j.a11, j.a12], [j.a21, j.a22]])
+            sol = np.linalg.lstsq(jm, np.array([-f[0], -f[1]]), rcond=None)[0]
+            step = (float(sol[0]), float(sol[1]))
+        if math.hypot(*step) < 1e-15 * (1.0 + math.hypot(*x)):
+            break
+        # halve the step while the residual grows
+        lam = 1.0
+        for _ in range(25):
+            cand = State(x.p + lam * step[0], x.q + lam * step[1])
+            try:
+                rc = sys.residual(cand)
+            except ex.DomainError:
+                rc = math.inf
+            if rc < r:
+                x, r = cand, rc
+                break
+            lam *= 0.5
+        else:
+            break  # no improving step left; the residual is at its floor
+    return x if r < tol else None

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
@@ -25,7 +25,7 @@ from symbound.analyzer import (
     tau_max_from_matrix,
     verdict_grid,
 )
-from symbound.analyzer import _max_abs
+from symbound.analyzer import _max_abs, _verdict_predicate
 from symbound.mat2 import Mat2
 from symbound.schemes import (
     SCHEMES_BY_CLASS,
@@ -39,6 +39,8 @@ from symbound.schemes import (
 )
 from symbound.systems import Equilibrium, NotTraceFree, State, find_equilibria
 from symbound.verify import catalog_equilibria
+
+from conftest import outcome_type
 
 
 def _eq_from_matrix(a: Mat2, point=State(0.0, 0.0)) -> Equilibrium:
@@ -359,6 +361,40 @@ def test_verdict_grid_equals_the_scalar_path(case):
             assert math.isnan(g_tr)
         else:
             assert _bits(g_tr) == _bits(w_tr), (scheme, a, tau, g_tr, w_tr)
+
+
+# rank 1 by classify_equilibrium; S has tr S = 2.0003 and det S rounded to
+# 1.0005, above tr^2 / 4
+_ROUNDED_A = Mat2(52224.08352291862, -32814.70405008086, 83113.8045811369, -52224.08352291862)
+_ROUNDED_TAU = 0.35566745734437893
+
+
+def _scalar_verdict(scheme, a, tau):
+    try:
+        s = propagator(scheme, a, tau)
+    except SingularCayley:
+        return False
+    return check_preservation(a, s).condition_holds
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_cases())
+@example((Scheme.IMPLICIT_MIDPOINT, _ROUNDED_A, [_ROUNDED_TAU]))
+def test_verdict_predicate_equals_check_preservation(case):
+    # one predicate over the whole tau list, as the bisection calls it
+    scheme, a, taus = case
+    holds = _verdict_predicate(scheme, a)
+    for tau in taus:
+        want = outcome_type(_scalar_verdict, scheme, a, tau)
+        assert outcome_type(holds, tau) == want, (scheme, a, tau)
+
+
+def test_rounded_negative_discriminant_still_gives_an_eigenline():
+    s = propagator(Scheme.IMPLICIT_MIDPOINT, _ROUNDED_A, _ROUNDED_TAU)
+    assert s.trace * s.trace - 4.0 * s.det < 0.0
+    assert dim_bounded_discrete(s).dim == 1
+    v = check_preservation(_ROUNDED_A, s)
+    assert (v.case, v.condition_holds, v.dim_b_s) == (3, False, 1)
 
 
 def test_verdict_grid_reaches_every_case_and_guard():

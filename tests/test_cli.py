@@ -379,6 +379,42 @@ def test_simulate_escape_is_a_result_not_an_error(tmp_path, capsys):
     assert text.splitlines()[0].startswith("# verdict(heuristic) = escaped")
 
 
+def test_analyze_stops_newton_at_an_infinite_jacobian(tmp_path):
+    # 2^(q^2) overflows for |q| above about 32: the singular-Jacobian branch
+    # sees infinite entries, which lstsq (LAPACK) cannot take
+    text = """\
+[system]
+class = newtonian
+g = 2^(q*q) - 2
+
+[run]
+schemes = euler-b
+tau = 0.5
+
+[search]
+q_min = -40
+q_max = 40
+p_min = -1.5
+p_max = 1.5
+grid = 16
+"""
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", "analyze", "--config",
+         _write(tmp_path, text), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "DLASCL" not in run.stdout + run.stderr
+    csv = (out / "analyze_euler-b.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in csv if not row.startswith("#")][1:] == [
+        ["0.0", "-1.0", "1"], ["0.0", "1.0", "2"]
+    ]
+
+
 def test_simulate_ends_an_orbit_that_leaves_the_domain(tmp_path):
     # euler-b steps q past -1, where sqrt(q + 1) has no real value
     text = """\

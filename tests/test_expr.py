@@ -107,6 +107,9 @@ def test_eval_domain_errors():
         evaluate(parse("q^0.5"), {"q": -2.0})
     with pytest.raises(DomainError):
         evaluate(parse("q^-1"), {"q": 0.0})
+    for q in (math.inf, -math.inf, math.nan):  # math.floor(q) would raise
+        with pytest.raises(DomainError):
+            evaluate(parse("(-2)^q"), {"q": q})
 
 
 def test_eval_unbound_variable():

@@ -25,7 +25,13 @@ from symbound.schemes import (
 )
 from symbound.systems import HamiltonianSystem, State, find_equilibria
 
-from conftest import class_formulas, reference_step, same_float
+from conftest import (
+    KERNEL_SYSTEMS,
+    SPECIAL_FLOATS,
+    class_formulas,
+    reference_step,
+    same_float,
+)
 
 ALL_SCHEMES = tuple(Scheme)
 
@@ -146,21 +152,9 @@ def test_step_folds_the_stage_table_bitwise(sys, p, q, tau):
             assert all(map(same_float, got, want)), (scheme, x, tau, got, want)
 
 
-_KERNEL_SYSTEMS = (
-    catalog.pendulum(),
-    catalog.shear(),
-    HamiltonianSystem.general("p^2/2 + q^4/4 - q^2/2 + 0.3*p*q"),
-    HamiltonianSystem.general("sqrt(1 + p^2) + log(2 + sin(q)) + p*q^2/5"),
-    HamiltonianSystem.general("exp(p*q/4) + p^2/2 + q^2/2"),
-    HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)"),
-    HamiltonianSystem.separable("sqrt(1 + p^2)", "log(q + 3) - q/2"),
-    catalog.pendulum_newtonian(),
-    HamiltonianSystem.newtonian("q - q^3"),
-    HamiltonianSystem.newtonian("1 - sqrt(q + 1)"),
-    HamiltonianSystem.newtonian("-q/(1 + q^2)"),
+_COORD = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4), st.sampled_from(SPECIAL_FLOATS)
 )
-_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300)
-_COORD = st.one_of(st.floats(min_value=-1e4, max_value=1e4), st.sampled_from(_SPECIAL))
 _TAU = st.one_of(
     st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
     st.sampled_from((5e-324, 1e8, math.inf, math.nan)),
@@ -168,7 +162,7 @@ _TAU = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(_KERNEL_SYSTEMS), _COORD, _COORD, _TAU)
+@given(st.sampled_from(KERNEL_SYSTEMS), _COORD, _COORD, _TAU)
 def test_step_kernels_equal_the_reference_bitwise(sys, p, q, tau):
     # every scheme, inapplicable ones included: states bit for bit (any NaN
     # equals any NaN), failures by exception type and message

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
+from symbound import expr as ex
 from symbound.mat2 import Mat2
 from symbound.systems import (
     EquilibriumKind,
@@ -19,8 +20,16 @@ from symbound.systems import (
     find_equilibria,
     linearize,
 )
+from symbound.systems import _NEWTON_KEY, _newton_kernel
 
-from conftest import class_formulas, same_float
+from conftest import (
+    KERNEL_SYSTEMS,
+    SPECIAL_FLOATS,
+    class_formulas,
+    outcome_type,
+    reference_newton_root,
+    same_float,
+)
 
 
 def test_vector_field_separable():
@@ -268,3 +277,53 @@ def test_accessors_equal_the_class_formulas_bitwise(sys, p, q):
             assert got is want, (sys.describe(), x)
         else:
             assert all(map(same_float, got, want)), (sys.describe(), x, got, want)
+
+
+# g = 2^(q^2) - 2 overflows to an infinite Jacobian for |q| above about 32
+_STEEP = HamiltonianSystem.newtonian("2^(q*q) - 2")
+# the coordinates of find_equilibria's default seed grid
+_GRID_SEEDS = tuple(-5.0 + 10.0 * i / 31 for i in range(32))
+_SEED = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.sampled_from(_GRID_SEEDS),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(KERNEL_SYSTEMS + (_STEEP,)),
+    _SEED,
+    _SEED,
+    st.sampled_from((1e-10, 1e-3)),
+)
+@example(catalog.pendulum(), 0.3, math.pi / 2, 1e-10)  # det J = cos(q) ~ 6e-17
+@example(_STEEP, 0.0, 40.0, 1e-10)  # an infinite Jacobian entry
+def test_newton_kernel_equals_the_reference(sys, p, q, tol):
+    # roots bit for bit (any NaN equals any NaN), failures by exception type
+    got = outcome_type(_newton_kernel(sys), p, q, tol)
+    want = outcome_type(reference_newton_root, sys, State(p, q), tol)
+    if isinstance(want, State):
+        assert isinstance(got, State), (sys.describe(), p, q, got, want)
+        assert all(map(same_float, got, want)), (sys.describe(), p, q, got, want)
+    else:
+        assert got == want, (sys.describe(), p, q, got, want)
+
+
+def test_find_equilibria_builds_one_newton_kernel_per_system(monkeypatch):
+    slow = HamiltonianSystem.newtonian("-2*sin(q)")
+    fast = HamiltonianSystem.newtonian("-3*sin(q)")
+    built = []
+    define = ex.define
+
+    def counted(source, name, *args, **kwargs):
+        built.append(name)
+        return define(source, name, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "define", counted)
+    found = [find_equilibria(sys, grid=8) for sys in (slow, fast, slow, fast)]
+    assert built == ["_newton_root", "_newton_root"]
+    assert found[0] == found[2] and found[1] == found[3] and found[0] != found[1]
+    kernels = slow.kernels[_NEWTON_KEY], fast.kernels[_NEWTON_KEY]
+    assert kernels[0] is not kernels[1]
+    assert kernels[0].__code__ is kernels[1].__code__
