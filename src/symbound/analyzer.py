@@ -31,8 +31,9 @@ at tau = 2 / sqrt(det A).
 The trace/rank test has one definition, _condition_holds, over floats or
 arrays of S entries.  check_preservation applies it and also builds both
 bounded subspaces; verdict_grid applies it to a whole tau grid at once; the
-bisection's predicate computes only the verdict: it classifies A once and
-then applies the test to each S(tau), building no subspace.
+bisection's predicate computes only the verdict: it checks A's shape and
+classifies A once per limit, then runs only S(tau) and the test for each
+tau, building no subspace.
 """
 
 import enum
@@ -53,6 +54,7 @@ from .schemes import (
     require_finite,
     require_shape,
     s_entries,
+    shaped_propagator,
     step,
 )
 from .systems import (
@@ -331,6 +333,8 @@ def bisect_transition(predicate, lo: float, hi: float, tol: float) -> float:
 # find_transition brackets up to 10*tau_hi and bisects between tau_hi and
 # that top; below this ceiling those taus and their sums stay finite
 TAU_HI_MAX = 1e300
+# its scan starts at tau_hi * 1e-8; from this floor on that is a normal float
+TAU_HI_MIN = 1e-299
 
 
 def find_transition(
@@ -344,8 +348,10 @@ def find_transition(
     any violation of the true-below/false-above pattern raises
     InconsistentPredicate instead of returning a meaningless midpoint.
     """
-    if not 0.0 < tau_hi <= TAU_HI_MAX:
-        raise ValueError(f"tau_hi must be positive and at most {TAU_HI_MAX!r}")
+    if not TAU_HI_MIN <= tau_hi <= TAU_HI_MAX:
+        raise ValueError(
+            f"tau_hi must be at least {TAU_HI_MIN!r} and at most {TAU_HI_MAX!r}"
+        )
     tau_min = tau_hi * 1e-8
     if predicate(tau_hi):
         if predicate(10.0 * tau_hi):
@@ -417,17 +423,21 @@ def _verdict_predicate(scheme: Scheme, a: Mat2):
     """tau -> check_preservation(a, propagator(scheme, a, tau)).condition_holds,
     False where the Cayley form is singular.
 
-    Computes the verdict only: A is classified once, at the first tau where
-    S exists, and each call then applies the trace/rank test of that case to
-    S; no bounded subspace is built.  Raises what propagator raises, and
-    what classify_equilibrium raises.
+    Computes the verdict only: A is checked by require_shape and classified
+    once, at the first tau where S exists, and each call then runs
+    shaped_propagator and the trace/rank test of that case; no bounded
+    subspace is built.  Until then every call checks A again, so each call
+    raises what propagator raises, in its order, and what
+    classify_equilibrium raises.
     """
     case = None
 
     def holds(tau: float) -> bool:
         nonlocal case
         try:
-            s11, s12, s21, s22 = propagator(scheme, a, tau)
+            if case is None and 0.0 < tau < math.inf:
+                require_shape(scheme, a)  # where propagator checks A
+            s11, s12, s21, s22 = shaped_propagator(scheme, a, tau)
         except SingularCayley:
             return False
         if case is None:

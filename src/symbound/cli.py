@@ -9,6 +9,7 @@ verification produce non-zero exits.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys as _sys
@@ -61,7 +62,10 @@ def _add_common(parser):
     )
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later
+    call to main: parse_args keeps its results in a new namespace."""
     parser = _Parser(prog="symbound", description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="out")
@@ -348,9 +352,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](_Ctx(args))
     except UsageError as err:
         print(f"error: {err}", file=_sys.stderr)

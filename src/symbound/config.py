@@ -16,7 +16,7 @@ Sections and keys:
     [run]       schemes = euler-b, yoshida2, stormer-verlet, implicit-midpoint
                 tau = 0.5, 1.0            explicit step sizes, positive and finite
                 tau_lo, tau_hi, tau_count, tau_scale = linear|log   sweep grid
-                empirical_tau_hi = 10.0   bracket top for bisection
+                empirical_tau_hi = 10.0   bracket top for bisection, 1e-299..1e300
                 bisect_tol = 1e-06
     [search]    p_min < p_max, q_min < q_max (finite), grid >= 4, tol
     [simulate]  n_max >= 1, escape_r > 0, stride >= 0 (0 = auto),
@@ -28,7 +28,7 @@ Sections and keys:
 import math
 from dataclasses import dataclass, field
 
-from .analyzer import TAU_HI_MAX, fmt_float
+from .analyzer import TAU_HI_MAX, TAU_HI_MIN, fmt_float
 from .errorprop import ErrorModel
 from .mat2 import Mat2
 from .systems import HamiltonianSystem, SystemClass
@@ -298,6 +298,10 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     _require(
         raw, "run", "empirical_tau_hi", 0.0 < tau_hi <= TAU_HI_MAX,
         f"positive and at most {TAU_HI_MAX!r}", path,
+    )
+    _require(
+        raw, "run", "empirical_tau_hi", tau_hi >= TAU_HI_MIN,
+        f"at least {TAU_HI_MIN!r}", path,
     )
     cfg.bisect_tol = _get_float(raw, "run", "bisect_tol", 1e-6, path)
 

@@ -210,10 +210,22 @@ _TOKEN_RE = re.compile(
 _WS_RE = re.compile(r"\s*")
 
 
+# The deepest expression parse accepts: the height of its tree, with each
+# parenthesised group counted as a level too.  The second derivatives of a
+# chain like q^p^q^... emit code nested up to five times as deep, and Python
+# compiles no source nested more than 200 parentheses deep.
+MAX_DEPTH = 32
+
+
 class _Parser:
+    """Recursive descent; each rule returns (tree, depth).  self.nesting
+    counts the nested rules open around the current token, so that a deep
+    input fails before the recursion does."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
         self._advance()
 
     def _advance(self) -> None:
@@ -231,8 +243,23 @@ class _Parser:
         self.kind = m.lastgroup
         self.value = m.group()
 
+    def _deeper(self, depth: int, pos: int) -> int:
+        """depth + 1, or a ParseError at pos beyond MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", pos
+            )
+        return depth + 1
+
+    def _nested(self, rule, pos: int):
+        """rule() with one more rule open below this one."""
+        self.nesting = self._deeper(self.nesting, pos)
+        result = rule()
+        self.nesting -= 1
+        return result
+
     def parse(self) -> Expr:
-        e = self._expr()
+        e, _ = self._expr()
         if self.kind != "end":
             if self.value == ")":
                 raise UnbalancedParens("unmatched closing parenthesis", self.tok_pos)
@@ -241,46 +268,51 @@ class _Parser:
             )
         return e
 
-    def _expr(self) -> Expr:
-        e = self._term()
+    def _expr(self):
+        e, depth = self._term()
         while self.kind == "op" and self.value in "+-":
-            op = self.value
+            op, pos = self.value, self.tok_pos
             self._advance()
-            rhs = self._term()
+            rhs, rhs_depth = self._term()
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
+            depth = self._deeper(max(depth, rhs_depth), pos)
+        return e, depth
 
-    def _term(self) -> Expr:
-        e = self._unary()
+    def _term(self):
+        e, depth = self._unary()
         while self.kind == "op" and self.value in "*/":
-            op = self.value
+            op, pos = self.value, self.tok_pos
             self._advance()
-            rhs = self._unary()
+            rhs, rhs_depth = self._unary()
             e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
+            depth = self._deeper(max(depth, rhs_depth), pos)
+        return e, depth
 
-    def _unary(self) -> Expr:
+    def _unary(self):
+        while self.kind == "op" and self.value == "+":
+            self._advance()
         if self.kind == "op" and self.value == "-":
+            pos = self.tok_pos
             self._advance()
-            return Neg(self._unary())
-        if self.kind == "op" and self.value == "+":
-            self._advance()
-            return self._unary()
+            arg, depth = self._nested(self._unary, pos)
+            return Neg(arg), self._deeper(depth, pos)
         return self._power()
 
-    def _power(self) -> Expr:
-        base = self._atom()
+    def _power(self):
+        base, depth = self._atom()
         if self.kind == "op" and self.value == "^":
+            pos = self.tok_pos
             self._advance()
             # the exponent admits unary minus: x^-2
-            return Pow(base, self._unary())
-        return base
+            exponent, exp_depth = self._nested(self._unary, pos)
+            return Pow(base, exponent), self._deeper(max(depth, exp_depth), pos)
+        return base, depth
 
-    def _atom(self) -> Expr:
+    def _atom(self):
         if self.kind == "num":
             value = float(self.value)
             self._advance()
-            return Const(value)
+            return Const(value), 1
         if self.kind == "name":
             name, name_pos = self.value, self.tok_pos
             self._advance()
@@ -288,16 +320,16 @@ class _Parser:
                 if name not in FUNCTIONS:
                     raise UnknownIdentifier(f"unknown function {name!r}", name_pos)
                 self._advance()
-                arg = self._expr()
+                arg, depth = self._nested(self._expr, name_pos)
                 self._expect_close()
-                return Func(name, arg)
-            return Var(name)
+                return Func(name, arg), self._deeper(depth, name_pos)
+            return Var(name), 1
         if self.kind == "op" and self.value == "(":
             open_pos = self.tok_pos
             self._advance()
-            e = self._expr()
+            e, depth = self._nested(self._expr, open_pos)
             self._expect_close(open_pos)
-            return e
+            return e, self._deeper(depth, open_pos)
         if self.kind == "end":
             raise UnexpectedToken("unexpected end of input", self.tok_pos)
         raise UnexpectedToken(f"unexpected token {self.value!r}", self.tok_pos)
@@ -311,7 +343,8 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string into an AST."""
+    """Parse an expression string into an AST; ParseError for an expression
+    nested deeper than MAX_DEPTH."""
     if not text.strip():
         raise UnexpectedToken("empty input", 0)
     return _Parser(text).parse()

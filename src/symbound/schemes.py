@@ -23,9 +23,12 @@ separable shape [[0, a12], [a21, 0]] the stages are the exact matrices
     kick(c)  = [[1, c*tau*a12], [0, 1]]
     drift(c) = [[1, 0], [c*tau*a21, 1]]
 
-and s_entries folds the row into their product S(tau), last stage leftmost,
-so the propagator entries carry no differencing error.  Every row so far
-has tr S = 2 - tau^2 det A, hence the one explicit limit 2 / sqrt(det A).
+and their product S(tau), last stage leftmost, is a straight-line function
+generated once per row from its stages, the first time it is needed: each
+stage is one line of the 2x2 product, every 0.0 term kept, so the
+propagator entries carry no differencing error.  s_entries calls it for a
+float or an ndarray of taus.  Every row so far has tr S = 2 - tau^2 det A,
+hence the one explicit limit 2 / sqrt(det A).
 
 The implicit midpoint rule has no stages:
 
@@ -47,6 +50,7 @@ call concurrently (two threads may build the same kernel once each).
 """
 
 import enum
+import functools
 import math
 import string
 
@@ -102,6 +106,12 @@ class Scheme(enum.Enum):
 
     def applicable_to(self, sys: HamiltonianSystem) -> bool:
         return sys.kind in self.classes
+
+    @functools.cached_property
+    def stage_product(self):
+        """(a, tau) -> S(tau) as a Mat2, generated from the stages; an
+        explicit row only."""
+        return _new_stage_product(self.stages)
 
 
 # the schemes that apply to each system class, in table order
@@ -264,12 +274,20 @@ def require_shape(scheme: Scheme, a: Mat2) -> None:
 
 
 def propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
-    """Exact S(tau) for the scheme applied to the linear system y' = A y."""
+    """Exact S(tau) for the scheme applied to the linear system y' = A y:
+    require_shape on A, then shaped_propagator."""
+    if 0.0 < tau < math.inf:  # else shaped_propagator rejects tau before A
+        require_shape(scheme, a)
+    return shaped_propagator(scheme, a, tau)
+
+
+def shaped_propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
+    """propagator for an A that require_shape has passed: the step-size
+    checks, S(tau), SingularCayley and the unimodularity guard."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
     if not tau < math.inf:
         raise ValueError(f"step size must be finite, got {tau!r}")
-    require_shape(scheme, a)
     s, det, singular = s_entries(scheme, a, tau)
     if singular:
         raise SingularCayley(
@@ -292,34 +310,48 @@ def s_entries(scheme: Scheme, a: Mat2, tau):
     by a zero determinant raises; array rows are divided anyway, and the
     caller masks them.
     """
-    stages = scheme.stages
-    if not stages:
+    if not scheme.stages:
         return _cayley(a, tau)
-    return _stage_product(stages, a, tau), None, False
+    return scheme.stage_product(a, tau), None, False
 
 
-def _stage_product(stages, a: Mat2, tau) -> Mat2:
-    """Start from the last stage's matrix and right-multiply by each earlier
-    one, as Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0
-    terms stay, because they decide signed zeros, infinities and NaNs."""
-    _, a12, a21, _ = a
+# builds a Mat2 from the tuple of its entries, as Mat2's own __new__ does,
+# one Python call faster
+_tuple_new = tuple.__new__
+
+# one stage of the fold: M @ [[1, k], [0, 1]] for a kick, M @ [[1, 0], [d, 1]]
+# for a drift
+_KICK_LINES = """\
+    k = ({c!r} * tau) * a12
+    m11, m12, m21, m22 = m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22"""
+_DRIFT_LINES = """\
+    d = ({c!r} * tau) * a21
+    m11, m12, m21, m22 = m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22"""
+
+
+def _new_stage_product(stages):
+    """Generate (a, tau) -> S(tau) for a stage row: start from the last
+    stage's matrix and right-multiply by each earlier one, as
+    Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0 terms stay,
+    because they decide signed zeros, infinities and NaNs."""
     move, c = stages[-1]
     if move is KICK:
-        m11, m12, m21, m22 = 1.0, (c * tau) * a12, 0.0, 1.0
+        first = f"1.0, ({c!r} * tau) * a12, 0.0, 1.0"
     else:
-        m11, m12, m21, m22 = 1.0, 0.0, (c * tau) * a21, 1.0
-    for move, c in stages[-2::-1]:
-        if move is KICK:  # M @ [[1, k], [0, 1]]
-            k = (c * tau) * a12
-            m11, m12, m21, m22 = (
-                m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22
-            )
-        else:  # M @ [[1, 0], [d, 1]]
-            d = (c * tau) * a21
-            m11, m12, m21, m22 = (
-                m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22
-            )
-    return Mat2(m11, m12, m21, m22)
+        first = f"1.0, 0.0, ({c!r} * tau) * a21, 1.0"
+    lines = [
+        "def _stage_product(a, tau):",
+        "    _, a12, a21, _ = a",
+        f"    m11, m12, m21, m22 = {first}",
+        *(
+            (_KICK_LINES if move is KICK else _DRIFT_LINES).format(c=c)
+            for move, c in stages[-2::-1]
+        ),
+        "    return _tuple_new(Mat2, (m11, m12, m21, m22))",
+    ]
+    return ex.define(
+        "\n".join(lines), "_stage_product", (), Mat2=Mat2, _tuple_new=_tuple_new
+    )
 
 
 def _cayley(a: Mat2, tau):
@@ -335,12 +367,12 @@ def _cayley(a: Mat2, tau):
         return None, det, True
     i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
     p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
-    return Mat2(
+    return _tuple_new(Mat2, (
         i11 * p11 + i12 * p21,
         i11 * p12 + i12 * p22,
         i21 * p11 + i22 * p21,
         i21 * p12 + i22 * p22,
-    ), det, singular
+    )), det, singular
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared test helpers: random expression trees, finite differences,
 per-class reference formulas for the systems' compiled accessors, and the
-generic references for the generated kernels: the step of schemes.step and
-the damped Newton root of find_equilibria."""
+generic references for the generated kernels: the step of schemes.step, the
+stage product S(tau) of schemes.s_entries and the damped Newton root of
+find_equilibria."""
 
 import functools
 import math
@@ -204,6 +205,31 @@ def reference_step(scheme, sys, x: State, tau: float) -> State:
         else:
             q = q + (c * tau) * sys.h_p(p, q)
     return State(p, q)
+
+
+def reference_stage_product(stages, a: Mat2, tau) -> Mat2:
+    """S(tau) folded from a stage row for a float or an ndarray tau: start
+    from the last stage's matrix and right-multiply by each earlier one, as
+    Mat2.__matmul__ does less its x * 1.0 == x factors, every 0.0 term kept.
+    The generic path the generated stage products must equal bitwise."""
+    _, a12, a21, _ = a
+    move, c = stages[-1]
+    if move is KICK:
+        m11, m12, m21, m22 = 1.0, (c * tau) * a12, 0.0, 1.0
+    else:
+        m11, m12, m21, m22 = 1.0, 0.0, (c * tau) * a21, 1.0
+    for move, c in stages[-2::-1]:
+        if move is KICK:  # M @ [[1, k], [0, 1]]
+            k = (c * tau) * a12
+            m11, m12, m21, m22 = (
+                m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22
+            )
+        else:  # M @ [[1, 0], [d, 1]]
+            d = (c * tau) * a21
+            m11, m12, m21, m22 = (
+                m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22
+            )
+    return Mat2(m11, m12, m21, m22)
 
 
 def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from symbound import catalog
 from symbound.analyzer import (
     TAU_HI_MAX,
+    TAU_HI_MIN,
     ContainmentNote,
     bisect_transition,
     InconsistentPredicate,
@@ -552,6 +553,15 @@ def test_bracket_top_must_stay_finite():
     got = find_transition(lambda t: t < 5e300, tau_hi=TAU_HI_MAX, tol=1e-6)
     assert abs(got - 5e300) <= 1e-9 * 5e300
     for tau_hi in (0.0, 1e308, math.nan):
+        with pytest.raises(ValueError):
+            find_transition(lambda t: True, tau_hi=tau_hi, tol=1e-6)
+
+
+def test_scan_floor_stays_a_normal_float():
+    # the scan starts at tau_hi * 1e-8, which must not underflow
+    got = find_transition(lambda t: t < 5e-300, tau_hi=TAU_HI_MIN, tol=0.0)
+    assert abs(got - 5e-300) <= 1e-9 * 5e-300
+    for tau_hi in (9e-300, 1e-320, 5e-324):
         with pytest.raises(ValueError):
             find_transition(lambda t: True, tau_hi=tau_hi, tol=1e-6)
 

@@ -274,6 +274,28 @@ def test_bracket_top_beyond_the_ceiling_is_a_config_error(tmp_path, command):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_bracket_top_below_the_scan_floor_is_a_config_error(tmp_path, command):
+    # the bisection's scan starts at empirical_tau_hi * 1e-8, which must not
+    # underflow to zero
+    text = HARMONIC_SWEEP.replace(
+        "tau_scale = linear", "tau_scale = linear\nempirical_tau_hi = 1e-320"
+    )
+    cfg = _write(tmp_path, text)
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", command, "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert run.returncode == 1
+    assert run.stderr == (
+        f"config error: {cfg}:13: empirical_tau_hi must be at least 1e-299, "
+        "got '1e-320'\n"
+    )
+
+
 def test_sweep_writes_an_inconsistent_transition_as_a_comment(tmp_path):
     # with the bracket top at 1e9 the scan misses the centre's preserving
     # range; analyze reports that per equilibrium, and so must sweep
@@ -498,6 +520,41 @@ def test_non_differentiable_expression_is_a_config_error(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}: bad system expression: abs")
+
+
+@pytest.mark.parametrize(
+    "deep",
+    ["(" * 2000 + "q" + ")" * 2000, "-" * 3000 + "q", " + ".join(["q"] * 3000)],
+    ids=["parentheses", "unary-minus", "flat-sum"],
+)
+def test_too_deep_expression_is_a_config_error(tmp_path, capsys, deep):
+    cfg = _write(tmp_path, PENDULUM_NH.replace("g = -sin(q)", f"g = {deep}"))
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: {cfg}: bad system expression: expression nested deeper than"
+    )
+
+
+def test_one_process_answers_each_call_like_a_fresh_one(tmp_path, capsys):
+    # main builds its argument parser once; no call may leave state in it
+    cfg = _write(tmp_path, HARMONIC_SWEEP)
+    calls = [
+        ["analyze", "--config", cfg, "--tau", "1"],
+        ["analyze", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"],
+        ["analyze", "--config", cfg, "--out", str(tmp_path / "b")],
+        ["sweep", "--config", cfg, "--out", str(tmp_path / "c")],
+    ]
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "symbound", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60.0,
+        )
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -180,6 +180,11 @@ _ERROR_SECTION = "[error]\ns = 1, 0, 0, 1\neta = 0, 0\ny0 = 0, 0\nsteps = 1\n"
         ("[simulate]\nescape_r = 0\n", 2, "escape_r must be positive"),
         ("[simulate]\noffsets = nan, 0.0\n", 2, "offsets must be finite"),
         ("[simulate]\noffsets = 0.1, 0, 0, -inf\n", 2, "offsets must be finite"),
+        # the bisection's scan would start at an underflowed tau_hi * 1e-8
+        ("[run]\nempirical_tau_hi = 1e-320\n", 2,
+         "empirical_tau_hi must be at least 1e-299, got '1e-320'"),
+        ("[run]\nempirical_tau_hi = 9e-300\n", 2,
+         "empirical_tau_hi must be at least 1e-299, got '9e-300'"),
     ],
 )
 def test_out_of_range_values_rejected_with_file_and_line(text, lineno, message):
@@ -190,10 +195,12 @@ def test_out_of_range_values_rejected_with_file_and_line(text, lineno, message):
 
 def test_boundary_values_are_accepted():
     cfg = parse_config(
+        "[run]\nempirical_tau_hi = 1e-299\n"
         "[search]\ngrid = 4\n[simulate]\nn_max = 1\nstride = 0\n"
         + _ERROR_SECTION.replace("steps = 1", "steps = 0")
     )
     assert (cfg.search.grid, cfg.sim.n_max, cfg.error.steps) == (4, 1, [0])
+    assert cfg.empirical_tau_hi == 1e-299
 
 
 def test_odd_offsets_rejected():

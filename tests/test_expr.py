@@ -15,6 +15,7 @@ from symbound.expr import (
     Mul,
     Neg,
     NonDifferentiableNode,
+    ParseError,
     Pow,
     Sub,
     UnbalancedParens,
@@ -80,6 +81,31 @@ def test_parse_errors_carry_positions():
         parse("   ")
     with pytest.raises(UnexpectedToken):
         parse("p @ q")
+
+
+# each of depth n: the tree's height, with a parenthesised group as a level
+_DEPTH_SHAPES = {
+    "parentheses": lambda n: "(" * (n - 1) + "q" + ")" * (n - 1),
+    "unary-minus": lambda n: "-" * (n - 1) + "q",
+    "flat-sum": lambda n: " + ".join(["q"] * n),
+    "functions": lambda n: "sin(" * (n - 2) + "p*q" + ")" * (n - 2),
+    "power-chain": lambda n: "^".join((["q", "p"] * n)[:n]),
+}
+
+
+@pytest.mark.parametrize("shape", _DEPTH_SHAPES)
+def test_depth_limit_holds_on_both_sides(shape):
+    make = _DEPTH_SHAPES[shape]
+    tree = parse(make(ex.MAX_DEPTH))
+    # at the limit the first and second derivatives still simplify, emit and
+    # compile, under the default recursion limit
+    for var in ("p", "q"):
+        first = simplify(differentiate(tree, var))
+        for d in (first, *(simplify(differentiate(first, v)) for v in ("p", "q"))):
+            compile_expr(d, ("p", "q"))
+    for n in (ex.MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match=f"deeper than {ex.MAX_DEPTH} levels"):
+            parse(make(n))
 
 
 def test_scientific_notation_and_exponent_signs():

@@ -29,6 +29,7 @@ from conftest import (
     KERNEL_SYSTEMS,
     SPECIAL_FLOATS,
     class_formulas,
+    reference_stage_product,
     reference_step,
     same_float,
 )
@@ -294,6 +295,32 @@ def test_propagator_is_bitwise_the_stage_product():
                 assert all(map(same_float, got, want)), (scheme, a, tau, got, want)
                 checked += 1
     assert checked > 10_000
+
+
+_ENTRY = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([s for s in ALL_SCHEMES if s.stages]),
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    _ENTRY,
+    st.lists(_ENTRY, min_size=1, max_size=8),
+)
+def test_generated_stage_product_is_the_reference_fold(scheme, a, tau, taus):
+    # the S(tau) that s_entries runs, for a float and an ndarray tau, bit for
+    # bit the generic fold of the row's stages, on any entries and any tau
+    a = Mat2(*a)
+    got, _, _ = s_entries(scheme, a, tau)
+    want = reference_stage_product(scheme.stages, a, tau)
+    assert all(map(same_float, got, want)), (scheme, a, tau, got, want)
+    taus = np.array(taus)
+    with np.errstate(all="ignore"):
+        got, _, _ = s_entries(scheme, a, taus)
+        want = reference_stage_product(scheme.stages, a, taus)
+    for g, w in zip(got, want):
+        g, w = (np.broadcast_to(x, taus.shape).tolist() for x in (g, w))
+        assert all(map(same_float, g, w)), (scheme, a, taus, got, want)
 
 
 def test_propagator_shape_mismatch():
