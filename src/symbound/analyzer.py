@@ -567,12 +567,8 @@ CSV_HEADER = "p0,q0,case,detA,traceS,dimBA,dimBS,holds,tau_max,empirical_tau_max
 
 
 def fmt_float(x: float | None) -> str:
-    """repr of a float, with None as nan and infinities as inf / -inf."""
-    if x is None:
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    """repr of a float (inf, -inf and nan included), with None as nan."""
+    return "nan" if x is None else repr(x)
 
 
 def _fmt_bool(b: bool) -> str:

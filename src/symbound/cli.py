@@ -192,12 +192,23 @@ def cmd_analyze(ctx: _Ctx) -> int:
     return 0
 
 
-def _sweep_rows(scheme: Scheme, a: Mat2, taus: list[float]) -> list[str]:
-    """tau,traceS,holds rows; a singular Cayley row reads nan,false."""
+def _tau_cells(taus: list[float]) -> list[str]:
+    """The "tau," cell that opens each sweep row, one per tau."""
+    return [f"{fmt_float(tau)}," for tau in taus]
+
+
+def _sweep_rows(
+    scheme: Scheme, a: Mat2, taus: list[float], cells: list[str]
+) -> list[str]:
+    """tau,traceS,holds rows; a singular Cayley row reads nan,false.
+
+    cells are _tau_cells(taus), built once per config and shared by all
+    of its files.  The traces are floats, for which repr is fmt_float.
+    """
     grid = verdict_grid(scheme, a, taus)
     return [
-        f"{fmt_float(tau)},{fmt_float(trace)},{'true' if holds else 'false'}"
-        for tau, trace, holds in zip(taus, grid.trace.tolist(), grid.holds.tolist())
+        f"{cell}{trace!r},{'true' if holds else 'false'}"
+        for cell, trace, holds in zip(cells, grid.trace.tolist(), grid.holds.tolist())
     ]
 
 
@@ -212,6 +223,7 @@ def cmd_sweep(ctx: _Ctx) -> int:
     ctx.prepare_out(cfg)
     eqs = collapse_continuum(_equilibria(cfg, sys_obj))
     taus = cfg.sweep.taus()
+    cells = _tau_cells(taus)
     for scheme in schemes:
         for j, eq in enumerate(eqs):
             lines = [
@@ -220,7 +232,7 @@ def cmd_sweep(ctx: _Ctx) -> int:
                 f"# equilibrium p0={fmt_float(eq.point.p)} q0={fmt_float(eq.point.q)}",
                 "tau,traceS,holds",
             ]
-            lines += _sweep_rows(scheme, eq.a, taus)
+            lines += _sweep_rows(scheme, eq.a, taus, cells)
             lines.append("# transition (bisection-refined)")
             try:
                 transition = empirical_tau_max(
@@ -234,7 +246,9 @@ def cmd_sweep(ctx: _Ctx) -> int:
                 if math.isinf(transition):
                     lines.append("inf,nan,true")
                 else:
-                    lines += _sweep_rows(scheme, eq.a, [transition])
+                    lines += _sweep_rows(
+                        scheme, eq.a, [transition], _tau_cells([transition])
+                    )
             _write_atomic(
                 ctx.out / f"sweep_{scheme.value}_eq{j}.csv", "\n".join(lines) + "\n"
             )

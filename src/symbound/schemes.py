@@ -153,7 +153,8 @@ def _step(x, tau):
     r0, r1 = pn - xp + tau * $h_q, qn - xq - tau * $h_p
     rn = _hypot(r0, r1)
     # absolute 1e-12 is unreachable at large amplitudes; scale accordingly
-    target = 1e-12 * (1.0 + _hypot(xp, xq) + _hypot(pn, qn))
+    rx = _hypot(xp, xq)
+    target = 1e-12 * (1.0 + rx + rx)  # pn, qn == xp, xq here
     for _ in range(100):
         if rn <= target:
             return State(pn, qn)
@@ -189,7 +190,7 @@ def _step(x, tau):
             raise ImplicitSolveFailed(
                 f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
             )
-        target = 1e-12 * (1.0 + _hypot(xp, xq) + _hypot(pn, qn))
+        target = 1e-12 * (1.0 + rx + _hypot(pn, qn))
     if rn <= target:
         return State(pn, qn)
     raise ImplicitSolveFailed(

@@ -243,13 +243,14 @@ def linearize(
 # residual r was computed from.  The residual, Mat2.det, frobenius_sq and
 # solve are spelled out in their operation order.  It iterates past tol down
 # to the rounding floor, so accepted roots are fixed points of the schemes to
-# full precision, not merely within tol.
+# full precision, not merely within tol.  A point outside the expressions'
+# domain is a DomainError, or a ValueError from math.sin, cos or tan at +-inf.
 _NEWTON = string.Template("""\
 def _newton_root(xp, xq, tol):
     p, q = xp, xq
     try:
         f0, f1 = -$h_q, $h_p
-    except DomainError:
+    except (DomainError, ValueError):
         return None
     r = _hypot(f0, f1)
     for _ in range(50):
@@ -260,7 +261,7 @@ def _newton_root(xp, xq, tol):
             a21 = $h_pp
             a22 = $h_pq
             a12 = -$h_qq
-        except DomainError:
+        except (DomainError, ValueError):
             return None
         a11 = -a22
         det = a11 * a22 - a12 * a21
@@ -283,7 +284,7 @@ def _newton_root(xp, xq, tol):
             try:
                 c0, c1 = -$h_q, $h_p
                 rc = _hypot(c0, c1)
-            except DomainError:
+            except (DomainError, ValueError):
                 rc = _inf
             if rc < r:
                 xp, xq, r, f0, f1 = p, q, rc, c0, c1
@@ -336,6 +337,8 @@ def find_equilibria(
     Converged points are deduplicated within distance 1e-6 and sorted by
     (q, p).  When more than ``grid`` distinct points converge the set is
     likely a continuum and every result carries ``continuum_suspected``.
+    A root whose Jacobian or residual leaves the expressions' domain has no
+    linearization and is skipped.
     """
     (p_lo, p_hi), (q_lo, q_hi) = box
     if grid < 4:
@@ -368,13 +371,16 @@ def find_equilibria(
     continuum = len(found) > grid
     out = []
     for x in found:
-        a = sys.jacobian(x)
+        try:
+            a, residual = sys.jacobian(x), sys.residual(x)
+        except (ex.DomainError, ValueError):
+            continue  # a root the linearization is not defined at
         out.append(
             Equilibrium(
                 point=x,
                 a=a,
                 kind=classify_equilibrium(a),
-                residual=sys.residual(x),
+                residual=residual,
                 continuum_suspected=continuum,
             )
         )

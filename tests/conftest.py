@@ -282,11 +282,13 @@ def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):
 def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
     """Damped Newton iteration on the vector field from one grid seed,
     through the system's compiled accessors and Mat2.  The generic path the
-    generated Newton kernel of find_equilibria must equal bitwise."""
+    generated Newton kernel of find_equilibria must equal bitwise.  A point
+    outside the domain is a DomainError, or a ValueError from math.sin, cos
+    or tan at +-inf."""
     x = seed
     try:
         r = sys.residual(x)
-    except ex.DomainError:
+    except (ex.DomainError, ValueError):
         return None
     for _ in range(max_iter):
         if r <= 1e-15 * (1.0 + math.hypot(*x)):
@@ -294,7 +296,7 @@ def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
         try:
             f = sys.vector_field(x)
             j = sys.jacobian(x)
-        except ex.DomainError:
+        except (ex.DomainError, ValueError):
             return None
         scale = 1.0 + j.frobenius_sq
         if abs(j.det) > 1e-14 * scale:
@@ -315,7 +317,7 @@ def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
             cand = State(x.p + lam * step[0], x.q + lam * step[1])
             try:
                 rc = sys.residual(cand)
-            except ex.DomainError:
+            except (ex.DomainError, ValueError):
                 rc = math.inf
             if rc < r:
                 x, r = cand, rc

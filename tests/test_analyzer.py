@@ -19,6 +19,7 @@ from symbound.analyzer import (
     dim_bounded_discrete,
     empirical_tau_max,
     find_transition,
+    fmt_float,
     preservation_report,
     report_to_csv,
     report_to_text,
@@ -655,3 +656,14 @@ def test_report_csv_shape():
     assert second[7] == "false"
     text = report_to_text(report)
     assert "tau_max closed-form = 2.0" in text
+
+
+@pytest.mark.parametrize(
+    "x", [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-310, 5e-324, 1.5]
+)
+def test_fmt_float_is_repr(x):
+    assert fmt_float(x) == repr(x)
+
+
+def test_fmt_float_writes_none_as_nan():
+    assert fmt_float(None) == "nan"

@@ -191,21 +191,35 @@ def _scalar_sweep_rows(scheme, a, taus):
 
 
 @pytest.mark.parametrize(
-    "system, schemes, kind",
+    "system, schemes, search, kinds",
     [
         # free particle: A = [[0, 0], [1, 0]] at every point, case 3
         ("class = newtonian\ng = 0", "euler-b, yoshida2, stormer-verlet, "
-         "implicit-midpoint", EquilibriumKind.RANK1_DEGENERATE),
+         "implicit-midpoint", "grid = 4", {EquilibriumKind.RANK1_DEGENERATE}),
         # H = 0: A = 0, case 4
         ("class = separable\nt = 0\nv = 0", "euler-b, yoshida2, implicit-midpoint",
-         EquilibriumKind.RANK0_ZERO),
+         "grid = 4", {EquilibriumKind.RANK0_ZERO}),
+        # pendulum: a centre at 0 and saddles at +-pi, whose Cayley factor is
+        # singular from tau = 2 on
+        ("class = newtonian\ng = -sin(q)", "euler-b, yoshida2, stormer-verlet, "
+         "implicit-midpoint", "q_min = -4.0\nq_max = 4.0\ngrid = 16",
+         {EquilibriumKind.CENTER, EquilibriumKind.SADDLE}),
+        # double well: a saddle at 0 between centres at +-1
+        ("class = general\nh = p^2/2 + q^4/4 - q^2/2", "implicit-midpoint",
+         "q_min = -2.0\nq_max = 2.0\ngrid = 8",
+         {EquilibriumKind.CENTER, EquilibriumKind.SADDLE}),
     ],
 )
-def test_degenerate_sweep_rows_equal_the_scalar_path(tmp_path, system, schemes, kind):
+def test_degenerate_sweep_rows_equal_the_scalar_path(
+    tmp_path, system, schemes, search, kinds
+):
+    # degenerate and hyperbolic equilibria alike: every file of a config
+    # shares its tau cells, and each must still read as propagator +
+    # check_preservation give it, singular Cayley rows included
     text = (
         f"[system]\n{system}\n\n[run]\nschemes = {schemes}\n"
         "tau_lo = 0.001\ntau_hi = 1000.0\ntau_count = 61\ntau_scale = log\n\n"
-        "[search]\ngrid = 4\n"
+        f"[search]\n{search}\n"
     )
     path = _write(tmp_path, text)
     out = tmp_path / "out"
@@ -219,17 +233,25 @@ def test_degenerate_sweep_rows_equal_the_scalar_path(tmp_path, system, schemes, 
     )
     if eqs[0].continuum_suspected:
         eqs = eqs[:1]
+    assert {eq.kind for eq in eqs} == kinds
     taus = cfg.sweep.taus()
+    singular_rows = 0
     for name in cfg.schemes:
         scheme = scheme_from_name(name)
         for j, eq in enumerate(eqs):
-            assert eq.kind is kind
             lines = (out / f"sweep_{name}_eq{j}.csv").read_text().splitlines()
-            assert lines[4:4 + len(taus)] == _scalar_sweep_rows(scheme, eq.a, taus)
-            assert lines[4 + len(taus):] == [
-                "# transition (bisection-refined)",
-                "inf,nan,true",
-            ]
+            rows = lines[4:4 + len(taus)]
+            assert rows == _scalar_sweep_rows(scheme, eq.a, taus)
+            singular_rows += sum(row.endswith(",nan,false") for row in rows)
+            head, transition = lines[4 + len(taus):]
+            assert head == "# transition (bisection-refined)"
+            if eq.kind in (EquilibriumKind.RANK1_DEGENERATE, EquilibriumKind.RANK0_ZERO):
+                assert transition == "inf,nan,true"
+            elif transition != "inf,nan,true":
+                tau = float(transition.split(",")[0])
+                assert [transition] == _scalar_sweep_rows(scheme, eq.a, [tau])
+    if EquilibriumKind.SADDLE in kinds:
+        assert singular_rows > 0
 
 
 def test_sweep_with_zero_bisect_tol_terminates(tmp_path):
@@ -534,6 +556,37 @@ def test_too_deep_expression_is_a_config_error(tmp_path, capsys, deep):
     assert err.startswith(
         f"config error: {cfg}: bad system expression: expression nested deeper than"
     )
+
+
+@pytest.mark.parametrize(
+    "g, search",
+    [
+        # (0, 0) is an exact root, where g' divides by sqrt(0)
+        ("q*sqrt(q)", "q_min = 0.0\nq_max = 2.0\ngrid = 5"),
+        # exp(900) saturates to inf, where math.sin raises ValueError
+        ("sin(exp(q^2))", "q_min = -30.0\nq_max = 30.0"),
+    ],
+    ids=["jacobian-domain", "sin-of-inf"],
+)
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_equilibrium_search_outside_the_domain_ends_in_a_result(
+    tmp_path, command, g, search
+):
+    text = (
+        f"[system]\nclass = newtonian\ng = {g}\n\n[run]\nschemes = euler-b\n"
+        "tau = 0.5\ntau_lo = 0.1\ntau_hi = 4.0\ntau_count = 5\n\n"
+        f"[search]\np_min = -1.0\np_max = 1.0\n{search}\n"
+    )
+    cfg = _write(tmp_path, text)
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", command, "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert run.returncode in (0, 1)
+    assert "Traceback" not in run.stderr
 
 
 def test_one_process_answers_each_call_like_a_fresh_one(tmp_path, capsys):

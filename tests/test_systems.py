@@ -299,6 +299,7 @@ _SEED = st.one_of(
 )
 @example(catalog.pendulum(), 0.3, math.pi / 2, 1e-10)  # det J = cos(q) ~ 6e-17
 @example(_STEEP, 0.0, 40.0, 1e-10)  # an infinite Jacobian entry
+@example(catalog.pendulum(), 0.0, math.inf, 1e-10)  # sin(inf) is a ValueError
 def test_newton_kernel_equals_the_reference(sys, p, q, tol):
     # roots bit for bit (any NaN equals any NaN), failures by exception type
     got = outcome_type(_newton_kernel(sys), p, q, tol)
@@ -308,6 +309,13 @@ def test_newton_kernel_equals_the_reference(sys, p, q, tol):
         assert all(map(same_float, got, want)), (sys.describe(), p, q, got, want)
     else:
         assert got == want, (sys.describe(), p, q, got, want)
+
+
+def test_find_equilibria_skips_a_root_it_cannot_linearize():
+    # (0, 0) is an exact root of g = q*sqrt(q), and g' divides by sqrt(0)
+    sys = HamiltonianSystem.newtonian("q*sqrt(q)")
+    assert sys.residual(State(0.0, 0.0)) == 0.0
+    assert find_equilibria(sys, box=((-1.0, 1.0), (0.0, 2.0)), grid=5) == []
 
 
 def test_find_equilibria_builds_one_newton_kernel_per_system(monkeypatch):
