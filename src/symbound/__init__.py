@@ -38,7 +38,6 @@ from .expr import (
     UnboundVariable,
     compile_expr,
     differentiate,
-    evaluate,
     parse,
     simplify,
     to_string,
@@ -69,13 +68,11 @@ from .systems import (
     Equilibrium,
     EquilibriumKind,
     HamiltonianSystem,
-    NotAnEquilibrium,
     NotTraceFree,
     State,
     SystemClass,
     classify_equilibrium,
     find_equilibria,
-    linearize,
 )
 
 __version__ = "0.1.0"

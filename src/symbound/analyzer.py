@@ -659,8 +659,11 @@ def report_to_text(report: PreservationReport) -> str:
                 f"holds={_fmt_bool(v.condition_holds)}{marginal} "
                 f"containment={v.containment.value} fixed_point={fixed}"
             )
-    out.append(
-        f"  preserved for all equilibria up to tau_max = "
-        f"{fmt_float(report.overall_tau_max)}"
-    )
+    if not report.entries:
+        out.append("  no equilibrium analysed")
+    else:
+        out.append(
+            f"  preserved for all equilibria up to tau_max = "
+            f"{fmt_float(report.overall_tau_max)}"
+        )
     return "\n".join(out) + "\n"

@@ -172,52 +172,27 @@ def _scan(text: str, path: str) -> dict[str, dict[str, tuple[str, int]]]:
     return out
 
 
-def _get_float(raw: dict, section: str, key: str, default, path: str):
+def _get(raw: dict, section: str, key: str, default, path: str, convert=str, what=""):
+    """The key's value through convert, or default when it is absent; a
+    ConfigError at its line when convert raises ValueError."""
     if section not in raw or key not in raw[section]:
         return default
     value, lineno = raw[section][key]
     try:
-        return float(value)
+        return convert(value)
     except ValueError:
-        raise ConfigError(f"{key} must be a real number, got {value!r}", path, lineno)
+        raise ConfigError(f"{key} must be {what}, got {value!r}", path, lineno)
 
 
-def _get_int(raw: dict, section: str, key: str, default, path: str):
-    if section not in raw or key not in raw[section]:
-        return default
-    value, lineno = raw[section][key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", path, lineno)
+def _list_of(convert):
+    return lambda value: [convert(v.strip()) for v in value.split(",") if v.strip()]
 
 
-def _get_str(raw: dict, section: str, key: str, default, path: str):
-    if section not in raw or key not in raw[section]:
-        return default
-    return raw[section][key][0]
-
-
-def _get_float_list(raw: dict, section: str, key: str, default, path: str):
-    if section not in raw or key not in raw[section]:
-        return default
-    value, lineno = raw[section][key]
-    try:
-        return [float(v.strip()) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"{key} must be a list of reals, got {value!r}", path, lineno)
-
-
-def _get_int_list(raw: dict, section: str, key: str, default, path: str):
-    if section not in raw or key not in raw[section]:
-        return default
-    value, lineno = raw[section][key]
-    try:
-        return [int(v.strip()) for v in value.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"{key} must be a list of integers, got {value!r}", path, lineno
-        )
+# (convert, what) for _get
+_REAL = float, "a real number"
+_INT = int, "an integer"
+_REALS = _list_of(float), "a list of reals"
+_INTS = _list_of(int), "a list of integers"
 
 
 def _require(raw: dict, section: str, key: str, ok: bool, what: str, path: str) -> None:
@@ -266,9 +241,9 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             )
         cfg.system = SystemSpec(class_tag, exprs)
 
-    schemes_str = _get_str(raw, "run", "schemes", "", path)
+    schemes_str = _get(raw, "run", "schemes", "", path)
     cfg.schemes = [s.strip() for s in schemes_str.split(",") if s.strip()]
-    cfg.taus = _get_float_list(raw, "run", "tau", [], path)
+    cfg.taus = _get(raw, "run", "tau", [], path, *_REALS)
     _require(raw, "run", "tau", _finite(cfg.taus), "finite", path)
     _require(raw, "run", "tau", all(t > 0.0 for t in cfg.taus), "positive", path)
     sweep_keys = {"tau_lo", "tau_hi", "tau_count"}
@@ -277,22 +252,22 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         if present != sweep_keys:
             missing = sorted(sweep_keys - present)
             raise ConfigError(f"sweep grid is missing keys {missing}", path)
-        scale = _get_str(raw, "run", "tau_scale", "linear", path)
+        scale = _get(raw, "run", "tau_scale", "linear", path)
         if scale not in ("linear", "log"):
             raise ConfigError(
                 f"tau_scale must be linear or log, got {scale!r}",
                 path,
                 raw["run"]["tau_scale"][1] if "tau_scale" in raw["run"] else None,
             )
-        lo = _get_float(raw, "run", "tau_lo", None, path)
-        hi = _get_float(raw, "run", "tau_hi", None, path)
+        lo = _get(raw, "run", "tau_lo", None, path, *_REAL)
+        hi = _get(raw, "run", "tau_hi", None, path, *_REAL)
         _require(raw, "run", "tau_lo", math.isfinite(lo), "finite", path)
         _require(raw, "run", "tau_hi", math.isfinite(hi), "finite", path)
-        count = _get_int(raw, "run", "tau_count", None, path)
+        count = _get(raw, "run", "tau_count", None, path, *_INT)
         if not (0.0 < lo <= hi) or count < 1 or (scale == "log" and lo <= 0.0):
             raise ConfigError("invalid sweep range", path, raw["run"]["tau_lo"][1])
         cfg.sweep = SweepSpec(lo, hi, count, scale)
-    cfg.empirical_tau_hi = _get_float(raw, "run", "empirical_tau_hi", 10.0, path)
+    cfg.empirical_tau_hi = _get(raw, "run", "empirical_tau_hi", 10.0, path, *_REAL)
     tau_hi = cfg.empirical_tau_hi
     _require(raw, "run", "empirical_tau_hi", math.isfinite(tau_hi), "finite", path)
     _require(
@@ -303,15 +278,15 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         raw, "run", "empirical_tau_hi", tau_hi >= TAU_HI_MIN,
         f"at least {TAU_HI_MIN!r}", path,
     )
-    cfg.bisect_tol = _get_float(raw, "run", "bisect_tol", 1e-6, path)
+    cfg.bisect_tol = _get(raw, "run", "bisect_tol", 1e-6, path, *_REAL)
 
     cfg.search = SearchSpec(
-        p_min=_get_float(raw, "search", "p_min", -5.0, path),
-        p_max=_get_float(raw, "search", "p_max", 5.0, path),
-        q_min=_get_float(raw, "search", "q_min", -5.0, path),
-        q_max=_get_float(raw, "search", "q_max", 5.0, path),
-        grid=_get_int(raw, "search", "grid", 32, path),
-        tol=_get_float(raw, "search", "tol", 1e-10, path),
+        p_min=_get(raw, "search", "p_min", -5.0, path, *_REAL),
+        p_max=_get(raw, "search", "p_max", 5.0, path, *_REAL),
+        q_min=_get(raw, "search", "q_min", -5.0, path, *_REAL),
+        q_max=_get(raw, "search", "q_max", 5.0, path, *_REAL),
+        grid=_get(raw, "search", "grid", 32, path, *_INT),
+        tol=_get(raw, "search", "tol", 1e-10, path, *_REAL),
     )
     search = cfg.search
     for lo_key, hi_key in (("p_min", "p_max"), ("q_min", "q_max")):
@@ -322,10 +297,10 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         _require(raw, "search", key, lo < hi, f"such that {lo_key} < {hi_key}", path)
     _require(raw, "search", "grid", search.grid >= 4, "at least 4", path)
     cfg.sim = SimulateSpec(
-        n_max=_get_int(raw, "simulate", "n_max", 100_000, path),
-        escape_r=_get_float(raw, "simulate", "escape_r", 1e6, path),
-        stride=_get_int(raw, "simulate", "stride", 0, path),
-        offsets=_get_float_list(raw, "simulate", "offsets", [1e-3, 0.0], path),
+        n_max=_get(raw, "simulate", "n_max", 100_000, path, *_INT),
+        escape_r=_get(raw, "simulate", "escape_r", 1e6, path, *_REAL),
+        stride=_get(raw, "simulate", "stride", 0, path, *_INT),
+        offsets=_get(raw, "simulate", "offsets", [1e-3, 0.0], path, *_REALS),
     )
     if len(cfg.sim.offsets) % 2 != 0:
         raise ConfigError("offsets must contain an even number of reals", path)
@@ -338,10 +313,10 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     )
 
     if "error" in raw:
-        s = _get_float_list(raw, "error", "s", None, path)
-        eta = _get_float_list(raw, "error", "eta", None, path)
-        y0 = _get_float_list(raw, "error", "y0", None, path)
-        steps = _get_int_list(raw, "error", "steps", None, path)
+        s = _get(raw, "error", "s", None, path, *_REALS)
+        eta = _get(raw, "error", "eta", None, path, *_REALS)
+        y0 = _get(raw, "error", "y0", None, path, *_REALS)
+        steps = _get(raw, "error", "steps", None, path, *_INTS)
         for name, val, n in (("s", s, 4), ("eta", eta, 2), ("y0", y0, 2)):
             if val is None or len(val) != n:
                 raise ConfigError(f"[error] needs {name} with {n} reals", path)

@@ -10,11 +10,12 @@ Grammar, tightest binding first:
 
 Known functions: sin cos tan exp log sqrt sinh cosh tanh abs.
 
-Evaluation is IEEE double precision with real-valued semantics: log and
-sqrt of non-positive/negative arguments, division by zero, zero to a
-negative power and a negative base to a fractional or non-finite power
-raise DomainError instead of producing NaN or complex values.  Overflow
-saturates to inf, matching IEEE behaviour.
+compile_expr evaluates in IEEE double precision with real-valued
+semantics: log and sqrt of non-positive/negative arguments, division by
+zero, zero to a negative power and a negative base to a fractional or
+non-finite power raise DomainError instead of producing NaN or complex
+values.  Overflow saturates to inf, matching IEEE behaviour.  define is
+the package's one path from generated source to code.
 
 Trees are immutable and every operation here is pure, so expressions can
 be shared freely across threads.
@@ -126,7 +127,7 @@ FUNCTIONS = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# Guarded numeric kernels, shared by the tree evaluator and compiled code so
+# Guarded numeric kernels, shared by compiled code and constant folding so
 # both produce bit-identical results.
 
 def _pow(a: float, b: float) -> float:
@@ -348,35 +349,6 @@ def parse(text: str) -> Expr:
     if not text.strip():
         raise UnexpectedToken("empty input", 0)
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
-def evaluate(expr: Expr, bindings: dict[str, float]) -> float:
-    match expr:
-        case Const(value):
-            return value
-        case Var(name):
-            try:
-                return bindings[name]
-            except KeyError:
-                raise UnboundVariable(f"unbound variable {name!r}") from None
-        case Neg(arg):
-            return -evaluate(arg, bindings)
-        case Add(left, right):
-            return evaluate(left, bindings) + evaluate(right, bindings)
-        case Sub(left, right):
-            return evaluate(left, bindings) - evaluate(right, bindings)
-        case Mul(left, right):
-            return evaluate(left, bindings) * evaluate(right, bindings)
-        case Div(left, right):
-            return _div(evaluate(left, bindings), evaluate(right, bindings))
-        case Pow(base, exponent):
-            return _pow(evaluate(base, bindings), evaluate(exponent, bindings))
-        case Func(name, arg):
-            return _FUNC_IMPL[name](evaluate(arg, bindings))
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def variables(expr: Expr) -> frozenset[str]:
@@ -619,12 +591,11 @@ def to_string(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python code.  Generated code goes through the same
-# guarded kernels as the tree evaluator, in the same order, so results are
-# bit-identical; this is the fast path used by the systems and schemes
-# layers.  Constants are read from a tuple _c, so the source text depends
-# only on the shape of a tree, and compiled code is cached by its text: all
-# trees of one shape share one code object.
+# Compilation to plain Python code, the one way expressions are evaluated.
+# Every operation goes through the guarded kernels above.  Constants are
+# read from a tuple _c, so the source text depends only on the shape of a
+# tree, and compiled code is cached by its text: all trees of one shape
+# share one code object.
 
 _CODE_CACHE_SIZE = 256  # distinct sources kept compiled
 

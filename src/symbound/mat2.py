@@ -74,12 +74,6 @@ class Mat2(NamedTuple):
     def transpose(self) -> "Mat2":
         return Mat2(self.a11, self.a21, self.a12, self.a22)
 
-    def inverse(self) -> "Mat2":
-        d = self.det
-        if d == 0.0:
-            raise ZeroDivisionError("singular 2x2 matrix")
-        return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
-
     def power(self, n: int) -> "Mat2":
         """n-th matrix power by binary exponentiation, n >= 0."""
         if n < 0:
@@ -116,9 +110,6 @@ class Mat2(NamedTuple):
             + self.a22 * self.a22
         )
 
-    def is_close(self, other: "Mat2", tol: float) -> bool:
-        return (self - other).max_norm <= tol
-
 
 def unimodularity_lost(s11, s12, s21, s22, tol: float):
     """det S and whether it is off 1 by more than tol * (1 + |S|_F^2).
@@ -140,13 +131,9 @@ def eigenvector(m: Mat2, lam: float) -> Vec2:
     return u if math.hypot(*u) >= math.hypot(*v) else v
 
 
-def norm2(v: Vec2) -> float:
-    return math.hypot(v[0], v[1])
-
-
 def normalized(v: Vec2) -> Vec2:
     """Unit vector with a deterministic sign: first significant component positive."""
-    n = norm2(v)
+    n = math.hypot(v[0], v[1])
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     u = (v[0] / n, v[1] / n)

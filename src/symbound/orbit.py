@@ -72,8 +72,12 @@ def simulate(
     Every stride-th state is recorded plus the final one.  The run is pure
     and deterministic: identical inputs give bit-identical traces.  A failed
     step's ImplicitSolveFailed gets the index of the state it started from
-    as its step_index, which is also the SolverFailed verdict's step.
+    as its step_index, which is also the SolverFailed verdict's step.  A
+    step that leaves an expression's domain (a DomainError, or a
+    ValueError from math.sin, cos or tan at +-inf) ends in LeftDomain.
     """
+    if tau <= 0.0:  # before the loop, which reads a ValueError as LeftDomain
+        raise ValueError("step size must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if stride is None:
@@ -99,7 +103,7 @@ def simulate(
         except ImplicitSolveFailed as err:
             err.step_index = n - 1
             return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
-        except DomainError as err:
+        except (DomainError, ValueError) as err:
             record(n - 1, x)
             verdict = LeftDomain(n - 1, str(err))
             return OrbitTrace(x0, scheme, tau, steps, states, verdict)

@@ -14,31 +14,31 @@ with the system's derivatives, so one fold serves every class: H_q = V'(q),
 H_p = T'(p) for a separable system, H_q = -g(q), H_p = p for a newtonian
 one.
 
-step runs a kernel generated once per (scheme, system) and cached on the
-system: Python source in which each kick and drift of the row is one
-straight line holding the text compile_expr emits for H_q or H_p, the
-constants read from one shared tuple.  At a trace-free linearization A of the
-separable shape [[0, a12], [a21, 0]] the stages are the exact matrices
+Each row builds its step template from its stages when it is defined: one
+straight line per kick or drift, holding $h_q or $h_p.  step runs the kernel
+HamiltonianSystem.kernel makes of it for the system.  At a trace-free
+linearization A of the separable shape [[0, a12], [a21, 0]] the stages are
+the exact matrices
 
     kick(c)  = [[1, c*tau*a12], [0, 1]]
     drift(c) = [[1, 0], [c*tau*a21, 1]]
 
 and their product S(tau), last stage leftmost, is a straight-line function
-generated once per row from its stages, the first time it is needed: each
-stage is one line of the 2x2 product, every 0.0 term kept, so the
-propagator entries carry no differencing error.  s_entries calls it for a
-float or an ndarray of taus.  Every row so far has tr S = 2 - tau^2 det A,
-hence the one explicit limit 2 / sqrt(det A).
+each row also generates from its stages when it is defined: each stage is
+one line of the 2x2 product, every 0.0 term kept, so the propagator entries
+carry no differencing error.  s_entries calls it for a float or an ndarray
+of taus.  Every row so far has tr S = 2 - tau^2 det A, hence the one
+explicit limit 2 / sqrt(det A).
 
 The implicit midpoint rule has no stages:
 
   implicit-midpoint  P = p - tau*H_q(mid), Q = q + tau*H_p(mid), mid = (x+X)/2,
                      solved by damped Newton
 
-Its kernel is one template of that solve with the five derivative texts
-inlined and the 2x2 Newton matrix spelled out in Mat2's operation order,
-so it gives the same bits and raises the same errors at the same points as
-the solve written on the compiled accessors and Mat2.
+Its step template, _MIDPOINT, is that solve with the five derivative texts
+inlined and the 2x2 Newton matrix spelled out in Mat2's operation order, so
+it gives the same bits and raises the same errors at the same points as the
+solve written on the compiled accessors and Mat2.
 
 Its propagator is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
 it ceases to exist at the first tau where the denominator determinant
@@ -50,7 +50,6 @@ call concurrently (two threads may build the same kernel once each).
 """
 
 import enum
-import functools
 import math
 import string
 
@@ -84,62 +83,8 @@ KICK, DRIFT = True, False  # a stage is (move, fraction c of the step)
 
 _EXPLICIT = frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN})
 
-
-class Scheme(enum.Enum):
-    """The scheme table: (name, applicable classes, stages) per row."""
-
-    EULER_B = ("euler-b", _EXPLICIT, ((KICK, 1.0), (DRIFT, 1.0)))
-    YOSHIDA2 = ("yoshida2", _EXPLICIT, ((DRIFT, 0.5), (KICK, 1.0), (DRIFT, 0.5)))
-    STORMER_VERLET = (
-        "stormer-verlet",
-        frozenset({SystemClass.NEWTONIAN}),
-        ((KICK, 0.5), (DRIFT, 1.0), (KICK, 0.5)),
-    )
-    IMPLICIT_MIDPOINT = ("implicit-midpoint", frozenset(SystemClass), ())
-
-    def __new__(cls, value, classes, stages):
-        scheme = object.__new__(cls)
-        scheme._value_ = value
-        scheme.classes = classes  # frozenset of SystemClass
-        scheme.stages = stages  # empty for the implicit midpoint rule
-        return scheme
-
-    def applicable_to(self, sys: HamiltonianSystem) -> bool:
-        return sys.kind in self.classes
-
-    @functools.cached_property
-    def stage_product(self):
-        """(a, tau) -> S(tau) as a Mat2, generated from the stages; an
-        explicit row only."""
-        return _new_stage_product(self.stages)
-
-
-# the schemes that apply to each system class, in table order
-SCHEMES_BY_CLASS = {
-    kind: tuple(s for s in Scheme if kind in s.classes) for kind in SystemClass
-}
-
 _SINGULAR_TOL = 1e-9
 UNIMODULAR_TOL = 1e-10  # propagator's bound on |det S - 1| / (1 + |S|_F^2)
-
-
-def scheme_from_name(name: str) -> Scheme:
-    for scheme in Scheme:
-        if scheme.value == name:
-            return scheme
-    raise ValueError(f"unknown scheme {name!r}; expected one of "
-                     f"{[s.value for s in Scheme]}")
-
-
-# ---------------------------------------------------------------------------
-# Nonlinear stepping
-
-def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
-    """Advance one step of size tau > 0 with the scheme's kernel for sys."""
-    if tau <= 0.0:
-        raise ValueError("step size must be positive")
-    kernel = sys.kernels.get(scheme._value_) or _new_kernel(scheme, sys)
-    return kernel(x, tau)
 
 
 # The implicit midpoint rule's damped Newton solve.  p, q are the midpoint,
@@ -167,7 +112,7 @@ def _step(x, tau):
             1.0 - 0.5 * tau * h_pq,
         )
         det = a11 * a22 - a12 * a21
-        if abs(det) <= $singular_tol * (
+        if abs(det) <= _SINGULAR_TOL * (
             1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
         ):
             raise ImplicitSolveFailed(f"singular Newton matrix at tau={tau!r}")
@@ -199,35 +144,120 @@ def _step(x, tau):
 """)
 
 
+def _stage_step(stages) -> string.Template:
+    """The step template of a stage row: one straight line per kick or
+    drift."""
+    moves = [
+        f"    p = p - ({c!r} * tau) * $h_q" if move is KICK
+        else f"    q = q + ({c!r} * tau) * $h_p"
+        for move, c in stages
+    ]
+    return string.Template("\n".join(
+        ["def _step(x, tau):", "    p, q = x", *moves, "    return State(p, q)"]
+    ))
+
+
+# builds a Mat2 from the tuple of its entries, as Mat2's own __new__ does,
+# one Python call faster
+_tuple_new = tuple.__new__
+
+# one stage of the fold: M @ [[1, k], [0, 1]] for a kick, M @ [[1, 0], [d, 1]]
+# for a drift
+_KICK_LINES = """\
+    k = ({c!r} * tau) * a12
+    m11, m12, m21, m22 = m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22"""
+_DRIFT_LINES = """\
+    d = ({c!r} * tau) * a21
+    m11, m12, m21, m22 = m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22"""
+
+
+def _new_stage_product(stages):
+    """Generate (a, tau) -> S(tau) for a stage row: start from the last
+    stage's matrix and right-multiply by each earlier one, as
+    Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0 terms stay,
+    because they decide signed zeros, infinities and NaNs."""
+    move, c = stages[-1]
+    if move is KICK:
+        first = f"1.0, ({c!r} * tau) * a12, 0.0, 1.0"
+    else:
+        first = f"1.0, 0.0, ({c!r} * tau) * a21, 1.0"
+    lines = [
+        "def _stage_product(a, tau):",
+        "    _, a12, a21, _ = a",
+        f"    m11, m12, m21, m22 = {first}",
+        *(
+            (_KICK_LINES if move is KICK else _DRIFT_LINES).format(c=c)
+            for move, c in stages[-2::-1]
+        ),
+        "    return _tuple_new(Mat2, (m11, m12, m21, m22))",
+    ]
+    return ex.define(
+        "\n".join(lines), "_stage_product", (), Mat2=Mat2, _tuple_new=_tuple_new
+    )
+
+
+class Scheme(enum.Enum):
+    """The scheme table: (name, applicable classes, stages) per row."""
+
+    EULER_B = ("euler-b", _EXPLICIT, ((KICK, 1.0), (DRIFT, 1.0)))
+    YOSHIDA2 = ("yoshida2", _EXPLICIT, ((DRIFT, 0.5), (KICK, 1.0), (DRIFT, 0.5)))
+    STORMER_VERLET = (
+        "stormer-verlet",
+        frozenset({SystemClass.NEWTONIAN}),
+        ((KICK, 0.5), (DRIFT, 1.0), (KICK, 0.5)),
+    )
+    IMPLICIT_MIDPOINT = ("implicit-midpoint", frozenset(SystemClass), ())
+
+    def __new__(cls, value, classes, stages):
+        scheme = object.__new__(cls)
+        scheme._value_ = value
+        scheme.classes = classes  # frozenset of SystemClass
+        scheme.stages = stages  # empty for the implicit midpoint rule
+        scheme.template = _stage_step(stages) if stages else _MIDPOINT
+        # (a, tau) -> S(tau) as a Mat2; an explicit row only
+        scheme.stage_product = _new_stage_product(stages) if stages else None
+        return scheme
+
+    def applicable_to(self, sys: HamiltonianSystem) -> bool:
+        return sys.kind in self.classes
+
+
+# the schemes that apply to each system class, in table order
+SCHEMES_BY_CLASS = {
+    kind: tuple(s for s in Scheme if kind in s.classes) for kind in SystemClass
+}
+
+
+def scheme_from_name(name: str) -> Scheme:
+    for scheme in Scheme:
+        if scheme.value == name:
+            return scheme
+    raise ValueError(f"unknown scheme {name!r}; expected one of "
+                     f"{[s.value for s in Scheme]}")
+
+
+# ---------------------------------------------------------------------------
+# Nonlinear stepping
+
+def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
+    """Advance one step of size tau > 0 with the scheme's kernel for sys."""
+    if tau <= 0.0:
+        raise ValueError("step size must be positive")
+    kernel = sys.kernels.get(scheme.template) or _new_kernel(scheme, sys)
+    return kernel(x, tau)
+
+
 def _new_kernel(scheme: Scheme, sys: HamiltonianSystem):
-    """Generate the scheme's step function (x, tau) -> State from the
-    system's derivative trees, compile it and cache it on the system."""
+    """The scheme's step function (x, tau) -> State for sys: the kernel
+    sys.kernel makes of the row's template."""
     if not scheme.applicable_to(sys):
         raise NotApplicable(
             f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
         )
-    consts: list[float] = []
-    h_p, h_q, h_pp, h_pq, h_qq = (ex.emit(tree, consts) for tree in sys.derivatives)
-    if scheme.stages:
-        moves = [
-            f"    p = p - ({c!r} * tau) * {h_q}" if move is KICK
-            else f"    q = q + ({c!r} * tau) * {h_p}"
-            for move, c in scheme.stages
-        ]
-        source = "\n".join(
-            ["def _step(x, tau):", "    p, q = x", *moves, "    return State(p, q)"]
-        )
-    else:
-        source = _MIDPOINT.substitute(
-            h_p=h_p, h_q=h_q, h_pp=h_pp, h_pq=h_pq, h_qq=h_qq,
-            singular_tol=repr(_SINGULAR_TOL),
-        )
-    kernel = ex.define(
-        source, "_step", consts,
-        State=State, ImplicitSolveFailed=ImplicitSolveFailed, _hypot=math.hypot,
+    return sys.kernel(
+        scheme.template, "_step", State=State, ImplicitSolveFailed=ImplicitSolveFailed,
+        _hypot=math.hypot, _SINGULAR_TOL=_SINGULAR_TOL,
     )
-    sys.kernels[scheme._value_] = kernel
-    return kernel
 
 
 def explicit_euler_step(sys: HamiltonianSystem, x: State, tau: float) -> State:
@@ -316,45 +346,6 @@ def s_entries(scheme: Scheme, a: Mat2, tau):
     return scheme.stage_product(a, tau), None, False
 
 
-# builds a Mat2 from the tuple of its entries, as Mat2's own __new__ does,
-# one Python call faster
-_tuple_new = tuple.__new__
-
-# one stage of the fold: M @ [[1, k], [0, 1]] for a kick, M @ [[1, 0], [d, 1]]
-# for a drift
-_KICK_LINES = """\
-    k = ({c!r} * tau) * a12
-    m11, m12, m21, m22 = m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22"""
-_DRIFT_LINES = """\
-    d = ({c!r} * tau) * a21
-    m11, m12, m21, m22 = m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22"""
-
-
-def _new_stage_product(stages):
-    """Generate (a, tau) -> S(tau) for a stage row: start from the last
-    stage's matrix and right-multiply by each earlier one, as
-    Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0 terms stay,
-    because they decide signed zeros, infinities and NaNs."""
-    move, c = stages[-1]
-    if move is KICK:
-        first = f"1.0, ({c!r} * tau) * a12, 0.0, 1.0"
-    else:
-        first = f"1.0, 0.0, ({c!r} * tau) * a21, 1.0"
-    lines = [
-        "def _stage_product(a, tau):",
-        "    _, a12, a21, _ = a",
-        f"    m11, m12, m21, m22 = {first}",
-        *(
-            (_KICK_LINES if move is KICK else _DRIFT_LINES).format(c=c)
-            for move, c in stages[-2::-1]
-        ),
-        "    return _tuple_new(Mat2, (m11, m12, m21, m22))",
-    ]
-    return ex.define(
-        "\n".join(lines), "_stage_product", (), Mat2=Mat2, _tuple_new=_tuple_new
-    )
-
-
 def _cayley(a: Mat2, tau):
     """(I - B)^-1 (I + B) with B = (tau/2) A, in the form of s_entries."""
     h = 0.5 * tau
@@ -414,12 +405,3 @@ def explicit_euler_defect(
     m = _fd_jacobian(lambda y: explicit_euler_step(sys, y, tau), x, h)
     return (m.transpose() @ _J @ m - _J).max_norm
 
-
-def propagator_matches_linearization(
-    scheme: Scheme, sys: HamiltonianSystem, equilibrium, tau: float, h: float = 1e-5
-) -> float:
-    """max-norm gap between the closed-form propagator and the differenced
-    Jacobian of the nonlinear step at the equilibrium point."""
-    s = propagator(scheme, equilibrium.a, tau)
-    m = _fd_jacobian(lambda y: step(scheme, sys, y, tau), equilibrium.point, h)
-    return (s - m).max_norm

@@ -12,13 +12,11 @@ of (p, q): H_p, H_q and the second derivatives H_pp, H_pq, H_qq.  A
 newtonian system has H_p = p and H_q = -g(q) and no explicit H.  The trees
 are produced symbolically and compiled at construction time, so
 linearizations carry no differencing error, and the vector field, the
-Jacobian and the step kernels are built from the same set for every class.
-Systems are immutable after construction, except for a cache of
-kernels generated from the same trees: the step kernel of each scheme,
-which schemes.step fills the first time it steps the scheme on the system,
-and the damped-Newton kernel find_equilibria runs from every grid seed.
-They are safe to share between threads: a race on the cache only builds
-one kernel twice.
+Jacobian and the generated kernels are built from the same set for every
+class.  HamiltonianSystem.kernel turns a template of the derivative texts
+into a kernel and caches it on the system, the only state a system changes
+after construction; a race on the cache only builds one kernel twice, so
+systems are safe to share between threads.
 """
 
 import enum
@@ -31,10 +29,6 @@ import numpy as np
 
 from . import expr as ex
 from .mat2 import Mat2
-
-
-class NotAnEquilibrium(Exception):
-    pass
 
 
 class NotTraceFree(Exception):
@@ -89,6 +83,8 @@ def _diff(e: ex.Expr, var: str) -> ex.Expr:
 
 _ZERO = ex.Const(0.0)
 _PQ = ("p", "q")  # the arguments of every compiled tree
+# the template names of the derivative texts, in the order of derivatives
+_DERIVATIVE_NAMES = ("h_p", "h_q", "h_pp", "h_pq", "h_qq")
 
 
 def _energy_trees(kind: SystemClass, *exprs: ex.Expr):
@@ -116,9 +112,8 @@ class HamiltonianSystem:
     of (p, q), the same accessors for every class, and ``derivatives`` holds
     their trees in that order.  A system is built from its class and one
     expression (a tree or its text) per key of the class; ``exprs`` maps
-    each key to its parsed tree.  ``kernels`` caches the generated kernels:
-    schemes.step's, keyed by scheme name, and find_equilibria's Newton
-    kernel, under a key that is not a string.
+    each key to its parsed tree.  ``kernels`` caches what ``kernel``
+    generates, keyed by template.
     """
 
     def __init__(self, kind: SystemClass, *exprs: ex.Expr | str):
@@ -127,7 +122,6 @@ class HamiltonianSystem:
         self.exprs = dict(zip(kind.keys, trees, strict=True))
         h, h_p, h_q, h_pq = _energy_trees(kind, *trees)
         self.derivatives = (h_p, h_q, _diff(h_p, "p"), h_pq, _diff(h_q, "q"))
-        self._h_tree = h
         self._h = None if h is None else ex.compile_expr(h, _PQ)
         self.h_p, self.h_q, self.h_pp, self.h_pq, self.h_qq = (
             ex.compile_expr(tree, _PQ) for tree in self.derivatives
@@ -147,17 +141,6 @@ class HamiltonianSystem:
     @staticmethod
     def newtonian(g) -> "HamiltonianSystem":
         return HamiltonianSystem(SystemClass.NEWTONIAN, g)
-
-    def as_general(self) -> "HamiltonianSystem":
-        """Reduce a separable system to the general class via H = T + V."""
-        if self.kind is SystemClass.GENERAL:
-            return self
-        if self._h_tree is not None:
-            return HamiltonianSystem.general(self._h_tree)
-        raise ValueError(
-            "a newtonian system has no explicit potential; construct the "
-            "separable form with T = p^2/2 and a V satisfying V' = -g"
-        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -183,6 +166,20 @@ class HamiltonianSystem:
         hpq = self.h_pq(x.p, x.q)
         hqq = self.h_qq(x.p, x.q)
         return Mat2(-hpq, -hqq, hpp, hpq)
+
+    def kernel(self, template: string.Template, name: str, **names):
+        """The function that template's source binds to name, with the
+        derivative texts substituted for $h_p $h_q $h_pp $h_pq $h_qq, their
+        constants in one shared _c tuple, and names as its other globals.
+        Generated the first time, then cached in kernels under template."""
+        kernel = self.kernels.get(template)
+        if kernel is None:
+            consts: list[float] = []
+            texts = (ex.emit(tree, consts) for tree in self.derivatives)
+            source = template.substitute(dict(zip(_DERIVATIVE_NAMES, texts)))
+            kernel = ex.define(source, name, consts, **names)
+            self.kernels[template] = kernel
+        return kernel
 
     def describe(self) -> str:
         parts = [f"{key}={ex.to_string(e)}" for key, e in self.exprs.items()]
@@ -224,17 +221,6 @@ def classify_equilibrium(a: Mat2, tol: float = 1e-9) -> EquilibriumKind:
     if max(abs(a11), abs(a12), abs(a21), abs(a22)) <= tol:
         return EquilibriumKind.RANK0_ZERO
     return EquilibriumKind.RANK1_DEGENERATE
-
-
-def linearize(
-    sys: HamiltonianSystem, x0: State, residual_tol: float = 1e-8
-) -> Mat2:
-    """Exact linearization at an equilibrium point."""
-    if sys.residual(x0) > residual_tol:
-        raise NotAnEquilibrium(
-            f"vector field at {tuple(x0)} has residual {sys.residual(x0):.3e}"
-        )
-    return sys.jacobian(x0)
 
 
 # The damped Newton iteration of find_equilibria on the vector field, from one
@@ -294,7 +280,6 @@ def _newton_root(xp, xq, tol):
             break  # no improving step left; the residual is at its floor
     return State(xp, xq) if r < tol else None
 """)
-_NEWTON_KEY = ("newton",)  # its key in kernels: no scheme name, a str, equals it
 
 
 def _least_squares_step(a11, a12, a21, a22, f0, f1):
@@ -310,20 +295,11 @@ def _least_squares_step(a11, a12, a21, a22, f0, f1):
 
 
 def _newton_kernel(sys: HamiltonianSystem):
-    """The system's Newton kernel (p0, q0, tol) -> State | None, generated
-    from its derivative trees the first time and cached in sys.kernels."""
-    kernel = sys.kernels.get(_NEWTON_KEY)
-    if kernel is None:
-        consts: list[float] = []
-        h_p, h_q, h_pp, h_pq, h_qq = (ex.emit(t, consts) for t in sys.derivatives)
-        source = _NEWTON.substitute(h_p=h_p, h_q=h_q, h_pp=h_pp, h_pq=h_pq, h_qq=h_qq)
-        kernel = ex.define(
-            source, "_newton_root", consts,
-            State=State, DomainError=ex.DomainError, _hypot=math.hypot,
-            _inf=math.inf, _least_squares_step=_least_squares_step,
-        )
-        sys.kernels[_NEWTON_KEY] = kernel
-    return kernel
+    """The system's Newton kernel (p0, q0, tol) -> State | None."""
+    return sys.kernel(
+        _NEWTON, "_newton_root", State=State, DomainError=ex.DomainError,
+        _hypot=math.hypot, _inf=math.inf, _least_squares_step=_least_squares_step,
+    )
 
 
 def find_equilibria(

@@ -1,8 +1,8 @@
-"""Shared test helpers: random expression trees, finite differences,
-per-class reference formulas for the systems' compiled accessors, and the
-generic references for the generated kernels: the step of schemes.step, the
-stage product S(tau) of schemes.s_entries and the damped Newton root of
-find_equilibria."""
+"""Shared test helpers: the tree evaluator that compile_expr is held to,
+random expression trees, finite differences, per-class reference formulas
+for the systems' compiled accessors, and the generic references for the
+generated kernels: the step of schemes.step, the stage product S(tau) of
+schemes.s_entries and the damped Newton root of find_equilibria."""
 
 import functools
 import math
@@ -26,6 +26,34 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(
         path for path in (src, os.environ.get("PYTHONPATH")) if path
     )
+
+
+def evaluate(expr: ex.Expr, bindings: dict[str, float]) -> float:
+    """The value of a tree by direct recursion, through the same guarded
+    kernels as compile_expr: the reference compiled code must equal bitwise."""
+    match expr:
+        case ex.Const(value):
+            return value
+        case ex.Var(name):
+            try:
+                return bindings[name]
+            except KeyError:
+                raise ex.UnboundVariable(f"unbound variable {name!r}") from None
+        case ex.Neg(arg):
+            return -evaluate(arg, bindings)
+        case ex.Add(left, right):
+            return evaluate(left, bindings) + evaluate(right, bindings)
+        case ex.Sub(left, right):
+            return evaluate(left, bindings) - evaluate(right, bindings)
+        case ex.Mul(left, right):
+            return evaluate(left, bindings) * evaluate(right, bindings)
+        case ex.Div(left, right):
+            return ex._div(evaluate(left, bindings), evaluate(right, bindings))
+        case ex.Pow(base, exponent):
+            return ex._pow(evaluate(base, bindings), evaluate(exponent, bindings))
+        case ex.Func(name, arg):
+            return ex._FUNC_IMPL[name](evaluate(arg, bindings))
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 SAFE_FUNCS = ("sin", "cos", "tanh", "exp", "sinh", "cosh", "sqrt", "log")
@@ -87,7 +115,7 @@ def random_bindings(rng: np.random.Generator, var_names=("x", "y")) -> dict:
 def try_eval(tree: ex.Expr, bindings: dict) -> float | None:
     """Evaluate, returning None on domain errors or wild magnitudes."""
     try:
-        value = ex.evaluate(tree, bindings)
+        value = evaluate(tree, bindings)
     except ex.DomainError:
         return None
     if not math.isfinite(value) or abs(value) > 1e6:

@@ -223,10 +223,10 @@ def test_rank1_with_off_axis_kernel_under_implicit_midpoint():
 
 def test_cross_term_center_is_elliptic_at_every_tau():
     # H = p^2/2 + p q + q^2: H_pq != 0 but det A = 1 > 0
-    from symbound.systems import HamiltonianSystem, linearize
+    from symbound.systems import HamiltonianSystem
 
     sys = HamiltonianSystem.general("p^2/2 + p*q + q^2")
-    a = linearize(sys, State(0.0, 0.0))
+    a = sys.jacobian(State(0.0, 0.0))
     assert abs(a.det - 1.0) <= 1e-12 and abs(a.trace) <= 1e-12
     for tau in (0.5, 2.0, 10.0, 200.0):
         v = check_preservation(a, propagator(Scheme.IMPLICIT_MIDPOINT, a, tau))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from symbound.analyzer import check_preservation, fmt_float
+from symbound.analyzer import CSV_HEADER, check_preservation, fmt_float
 from symbound.cli import main
 from symbound.config import load_config
 from symbound.schemes import SingularCayley, propagator, scheme_from_name
@@ -587,6 +587,49 @@ def test_equilibrium_search_outside_the_domain_ends_in_a_result(
     )
     assert run.returncode in (0, 1)
     assert "Traceback" not in run.stderr
+
+
+def test_orbit_outside_the_domain_ends_in_a_result(tmp_path):
+    # the orbit reaches a q where exp(q^2) saturates to inf and math.sin
+    # raises ValueError
+    text = (
+        "[system]\nclass = newtonian\ng = sin(exp(q^2)) - q\n\n"
+        "[run]\nschemes = euler-b\ntau = 3.0\n\n"
+        "[search]\np_min = -1.0\np_max = 1.0\nq_min = -1.0\nq_max = 1.0\n\n"
+        "[simulate]\noffsets = 0.5, 0.0\n"
+    )
+    cfg = _write(tmp_path, text)
+    run = subprocess.run(
+        [sys.executable, "-m", "symbound", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        timeout=60.0,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "-> LeftDomain" in run.stdout
+    (orbit,) = (tmp_path / "o").glob("orbit_*.csv")
+    assert orbit.read_text().startswith(
+        "# verdict(heuristic) = left-domain step=3 reason=math domain error\n"
+    )
+
+
+def test_report_without_equilibria_says_none_was_analysed(tmp_path, capsys):
+    # find_equilibria skips the only root, (0, 0), where g' divides by sqrt(0)
+    text = (
+        "[system]\nclass = newtonian\ng = q*sqrt(q)\n\n"
+        "[run]\nschemes = euler-b\ntau = 0.5\n\n"
+        "[search]\np_min = -1.0\np_max = 1.0\nq_min = 0.0\nq_max = 2.0\ngrid = 5\n"
+    )
+    cfg = _write(tmp_path, text)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "scheme euler-b on newtonian g=q * sqrt(q)\n  no equilibrium analysed\n"
+    )
+    assert "tau_max = nan" not in out
+    csv = (tmp_path / "o" / "analyze_euler-b.csv").read_text()
+    assert csv.endswith("# overall_tau_max = nan\n" + CSV_HEADER + "\n")
 
 
 def test_one_process_answers_each_call_like_a_fresh_one(tmp_path, capsys):

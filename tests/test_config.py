@@ -164,6 +164,12 @@ _ERROR_SECTION = "[error]\ns = 1, 0, 0, 1\neta = 0, 0\ny0 = 0, 0\nsteps = 1\n"
     "text, lineno, message",
     [
         ("[search]\ngrid = 2\n", 2, "grid must be at least 4, got '2'"),
+        ("[search]\np_min = abc\n", 2, "p_min must be a real number, got 'abc'"),
+        ("[search]\ngrid = 4.5\n", 2, "grid must be an integer, got '4.5'"),
+        ("[simulate]\noffsets = 0.1, x\n", 2,
+         "offsets must be a list of reals, got '0.1, x'"),
+        (_ERROR_SECTION.replace("steps = 1", "steps = 1, two"), 5,
+         "steps must be a list of integers, got '1, two'"),
         ("[search]\nq_max = inf\n", 2, "q_max must be finite"),
         ("[search]\nq_max = -6\n", 2, "q_max must be such that q_min < q_max"),
         ("[search]\np_min = 5\n", 2, "p_min must be such that p_min < p_max"),

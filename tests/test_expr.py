@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +27,12 @@ from symbound.expr import (
     Var,
     compile_expr,
     differentiate,
-    evaluate,
     parse,
     simplify,
     to_string,
 )
 
-from conftest import central_diff, random_bindings, random_tree, try_eval
+from conftest import central_diff, evaluate, random_bindings, random_tree, try_eval
 
 
 # ---------------------------------------------------------------------------
@@ -115,32 +116,37 @@ def test_scientific_notation_and_exponent_signs():
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: compile_expr is the package's one evaluator
+
+def _run(text: str, **bindings: float) -> float:
+    """text compiled over the names of bindings and called at their values."""
+    return compile_expr(parse(text), tuple(bindings))(*bindings.values())
+
 
 def test_eval_examples():
-    assert evaluate(parse("p^2/2"), {"p": 3.0}) == 4.5
-    assert evaluate(parse("-cos(q)"), {"q": 0.0}) == -1.0
+    assert _run("p^2/2", p=3.0) == 4.5
+    assert _run("-cos(q)", q=0.0) == -1.0
 
 
 def test_eval_domain_errors():
     with pytest.raises(DomainError):
-        evaluate(parse("sqrt(q)"), {"q": -1.0})
+        _run("sqrt(q)", q=-1.0)
     with pytest.raises(DomainError):
-        evaluate(parse("log(q)"), {"q": -2.0})
+        _run("log(q)", q=-2.0)
     with pytest.raises(DomainError):
-        evaluate(parse("1/q"), {"q": 0.0})
+        _run("1/q", q=0.0)
     with pytest.raises(DomainError):
-        evaluate(parse("q^0.5"), {"q": -2.0})
+        _run("q^0.5", q=-2.0)
     with pytest.raises(DomainError):
-        evaluate(parse("q^-1"), {"q": 0.0})
+        _run("q^-1", q=0.0)
     for q in (math.inf, -math.inf, math.nan):  # math.floor(q) would raise
         with pytest.raises(DomainError):
-            evaluate(parse("(-2)^q"), {"q": q})
+            _run("(-2)^q", q=q)
 
 
 def test_eval_unbound_variable():
     with pytest.raises(UnboundVariable):
-        evaluate(parse("p + q"), {"p": 1.0})
+        _run("p + q", p=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +335,22 @@ def test_compile_rejects_free_variables():
 
 
 def test_evaluation_is_deterministic():
-    tree = parse("sin(x) * exp(y) - x^3 / (1 + y^2)")
-    bindings = {"x": 0.7381, "y": -1.25}
-    first = evaluate(tree, bindings)
-    assert all(evaluate(tree, bindings) == first for _ in range(5))
+    fn = compile_expr(parse("sin(x) * exp(y) - x^3 / (1 + y^2)"), ("x", "y"))
+    first = fn(0.7381, -1.25)
+    assert all(fn(0.7381, -1.25) == first for _ in range(5))
+
+
+def test_define_is_the_only_generated_code_path():
+    # no module but expr compiles or runs source text
+    src = Path(ex.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        calls = [
+            node.func.id
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("compile", "exec", "eval")
+        ]
+        assert calls == [], (path.name, calls)

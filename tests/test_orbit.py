@@ -74,6 +74,18 @@ def test_leaving_the_domain_ends_the_orbit_with_its_reason():
     )
 
 
+def test_a_math_domain_error_ends_the_orbit_in_left_domain():
+    # exp(900) saturates to inf, where math.sin raises ValueError
+    sys = HamiltonianSystem.newtonian("sin(exp(q^2))")
+    trace = simulate(sys, Scheme.EULER_B, State(0.0, 30.0), 0.5, n_max=10)
+    assert trace.verdict == LeftDomain(0, "math domain error")
+    assert trace.steps == [0]
+    # a bad step size is still an error, not a verdict
+    for tau in (0.0, -0.5):
+        with pytest.raises(ValueError, match="step size must be positive"):
+            simulate(sys, Scheme.EULER_B, State(0.0, 0.0), tau, n_max=10)
+
+
 def test_recording_stride_and_endpoints():
     trace = simulate(
         catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 0.1,

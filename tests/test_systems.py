@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 from symbound import catalog
 from symbound import expr as ex
 from symbound.mat2 import Mat2
+from symbound.schemes import SCHEMES_BY_CLASS, step
 from symbound.systems import (
     EquilibriumKind,
     HamiltonianSystem,
-    NotAnEquilibrium,
     NotApplicable,
     NotTraceFree,
     State,
     classify_equilibrium,
     collapse_continuum,
     find_equilibria,
-    linearize,
 )
-from symbound.systems import _NEWTON_KEY, _newton_kernel
+from symbound.systems import _NEWTON, _newton_kernel
 
 from conftest import (
     KERNEL_SYSTEMS,
@@ -116,26 +115,21 @@ def test_empty_result_when_no_roots_in_box():
 
 
 # ---------------------------------------------------------------------------
-# linearization
+# linearization: the Jacobian at an equilibrium
 
 def test_linearize_harmonic():
-    a = linearize(catalog.harmonic(), State(0.0, 0.0))
+    a = catalog.harmonic().jacobian(State(0.0, 0.0))
     assert a == Mat2(0.0, -1.0, 1.0, 0.0)
 
 
 def test_linearize_cross_term():
-    a = linearize(catalog.shear(), State(0.0, 0.0))
+    a = catalog.shear().jacobian(State(0.0, 0.0))
     assert a == Mat2(-1.0, 0.0, 0.0, 1.0)
 
 
 def test_linearize_zero_hamiltonian():
-    a = linearize(catalog.zero(), State(0.3, -0.7))
+    a = catalog.zero().jacobian(State(0.3, -0.7))
     assert a == Mat2(0.0, 0.0, 0.0, 0.0)
-
-
-def test_linearize_rejects_non_equilibrium():
-    with pytest.raises(NotAnEquilibrium):
-        linearize(catalog.harmonic(), State(1.0, 1.0))
 
 
 def test_linearize_agrees_with_finite_difference_jacobian():
@@ -185,7 +179,7 @@ def test_classify_rejects_trace():
 
 def test_separable_reduces_to_general():
     sep = catalog.pendulum()
-    gen = sep.as_general()
+    gen = HamiltonianSystem.general(ex.Add(sep.exprs["t"], sep.exprs["v"]))
     rng = np.random.default_rng(23)
     for _ in range(50):
         x = State(*map(float, rng.uniform(-3, 3, 2)))
@@ -332,6 +326,25 @@ def test_find_equilibria_builds_one_newton_kernel_per_system(monkeypatch):
     found = [find_equilibria(sys, grid=8) for sys in (slow, fast, slow, fast)]
     assert built == ["_newton_root", "_newton_root"]
     assert found[0] == found[2] and found[1] == found[3] and found[0] != found[1]
-    kernels = slow.kernels[_NEWTON_KEY], fast.kernels[_NEWTON_KEY]
+    kernels = slow.kernels[_NEWTON], fast.kernels[_NEWTON]
     assert kernels[0] is not kernels[1]
     assert kernels[0].__code__ is kernels[1].__code__
+
+
+def test_stepping_and_find_equilibria_define_one_kernel_per_template(monkeypatch):
+    sys = catalog.pendulum_newtonian()
+    built = []
+    define = ex.define
+
+    def counted(source, name, *args, **kwargs):
+        built.append(name)
+        return define(source, name, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "define", counted)
+    schemes = SCHEMES_BY_CLASS[sys.kind]
+    for _ in range(2):
+        find_equilibria(sys, grid=8)
+        for scheme in schemes:
+            step(scheme, sys, State(0.1, 0.2), 0.5)
+    assert sorted(built) == sorted(["_newton_root"] + ["_step"] * len(schemes))
+    assert set(sys.kernels) == {_NEWTON, *(scheme.template for scheme in schemes)}
