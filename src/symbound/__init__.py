@@ -49,7 +49,6 @@ from .orbit import (
     LeftDomain,
     OrbitTrace,
     SolverFailed,
-    hamiltonian_drift,
     simulate,
 )
 from .schemes import (

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mat2 import Mat2, Vec2, eigenvector, normalized, unimodularity_lost
+from .mat2 import DECISION_TOL, Mat2, Vec2, eigenvector, normalized, unimodularity_lost
 from .schemes import (
     UNIMODULAR_TOL,
     NonFiniteLinearization,
@@ -66,7 +66,6 @@ from .systems import (
     SystemClass,
     classify_equilibrium,
     collapse_continuum,
-    find_equilibria,
 )
 
 
@@ -77,8 +76,6 @@ class NotUnimodular(Exception):
 class InconsistentPredicate(Exception):
     """The preservation predicate was not monotone in tau on the bracket."""
 
-
-_BOUNDARY_TOL = 1e-9
 
 _CASE_INDEX = {
     EquilibriumKind.CENTER: 1,
@@ -123,16 +120,9 @@ def _line(v: Vec2) -> BoundedSubspace:
     return BoundedSubspace(1, (normalized(v),), False)
 
 
-def _kernel_vector(m: Mat2) -> Vec2:
-    # for a rank-1 matrix, read the kernel off the larger row
-    if abs(m.a11) + abs(m.a12) >= abs(m.a21) + abs(m.a22):
-        return (m.a12, -m.a11)
-    return (m.a22, -m.a21)
-
-
-def dim_bounded_continuous(a: Mat2, tol: float = 1e-9) -> BoundedSubspace:
+def dim_bounded_continuous(a: Mat2) -> BoundedSubspace:
     """Bounded-orbit subspace of y' = A y for trace-free A."""
-    return _continuous_subspace(a, classify_equilibrium(a, tol))
+    return _continuous_subspace(a, classify_equilibrium(a))
 
 
 def _continuous_subspace(a: Mat2, kind: EquilibriumKind) -> BoundedSubspace:
@@ -141,17 +131,17 @@ def _continuous_subspace(a: Mat2, kind: EquilibriumKind) -> BoundedSubspace:
     if kind is EquilibriumKind.SADDLE:
         lam = -math.sqrt(-a.det)
         return _line(eigenvector(a, lam))
-    return _line(_kernel_vector(a))
+    return _line(eigenvector(a, 0.0))  # the kernel of rank-1 A
 
 
-def dim_bounded_discrete(s: Mat2, tol: float = _BOUNDARY_TOL) -> BoundedSubspace:
+def dim_bounded_discrete(s: Mat2) -> BoundedSubspace:
     """Bounded-orbit subspace of y_{n+1} = S y_n for unimodular S."""
     s11, s12, s21, s22 = s
-    det, lost = unimodularity_lost(s11, s12, s21, s22, 1e-9)
+    det, lost = unimodularity_lost(s11, s12, s21, s22, DECISION_TOL)
     if lost:
         raise NotUnimodular(f"det S = {det!r} is not 1 within tolerance")
     tr = s11 + s22
-    boundary = tol * (1.0 + max(abs(s11), abs(s12), abs(s21), abs(s22)))
+    boundary = DECISION_TOL * (1.0 + max(abs(s11), abs(s12), abs(s21), abs(s22)))
     if abs(tr) > 2.0 + boundary:
         # for large entries det S can round above tr^2 / 4; read that as 0
         disc = max(tr * tr - 4.0 * det, 0.0)
@@ -164,12 +154,10 @@ def dim_bounded_discrete(s: Mat2, tol: float = _BOUNDARY_TOL) -> BoundedSubspace
     m = s - Mat2.identity().scale(sign)
     if m.max_norm <= boundary:
         return _WHOLE_PLANE
-    return _line(_kernel_vector(m))
+    return _line(eigenvector(m, 0.0))  # the kernel of S -+ I
 
 
-def check_preservation(
-    a: Mat2, s: Mat2, tol: float = _BOUNDARY_TOL
-) -> PreservationVerdict:
+def check_preservation(a: Mat2, s: Mat2) -> PreservationVerdict:
     """Apply the trace/rank preservation criteria for one (A, S) pair.
 
     The verdict is normative from the trace/rank tests; the bounded-subspace
@@ -182,18 +170,18 @@ def check_preservation(
     kind = classify_equilibrium(a)
     case = _CASE_INDEX[kind]
     b_a = _continuous_subspace(a, kind)
-    b_s = dim_bounded_discrete(s, tol)
+    b_s = dim_bounded_discrete(s)
     s11, s12, s21, s22 = s
-    holds = _condition_holds(case, s11, s12, s21, s22, tol, _max_norm)
-    marginal = case <= 2 and abs(abs(s11 + s22) - 2.0) <= tol
+    holds = _condition_holds(case, s11, s12, s21, s22, _max_norm)
+    marginal = case <= 2 and abs(abs(s11 + s22) - 2.0) <= DECISION_TOL
     if not holds:
         note = ContainmentNote.NOT_APPLICABLE
     elif b_a.whole_space and b_s.whole_space:
         note = ContainmentNote.EXACT
     elif b_a.dim == 1 and b_s.dim == 1:
         u, v = b_a.basis[0], b_s.basis[0]
-        cross = u[0] * v[1] - u[1] * v[0]
-        note = ContainmentNote.EXACT if abs(cross) <= tol else ContainmentNote.DIM_ONLY
+        exact = abs(u[0] * v[1] - u[1] * v[0]) <= DECISION_TOL
+        note = ContainmentNote.EXACT if exact else ContainmentNote.DIM_ONLY
     else:
         note = ContainmentNote.DIM_ONLY
     return PreservationVerdict(case, holds, marginal, b_a.dim, b_s.dim, note)
@@ -214,39 +202,27 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
     test is check_preservation's own, on arrays, so every trace and every
     verdict is bit-identical to the scalar path.  Raises what ``propagator``
     raises (ValueError, NonFiniteLinearization, ShapeMismatch,
-    AssertionError) and, unless every row
-    is singular, what ``classify_equilibrium`` raises; the bounded subspaces
-    are not computed.
+    AssertionError); the bounded subspaces are not computed.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all((taus > 0.0) & (taus < math.inf)):
         raise ValueError("step size must be positive and finite")
     require_shape(scheme, a)
+    case = _CASE_INDEX[classify_equilibrium(a)]
     with np.errstate(all="ignore"):
         (s11, s12, s21, s22), _, singular = s_entries(scheme, a, taus)
         singular = np.broadcast_to(singular, taus.shape)
         det, lost = unimodularity_lost(s11, s12, s21, s22, UNIMODULAR_TOL)
-        live = ~singular
-        lost = lost & live
-        # raise what the scalar loop would raise first: at the first
-        # non-singular row either the propagator's guard or the classification
-        kind = None
-        if live.any() and not lost[np.argmax(live)]:
-            kind = classify_equilibrium(a)
+        lost = lost & ~singular
         if lost.any():
             raise AssertionError(
                 f"propagator lost unimodularity: det={det[lost][0].item()!r}"
             )
-        if kind is None:  # every row singular
-            holds = np.zeros(taus.shape, dtype=bool)
-        else:
-            holds = _condition_holds(
-                _CASE_INDEX[kind], s11, s12, s21, s22, _BOUNDARY_TOL, _max_abs
-            ) & live
+        holds = _condition_holds(case, s11, s12, s21, s22, _max_abs) & ~singular
     return VerdictGrid(np.where(singular, math.nan, s11 + s22), holds, singular)
 
 
-def _condition_holds(case, s11, s12, s21, s22, tol, max_abs):
+def _condition_holds(case, s11, s12, s21, s22, max_abs):
     """The trace/rank preservation test of S = [[s11, s12], [s21, s22]] for
     the case of A (1 center, 2 saddle, 3 rank 1, 4 zero), on floats with
     max_abs = _max_norm or on arrays of entries with max_abs = _max_abs.
@@ -262,12 +238,13 @@ def _condition_holds(case, s11, s12, s21, s22, tol, max_abs):
     # S - I, entry by entry as Mat2.__sub__ computes it
     m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
     if case == 3:
-        rank1 = (max_abs(m11, m12, m21, m22) > tol) & (
+        rank1 = (max_abs(m11, m12, m21, m22) > DECISION_TOL) & (
             abs(m11 * m22 - m12 * m21)
-            <= tol * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
+            <= DECISION_TOL * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
         )
-        return (abs(tr - 2.0) <= tol * (1.0 + max_abs(s11, s12, s21, s22))) & rank1
-    return max_abs(m11, m12, m21, m22) <= tol
+        tr_is_2 = abs(tr - 2.0) <= DECISION_TOL * (1.0 + max_abs(s11, s12, s21, s22))
+        return tr_is_2 & rank1
+    return max_abs(m11, m12, m21, m22) <= DECISION_TOL
 
 
 def _max_norm(a, b, c, d):
@@ -303,7 +280,7 @@ def tau_max_from_matrix(scheme: Scheme, a: Mat2) -> TauLimit:
             f"{scheme.value} needs a separable linearization [[0, *], [*, 0]]"
         ) from err
     newtonian_only = scheme.classes == {SystemClass.NEWTONIAN}
-    if newtonian_only and abs(a.a21 - 1.0) > 1e-9 * (1.0 + a.max_norm):
+    if newtonian_only and abs(a.a21 - 1.0) > DECISION_TOL * (1.0 + a.max_norm):
         raise NotApplicable(
             f"{scheme.value} expects a newtonian linearization [[0, g'], [1, 0]]"
         )
@@ -335,11 +312,10 @@ def bisect_transition(predicate, lo: float, hi: float, tol: float) -> float:
 TAU_HI_MAX = 1e300
 # its scan starts at tau_hi * 1e-8; from this floor on that is a normal float
 TAU_HI_MIN = 1e-299
+_SCAN_POINTS = 24  # the taus of that logarithmic scan
 
 
-def find_transition(
-    predicate, tau_hi: float, tol: float, grid_points: int = 24
-) -> float:
+def find_transition(predicate, tau_hi: float, tol: float) -> float:
     """Transition point of a monotone tau predicate over (0, tau_hi].
 
     Returns +inf when the predicate holds at both tau_hi and 10*tau_hi.  A
@@ -360,8 +336,8 @@ def find_transition(
         transition = bisect_transition(predicate, tau_hi, 10.0 * tau_hi, tol)
         _check_monotone(predicate, transition, tau_min, 10.0 * tau_hi, tol)
         return transition
-    ratio = (tau_hi / tau_min) ** (1.0 / (grid_points - 1))
-    grid = [tau_min * ratio**i for i in range(grid_points)]
+    ratio = (tau_hi / tau_min) ** (1.0 / (_SCAN_POINTS - 1))
+    grid = [tau_min * ratio**i for i in range(_SCAN_POINTS)]
     grid[-1] = tau_hi
     values = [predicate(t) for t in grid]
     if True not in values:
@@ -424,25 +400,22 @@ def _verdict_predicate(scheme: Scheme, a: Mat2):
     False where the Cayley form is singular.
 
     Computes the verdict only: A is checked by require_shape and classified
-    once, at the first tau where S exists, and each call then runs
-    shaped_propagator and the trace/rank test of that case; no bounded
-    subspace is built.  Until then every call checks A again, so each call
-    raises what propagator raises, in its order, and what
-    classify_equilibrium raises.
+    once, at the first call with a valid tau, where propagator checks it;
+    each call then runs shaped_propagator and the trace/rank test of that
+    case, and no bounded subspace is built.
     """
     case = None
 
     def holds(tau: float) -> bool:
         nonlocal case
+        if case is None and 0.0 < tau < math.inf:
+            require_shape(scheme, a)
+            case = _CASE_INDEX[classify_equilibrium(a)]
         try:
-            if case is None and 0.0 < tau < math.inf:
-                require_shape(scheme, a)  # where propagator checks A
             s11, s12, s21, s22 = shaped_propagator(scheme, a, tau)
         except SingularCayley:
             return False
-        if case is None:
-            case = _CASE_INDEX[classify_equilibrium(a)]
-        return _condition_holds(case, s11, s12, s21, s22, _BOUNDARY_TOL, _max_norm)
+        return _condition_holds(case, s11, s12, s21, s22, _max_norm)
 
     return holds
 
@@ -490,10 +463,7 @@ def preservation_report(
     sys: HamiltonianSystem,
     scheme: Scheme,
     tau_list: list[float],
-    box=((-5.0, 5.0), (-5.0, 5.0)),
-    grid: int = 32,
-    tol: float = 1e-10,
-    equilibria: list[Equilibrium] | None = None,
+    equilibria: list[Equilibrium],
     tau_hi: float = 10.0,
     bisect_tol: float = 1e-6,
 ) -> PreservationReport:
@@ -503,8 +473,6 @@ def preservation_report(
     recorded on the affected row or entry; the report itself always
     completes.
     """
-    if equilibria is None:
-        equilibria = find_equilibria(sys, box=box, grid=grid, tol=tol)
     entries: list[EquilibriumReport] = []
     covered = collapse_continuum(equilibria)
     note = None

@@ -84,6 +84,19 @@ def _parser() -> _Parser:
     return parser
 
 
+def _print(text: str) -> bool:
+    """Print and flush text; False once stdout's reader has gone, and then
+    stdout's descriptor points at os.devnull, so the exit flush stays quiet."""
+    try:
+        print(text, flush=True)
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -99,7 +112,7 @@ class _Ctx:
 
     def say(self, text: str) -> None:
         if not self.quiet:
-            print(text)
+            self.quiet = not _print(text)
 
     def load(self) -> RunConfig:
         if self.config_path is None:
@@ -352,7 +365,7 @@ def cmd_verify(ctx: _Ctx) -> int:
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name:<24} {r.detail}")
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed} passed, {failed} failed")
-    print("\n".join(lines))
+    _print("\n".join(lines))
     return 2 if failed else 0
 
 

@@ -18,7 +18,7 @@ of Y_0 - c vanishes.
 import math
 from dataclasses import dataclass
 
-from .mat2 import Mat2, Vec2, eigenvector, unimodularity_lost
+from .mat2 import DECISION_TOL, Mat2, Vec2, eigenvector, unimodularity_lost
 
 
 class SingularResolvent(Exception):
@@ -33,7 +33,7 @@ class ErrorModel:
     y0: Vec2
 
     def __post_init__(self):
-        det, lost = unimodularity_lost(*self.s, 1e-9)
+        det, lost = unimodularity_lost(*self.s, DECISION_TOL)
         if lost:
             raise ValueError(f"propagation matrix has det {det!r}, not 1")
 
@@ -81,8 +81,9 @@ def closed_form_error(model: ErrorModel, n: int) -> Vec2:
     return (propagated[0] + c[0], propagated[1] + c[1])
 
 
-def error_bounded(model: ErrorModel, tol: float = 1e-12) -> BoundednessResult:
+def error_bounded(model: ErrorModel) -> BoundednessResult:
     """Decide sup_n ||Y_n|| < inf structurally from the spectrum of S."""
+    tol = 1e-12  # the relative zero of a component of Y0 - c and of S + I
     c = _resolvent_offset(model)
     xi = (model.y0[0] - c[0], model.y0[1] - c[1])
     tr = model.s.trace

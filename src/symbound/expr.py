@@ -14,7 +14,9 @@ compile_expr evaluates in IEEE double precision with real-valued
 semantics: log and sqrt of non-positive/negative arguments, division by
 zero, zero to a negative power and a negative base to a fractional or
 non-finite power raise DomainError instead of producing NaN or complex
-values.  Overflow saturates to inf, matching IEEE behaviour.  define is
+values.  Overflow saturates to inf, and arithmetic on the saturated
+infinities follows IEEE as well: inf - inf is NaN, so g = exp(q) - exp(q)
+at q = 1000 evaluates to NaN, not to 0 and not to a DomainError.  define is
 the package's one path from generated source to code.
 
 Trees are immutable and every operation here is pure, so expressions can

@@ -15,6 +15,9 @@ from typing import NamedTuple
 
 Vec2 = tuple[float, float]
 
+# the relative tolerance of every 2x2 decision: trace, det, rank, |tr S| = 2
+DECISION_TOL = 1e-9
+
 
 class Mat2(NamedTuple):
     a11: float

@@ -70,11 +70,11 @@ def simulate(
     an expression's domain, or the horizon.
 
     Every stride-th state is recorded plus the final one.  The run is pure
-    and deterministic: identical inputs give bit-identical traces.  A failed
-    step's ImplicitSolveFailed gets the index of the state it started from
-    as its step_index, which is also the SolverFailed verdict's step.  A
-    step that leaves an expression's domain (a DomainError, or a
-    ValueError from math.sin, cos or tan at +-inf) ends in LeftDomain.
+    and deterministic: identical inputs give bit-identical traces.  A step
+    whose implicit solve fails ends in SolverFailed, whose step is the
+    index of the state the step started from.  A step that leaves an
+    expression's domain (a DomainError, or a ValueError from math.sin, cos
+    or tan at +-inf) ends in LeftDomain.
     """
     if tau <= 0.0:  # before the loop, which reads a ValueError as LeftDomain
         raise ValueError("step size must be positive")
@@ -100,8 +100,7 @@ def simulate(
     for n in range(1, n_max + 1):
         try:
             x = step(scheme, sys, x, tau)
-        except ImplicitSolveFailed as err:
-            err.step_index = n - 1
+        except ImplicitSolveFailed:
             return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
         except (DomainError, ValueError) as err:
             record(n - 1, x)
@@ -120,19 +119,6 @@ def simulate(
             record(n, x)
     record(n_max, x)
     return OrbitTrace(x0, scheme, tau, steps, states, Bounded(n_max, max_radius))
-
-
-def hamiltonian_drift(sys: HamiltonianSystem, trace: OrbitTrace) -> float:
-    """max |H(state) - H(initial)| over the recorded states.
-
-    Raises NotApplicable for newtonian systems, whose potential is not
-    reconstructed.
-    """
-    h0 = sys.energy(trace.initial)
-    drift = 0.0
-    for state in trace.states:
-        drift = max(drift, abs(sys.energy(state) - h0))
-    return drift
 
 
 def orbit_to_csv(sys: HamiltonianSystem, trace: OrbitTrace) -> str:

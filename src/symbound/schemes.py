@@ -54,24 +54,23 @@ import math
 import string
 
 from . import expr as ex
-from .mat2 import Mat2, unimodularity_lost
-from .systems import HamiltonianSystem, NotApplicable, State, SystemClass
+from .mat2 import DECISION_TOL, Mat2, unimodularity_lost
+from .systems import (
+    HamiltonianSystem,
+    NotApplicable,
+    ShapeMismatch,
+    State,
+    SystemClass,
+    require_trace_free,
+)
 
 
 class ImplicitSolveFailed(Exception):
     """The implicit midpoint solve hit a (near-)singular Newton matrix or
     failed to converge; the step size is at or beyond the solvability limit."""
 
-    def __init__(self, message, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
-
 
 class SingularCayley(Exception):
-    pass
-
-
-class ShapeMismatch(Exception):
     pass
 
 
@@ -83,7 +82,6 @@ KICK, DRIFT = True, False  # a stage is (move, fraction c of the step)
 
 _EXPLICIT = frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN})
 
-_SINGULAR_TOL = 1e-9
 UNIMODULAR_TOL = 1e-10  # propagator's bound on |det S - 1| / (1 + |S|_F^2)
 
 
@@ -112,7 +110,7 @@ def _step(x, tau):
             1.0 - 0.5 * tau * h_pq,
         )
         det = a11 * a22 - a12 * a21
-        if abs(det) <= _SINGULAR_TOL * (
+        if abs(det) <= DECISION_TOL * (
             1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
         ):
             raise ImplicitSolveFailed(f"singular Newton matrix at tau={tau!r}")
@@ -256,7 +254,7 @@ def _new_kernel(scheme: Scheme, sys: HamiltonianSystem):
         )
     return sys.kernel(
         scheme.template, "_step", State=State, ImplicitSolveFailed=ImplicitSolveFailed,
-        _hypot=math.hypot, _SINGULAR_TOL=_SINGULAR_TOL,
+        _hypot=math.hypot, DECISION_TOL=DECISION_TOL,
     )
 
 
@@ -286,17 +284,13 @@ def require_finite(a: Mat2) -> None:
 
 
 def require_shape(scheme: Scheme, a: Mat2) -> None:
-    """NonFiniteLinearization unless A is finite; ShapeMismatch unless it is
-    trace-free, and for the explicit schemes also separable, [[0, *], [*, 0]]."""
+    """NonFiniteLinearization unless A is finite; NotTraceFree unless it is
+    trace-free; for the explicit schemes ShapeMismatch unless [[0, *], [*, 0]]."""
     require_finite(a)
-    a11, a12, a21, a22 = a
-    trace = a11 + a22
-    if abs(trace) > 1e-9 * (
-        1.0 + math.sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
-    ):
-        raise ShapeMismatch(f"linearization is not trace-free: trace={trace!r}")
+    require_trace_free(a)
     if not scheme.stages:
         return
+    a11, a12, a21, a22 = a
     tol = 1e-12 * (1.0 + max(abs(a11), abs(a12), abs(a21), abs(a22)))
     if abs(a11) > tol or abs(a22) > tol:
         raise ShapeMismatch(
@@ -352,7 +346,7 @@ def _cayley(a: Mat2, tau):
     b11, b12, b21, b22 = h * a.a11, h * a.a12, h * a.a21, h * a.a22
     d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
     det = d11 * d22 - d12 * d21
-    singular = det <= _SINGULAR_TOL * (
+    singular = det <= DECISION_TOL * (
         1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
     )
     if singular is True:
@@ -371,6 +365,7 @@ def _cayley(a: Mat2, tau):
 # Symplecticity diagnostics
 
 _J = Mat2(0.0, 1.0, -1.0, 0.0)
+_FD_H = 1e-5  # the central-difference step of the defects below
 
 
 def _fd_jacobian(step_fn, x: State, h: float) -> Mat2:
@@ -387,21 +382,19 @@ def _fd_jacobian(step_fn, x: State, h: float) -> Mat2:
 
 
 def symplecticity_defect(
-    scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float, h: float = 1e-5
+    scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float
 ) -> float:
     """max-norm of M^T J M - J for the finite-difference one-step Jacobian M.
 
     For one degree of freedom this equals |det M - 1|; an exactly symplectic
     map leaves only the O(h^2) differencing residue.
     """
-    m = _fd_jacobian(lambda y: step(scheme, sys, y, tau), x, h)
+    m = _fd_jacobian(lambda y: step(scheme, sys, y, tau), x, _FD_H)
     return (m.transpose() @ _J @ m - _J).max_norm
 
 
-def explicit_euler_defect(
-    sys: HamiltonianSystem, x: State, tau: float, h: float = 1e-5
-) -> float:
+def explicit_euler_defect(sys: HamiltonianSystem, x: State, tau: float) -> float:
     """Same defect metric for the non-symplectic explicit Euler control."""
-    m = _fd_jacobian(lambda y: explicit_euler_step(sys, y, tau), x, h)
+    m = _fd_jacobian(lambda y: explicit_euler_step(sys, y, tau), x, _FD_H)
     return (m.transpose() @ _J @ m - _J).max_norm
 

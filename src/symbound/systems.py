@@ -28,10 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .mat2 import Mat2
+from .mat2 import DECISION_TOL, Mat2
 
 
-class NotTraceFree(Exception):
+class ShapeMismatch(Exception):
+    """A linearization lacks the shape an operation needs."""
+
+
+class NotTraceFree(ShapeMismatch):
     pass
 
 
@@ -195,30 +199,40 @@ class Equilibrium:
     continuum_suspected: bool = False
 
 
+_SINGULAR_KINDS = (EquilibriumKind.RANK1_DEGENERATE, EquilibriumKind.RANK0_ZERO)
+
+
 def collapse_continuum(eqs: list[Equilibrium]) -> list[Equilibrium]:
     """The equilibria a report covers: all of them, or only the first grid
     representative of a suspected continuum."""
     return eqs[:1] if eqs and eqs[0].continuum_suspected else eqs
 
 
-def classify_equilibrium(a: Mat2, tol: float = 1e-9) -> EquilibriumKind:
-    """Classify a trace-free linearization by its determinant and rank.
-
-    Scale-aware thresholds: the determinant test uses tol * (1 + ||A||_F^2)
-    so that degeneracy decisions survive rescaling of the system.
-    """
+def require_trace_free(a: Mat2) -> float:
+    """NotTraceFree unless |tr A| <= DECISION_TOL * sqrt(1 + ||A||_F^2), the
+    one trace-free test; returns the scale 1 + ||A||_F^2."""
     a11, a12, a21, a22 = a
     scale = 1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
     trace = a11 + a22
-    if abs(trace) > tol * math.sqrt(scale):
-        raise NotTraceFree(f"trace {trace!r} is not zero within tolerance")
+    if abs(trace) > DECISION_TOL * math.sqrt(scale):
+        raise NotTraceFree(f"linearization is not trace-free: trace={trace!r}")
+    return scale
+
+
+def classify_equilibrium(a: Mat2) -> EquilibriumKind:
+    """Classify a trace-free linearization by its determinant and rank.
+
+    Scale-aware thresholds: the determinant test uses DECISION_TOL *
+    (1 + ||A||_F^2), so that degeneracy decisions survive rescaling.
+    """
+    det_tol = DECISION_TOL * require_trace_free(a)
+    a11, a12, a21, a22 = a
     d = a11 * a22 - a12 * a21
-    det_tol = tol * scale
     if d > det_tol:
         return EquilibriumKind.CENTER
     if d < -det_tol:
         return EquilibriumKind.SADDLE
-    if max(abs(a11), abs(a12), abs(a21), abs(a22)) <= tol:
+    if max(abs(a11), abs(a12), abs(a21), abs(a22)) <= DECISION_TOL:
         return EquilibriumKind.RANK0_ZERO
     return EquilibriumKind.RANK1_DEGENERATE
 
@@ -311,7 +325,8 @@ def find_equilibria(
     """Locate equilibria by Newton iteration seeded on a grid over ``box``.
 
     Converged points are deduplicated within distance 1e-6 and sorted by
-    (q, p).  When more than ``grid`` distinct points converge the set is
+    (q, p).  When at least ``grid`` distinct points converge and every one
+    has a singular Jacobian, as all along a curve of equilibria, the set is
     likely a continuum and every result carries ``continuum_suspected``.
     A root whose Jacobian or residual leaves the expressions' domain has no
     linearization and is skipped.
@@ -344,20 +359,14 @@ def find_equilibria(
             else:
                 found.append(root)
     found.sort(key=lambda s: (s.q, s.p))
-    continuum = len(found) > grid
-    out = []
+    linearized = []
     for x in found:
         try:
             a, residual = sys.jacobian(x), sys.residual(x)
         except (ex.DomainError, ValueError):
             continue  # a root the linearization is not defined at
-        out.append(
-            Equilibrium(
-                point=x,
-                a=a,
-                kind=classify_equilibrium(a),
-                residual=residual,
-                continuum_suspected=continuum,
-            )
-        )
-    return out
+        linearized.append((x, a, classify_equilibrium(a), residual))
+    continuum = len(found) >= grid and all(
+        kind in _SINGULAR_KINDS for _, _, kind, _ in linearized
+    )
+    return [Equilibrium(*eq, continuum_suspected=continuum) for eq in linearized]

@@ -22,9 +22,11 @@ from .schemes import (
     SingularCayley,
     explicit_euler_defect,
     propagator,
+    require_shape,
+    shaped_propagator,
     symplecticity_defect,
 )
-from .systems import State, SystemClass, find_equilibria
+from .systems import State, SystemClass, collapse_continuum, find_equilibria
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ _DERIVATIVE_SAMPLES = (
 )
 
 
-def suite_derivative_fd(seed: int, points: int = 40) -> SuiteResult:
+def suite_derivative_fd(seed: int) -> SuiteResult:
     """Symbolic derivatives against central finite differences."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -54,7 +56,7 @@ def suite_derivative_fd(seed: int, points: int = 40) -> SuiteResult:
         tree = ex.parse(text)
         f = ex.compile_expr(tree, ("x",))
         df = ex.compile_expr(ex.simplify(ex.differentiate(tree, "x")), ("x",))
-        for _ in range(points):
+        for _ in range(40):
             x = float(rng.uniform(-2.0, 2.0))
             exact = df(x)
             fd = (f(x + h) - f(x - h)) / (2.0 * h)
@@ -73,17 +75,12 @@ def catalog_equilibria():
     out = []
     for name, factory in catalog.CATALOG.items():
         sys = factory()
-        eqs = find_equilibria(sys)
-        if eqs and (eqs[0].continuum_suspected or len(eqs) > 4):
-            eqs = eqs[:1]
-        out.append((name, sys, eqs))
+        out.append((name, sys, collapse_continuum(find_equilibria(sys))))
     return out
 
 
-def suite_det_unimodular(entries=None) -> SuiteResult:
+def suite_det_unimodular(entries) -> SuiteResult:
     """det S(tau) = 1 across the catalog, schemes, and a log grid of tau."""
-    if entries is None:
-        entries = catalog_equilibria()
     taus = [10.0 ** (-3 + 5 * i / 24) for i in range(25)]
     worst_strict = 0.0
     worst_scaled = 0.0
@@ -128,14 +125,13 @@ _SCHEMES_BY_SHAPE = tuple(
 )
 
 
-def suite_trace_rank_agreement(
-    seed: int, samples: int = 1200, taus_per_sample: int = 20, margin: float = 1e-6
-) -> SuiteResult:
+def suite_trace_rank_agreement(seed: int, samples: int = 1200) -> SuiteResult:
     """The trace/rank verdict must equal the bounded-dimension comparison.
 
     Samples near decision boundaries (|det A| or ||tr S| - 2| below the
     margin) are skipped; everywhere else agreement must be exact.
     """
+    taus_per_sample, margin = 20, 1e-6
     rng = np.random.default_rng(seed)
     mismatches = 0
     checked = 0
@@ -144,11 +140,11 @@ def suite_trace_rank_agreement(
         if abs(a.det) <= margin:
             continue
         log_taus = rng.uniform(math.log(1e-2), math.log(10.0), taus_per_sample)
-        for lt in log_taus:
-            tau = math.exp(lt)
-            for scheme in _SCHEMES_BY_SHAPE[i % 3]:
+        for scheme in _SCHEMES_BY_SHAPE[i % 3]:
+            require_shape(scheme, a)  # propagator's check of A, once per scheme
+            for lt in log_taus:
                 try:
-                    s = propagator(scheme, a, tau)
+                    s = shaped_propagator(scheme, a, math.exp(lt))
                 except SingularCayley:
                     continue
                 if abs(abs(s.trace) - 2.0) <= margin:
@@ -185,10 +181,9 @@ def random_elliptic_model(rng) -> ErrorModel:
         return ErrorModel(s, eta, y0)
 
 
-def suite_closed_form_vs_iterate(
-    seed: int, models: int = 150, n: int = 2000
-) -> SuiteResult:
+def suite_closed_form_vs_iterate(seed: int) -> SuiteResult:
     """Closed-form error solution against direct iteration."""
+    models, n = 150, 2000
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(models):
@@ -205,10 +200,8 @@ def suite_closed_form_vs_iterate(
     )
 
 
-def suite_tau_max_vs_empirical(entries=None) -> SuiteResult:
+def suite_tau_max_vs_empirical(entries) -> SuiteResult:
     """Closed-form limits against bisection across the catalog."""
-    if entries is None:
-        entries = catalog_equilibria()
     worst = 0.0
     checked = 0
     agree_inf = True
@@ -232,14 +225,14 @@ def suite_tau_max_vs_empirical(entries=None) -> SuiteResult:
     )
 
 
-def suite_symplecticity(seed: int, states: int = 25) -> SuiteResult:
+def suite_symplecticity(seed: int) -> SuiteResult:
     """Finite-difference symplecticity defects, with explicit Euler as the
     non-symplectic control proving the test can fail."""
     rng = np.random.default_rng(seed)
     pend = catalog.pendulum()
     pend_nh = catalog.pendulum_newtonian()
     harm = catalog.harmonic()
-    points = [State(*map(float, rng.uniform(-2.0, 2.0, 2))) for _ in range(states)]
+    points = [State(*map(float, rng.uniform(-2.0, 2.0, 2))) for _ in range(25)]
     worst = 0.0
     for x in points:
         for tau in (0.01, 0.1, 0.5):
@@ -253,7 +246,7 @@ def suite_symplecticity(seed: int, states: int = 25) -> SuiteResult:
     return SuiteResult(
         "symplecticity-defect",
         passed,
-        f"states={states} max_defect={worst!r} control_defect={control!r}",
+        f"states={len(points)} max_defect={worst!r} control_defect={control!r}",
     )
 
 

@@ -292,7 +292,8 @@ def _grid_matrix(draw, scheme, kind) -> Mat2:
         )
         return Mat2(*entries)
     if kind == "barely-trace-free":
-        # a trace that propagator accepts and classify_equilibrium rejects
+        # a trace between the two thresholds that propagator and
+        # classify_equilibrium once put apart; both now reject it
         frob = b * b + c * c
         t = 1e-9 * 0.5 * (math.sqrt(1.0 + frob) + 1.0 + math.sqrt(frob))
         return Mat2(t, sign * b, c, 0.0)
@@ -597,8 +598,9 @@ def test_equilibria_are_fixed_points():
 # reports
 
 def test_pendulum_report_verdict_pattern():
+    sys = catalog.pendulum()
     report = preservation_report(
-        catalog.pendulum(), Scheme.EULER_B, [0.5, 1.9, 2.1]
+        sys, Scheme.EULER_B, [0.5, 1.9, 2.1], find_equilibria(sys)
     )
     by_point = {round(e.equilibrium.point.q, 6): e for e in report.entries}
     center = by_point[round(0.0, 6)]
@@ -615,8 +617,9 @@ def test_pendulum_report_verdict_pattern():
 
 
 def test_zero_hamiltonian_report_collapses_to_one_row():
+    sys = catalog.zero()
     report = preservation_report(
-        catalog.zero(), Scheme.IMPLICIT_MIDPOINT, [0.5, 5.0, 50.0], grid=8
+        sys, Scheme.IMPLICIT_MIDPOINT, [0.5, 5.0, 50.0], find_equilibria(sys, grid=8)
     )
     assert len(report.entries) == 1
     entry = report.entries[0]
@@ -626,8 +629,9 @@ def test_zero_hamiltonian_report_collapses_to_one_row():
 
 
 def test_harmonic_implicit_midpoint_unlimited():
+    sys = catalog.harmonic()
     report = preservation_report(
-        catalog.harmonic(), Scheme.IMPLICIT_MIDPOINT, [10.0, 100.0]
+        sys, Scheme.IMPLICIT_MIDPOINT, [10.0, 100.0], find_equilibria(sys)
     )
     (entry,) = report.entries
     assert math.isinf(entry.tau_limit.value)
@@ -635,7 +639,10 @@ def test_harmonic_implicit_midpoint_unlimited():
 
 
 def test_report_rows_record_singular_propagators_as_errors():
-    report = preservation_report(catalog.shear(), Scheme.IMPLICIT_MIDPOINT, [1.0, 2.0, 3.0])
+    sys = catalog.shear()
+    report = preservation_report(
+        sys, Scheme.IMPLICIT_MIDPOINT, [1.0, 2.0, 3.0], find_equilibria(sys)
+    )
     (entry,) = report.entries
     assert entry.rows[0].error is None
     assert entry.rows[1].error is not None  # tau at the singularity
@@ -643,7 +650,8 @@ def test_report_rows_record_singular_propagators_as_errors():
 
 
 def test_report_csv_shape():
-    report = preservation_report(catalog.harmonic(), Scheme.EULER_B, [0.5, 2.5])
+    sys = catalog.harmonic()
+    report = preservation_report(sys, Scheme.EULER_B, [0.5, 2.5], find_equilibria(sys))
     csv = report_to_csv(report)
     lines = csv.strip().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,34 @@ grid = 8
         assert cols[2] == "4" and cols[7] == "true" and cols[8] == "inf"
 
 
+def test_a_line_of_equilibria_is_one_entry_with_a_note(tmp_path, capsys):
+    # the free particle: every point of p = 0 is an equilibrium, rank 1
+    text = "[system]\nclass = newtonian\ng = 0\n\n[run]\nschemes = euler-b\ntau = 0.5\n"
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert "continuum suspected (32 grid representatives)" in capsys.readouterr().out
+    csv = (out / "analyze_euler-b.csv").read_text().splitlines()
+    assert "# continuum suspected: 32 grid representatives collapsed to one" in csv
+    assert len([l for l in csv if not l.startswith("#")]) == 2  # header, one row
+
+
+def test_a_lattice_of_isolated_equilibria_is_not_a_continuum(tmp_path, capsys):
+    # H = -cos(p) - cos(q): 7 x 7 centres and saddles at multiples of pi,
+    # more than the grid's 32 yet each with a regular Jacobian
+    text = (
+        "[system]\nclass = general\nh = -cos(p) - cos(q)\n\n"
+        "[run]\nschemes = implicit-midpoint\ntau = 0.5\n\n[search]\n"
+        "p_min = -10.0\np_max = 10.0\nq_min = -10.0\nq_max = 10.0\ngrid = 32\n"
+    )
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert "continuum" not in capsys.readouterr().out
+    csv = (out / "analyze_implicit-midpoint.csv").read_text().splitlines()
+    rows = [l for l in csv if not l.startswith("#")][1:]
+    assert len(rows) == 49
+    assert {r.split(",")[2] for r in rows} == {"1", "2"}
+
+
 def test_sweep_outputs_transition(tmp_path, capsys):
     cfg = _write(tmp_path, HARMONIC_SWEEP)
     out = tmp_path / "out"
@@ -267,6 +296,30 @@ def test_sweep_with_zero_bisect_tol_terminates(tmp_path):
     )
     assert run.returncode == 0
     assert b"transition = 2.0" in run.stdout
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_a_closed_stdout_still_writes_every_file(tmp_path, command):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # to it fails
+    cfg = str(Path(__file__).parents[1] / "configs" / "pendulum.cfg")
+    out = tmp_path / "o"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "symbound", "--config", cfg, "--out", str(out),
+             command],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60.0,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (0, b"")
+    if command == "sweep":
+        # effective.cfg and one file per scheme and equilibrium, 4 x 3
+        assert len(list(out.iterdir())) == 13
 
 
 def test_sweep_rejects_an_infinite_tau_hi(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
@@ -18,12 +18,19 @@ from symbound.schemes import (
     _fd_jacobian,
     explicit_euler_defect,
     propagator,
+    require_shape,
     s_entries,
     scheme_from_name,
     step,
     symplecticity_defect,
 )
-from symbound.systems import HamiltonianSystem, State, find_equilibria
+from symbound.systems import (
+    HamiltonianSystem,
+    NotTraceFree,
+    State,
+    classify_equilibrium,
+    find_equilibria,
+)
 
 from conftest import (
     KERNEL_SYSTEMS,
@@ -334,6 +341,35 @@ def test_propagator_shape_mismatch():
     propagator(Scheme.IMPLICIT_MIDPOINT, general, 0.5)
     with pytest.raises(ShapeMismatch):
         propagator(Scheme.EULER_B, Mat2(1.0, 0.0, 0.0, -1.0), 0.5)
+
+
+@st.composite
+def _straddling_traces(draw):
+    """Finite A whose trace lies around both trace-free thresholds the
+    package once had, 1e-9 * sqrt(1 + |A|_F^2) and 1e-9 * (1 + |A|_F)."""
+    b, c, d = (draw(st.floats(-1e3, 1e3)) for _ in range(3))
+    frob = math.sqrt(b * b + c * c + 2.0 * d * d)
+    t = draw(st.floats(0.5, 1.5)) * 1e-9 * (1.0 + frob)
+    return Mat2(draw(st.sampled_from((t, -t))) - d, b, c, d)
+
+
+def _raises_not_trace_free(fn, a) -> bool:
+    try:
+        fn(a)
+    except NotTraceFree:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_straddling_traces())
+@example(Mat2(2e-9, 1.0, 1.0, 0.0))
+def test_propagator_and_classify_share_one_trace_free_test(a):
+    shape = _raises_not_trace_free(
+        lambda m: require_shape(Scheme.IMPLICIT_MIDPOINT, m), a
+    )
+    assert shape == _raises_not_trace_free(classify_equilibrium, a), a
+    assert issubclass(NotTraceFree, ShapeMismatch)
 
 
 def test_singular_cayley_raised_at_and_beyond_the_limit():
