@@ -4,7 +4,9 @@ The parser is deliberately hand-rolled: unknown sections or keys are hard
 errors reported with file and line, values are typed (strings, reals,
 integer counts, comma-separated lists) and range-checked here, before any
 command runs, and serialization round-trips exactly (floats via repr).
-Full-line comments start with '#'.
+Full-line comments start with '#'.  Each key of [run], [search],
+[simulate] and [error] is one row of the key table _KEYS, with its
+default in its spec dataclass.
 
 Sections and keys:
 
@@ -17,8 +19,9 @@ Sections and keys:
                 tau = 0.5, 1.0            explicit step sizes, positive and finite
                 tau_lo, tau_hi, tau_count, tau_scale = linear|log   sweep grid
                 empirical_tau_hi = 10.0   bracket top for bisection, 1e-299..1e300
-                bisect_tol = 1e-06
-    [search]    p_min < p_max, q_min < q_max (finite), grid >= 4, tol
+                bisect_tol = 1e-06        bisection tolerance, finite and >= 0
+    [search]    p_min < p_max, q_min < q_max (finite), grid >= 4,
+                tol = 1e-10 (finite, > 0)
     [simulate]  n_max >= 1, escape_r > 0, stride >= 0 (0 = auto),
                 offsets = dp, dq, ...  (finite)
     [error]     s = s11, s12, s21, s22 (unimodular);  eta = e1, e2;
@@ -26,6 +29,7 @@ Sections and keys:
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .analyzer import TAU_HI_MAX, TAU_HI_MIN, fmt_float
@@ -92,10 +96,7 @@ class SimulateSpec:
     offsets: list[float] = field(default_factory=lambda: [1e-3, 0.0])
 
     def offset_pairs(self) -> list[tuple[float, float]]:
-        return [
-            (self.offsets[i], self.offsets[i + 1])
-            for i in range(0, len(self.offsets), 2)
-        ]
+        return list(zip(self.offsets[::2], self.offsets[1::2]))
 
 
 @dataclass
@@ -119,26 +120,72 @@ class RunConfig:
     error: ErrorSpec | None = None
 
 
-_SYSTEM_KEYS = {"class", *(key for kind in SystemClass for key in kind.keys)}
-_RUN_KEYS = {
-    "schemes",
-    "tau",
-    "tau_lo",
-    "tau_hi",
-    "tau_count",
-    "tau_scale",
-    "empirical_tau_hi",
-    "bisect_tol",
-}
-_SEARCH_KEYS = {"p_min", "p_max", "q_min", "q_max", "grid", "tol"}
-_SIM_KEYS = {"n_max", "escape_r", "stride", "offsets"}
-_ERROR_KEYS = {"s", "eta", "y0", "steps"}
+def _list_of(convert, what, fmt):
+    return (
+        lambda text: [convert(v.strip()) for v in text.split(",") if v.strip()],
+        what,
+        lambda values: ", ".join(map(fmt, values)),
+    )
+
+
+# A value type is (convert, what, format); convert raises ValueError on text
+# that is not "what".
+_WORD = str, "a word", str
+_REAL = float, "a real number", fmt_float
+_INT = int, "an integer", str
+_WORDS = _list_of(str, "a list of words", str)
+_REALS = _list_of(float, "a list of reals", fmt_float)
+_INTS = _list_of(int, "a list of integers", str)
+
+
+# A check is (ok, what): a value for which ok is false must be "what".
+def _each(check):
+    ok, what = check
+    return (lambda values: all(map(ok, values))), what
+
+
+def _at_least(bound, what=None):
+    return (lambda x: x >= bound), what or f"at least {bound!r}"
+
+
+_FINITE = math.isfinite, "finite"
+_POSITIVE = (lambda x: x > 0.0), "positive"
+_NON_NEGATIVE = _at_least(0, "non-negative")
+_TAU_HI = (lambda x: 0.0 < x <= TAU_HI_MAX), f"positive and at most {TAU_HI_MAX!r}"
+
+# (section, key, spec field, value type, checks) in the order serialize_config
+# writes them.  The spec field "sweep.lo" is RunConfig.sweep.lo; one without
+# a dot is RunConfig's own.
+_KEYS = (
+    ("run", "schemes", "schemes", _WORDS, ()),
+    ("run", "tau", "taus", _REALS, (_each(_FINITE), _each(_POSITIVE))),
+    ("run", "tau_lo", "sweep.lo", _REAL, (_FINITE,)),
+    ("run", "tau_hi", "sweep.hi", _REAL, (_FINITE,)),
+    ("run", "tau_count", "sweep.count", _INT, ()),
+    ("run", "tau_scale", "sweep.scale", _WORD,
+     (((lambda s: s in ("linear", "log")), "linear or log"),)),
+    ("run", "empirical_tau_hi", "empirical_tau_hi", _REAL,
+     (_FINITE, _TAU_HI, _at_least(TAU_HI_MIN))),
+    ("run", "bisect_tol", "bisect_tol", _REAL, (_FINITE, _NON_NEGATIVE)),
+    ("search", "p_min", "search.p_min", _REAL, (_FINITE,)),
+    ("search", "p_max", "search.p_max", _REAL, (_FINITE,)),
+    ("search", "q_min", "search.q_min", _REAL, (_FINITE,)),
+    ("search", "q_max", "search.q_max", _REAL, (_FINITE,)),
+    ("search", "grid", "search.grid", _INT, (_at_least(4),)),
+    ("search", "tol", "search.tol", _REAL, (_FINITE, _POSITIVE)),
+    ("simulate", "n_max", "sim.n_max", _INT, (_at_least(1),)),
+    ("simulate", "escape_r", "sim.escape_r", _REAL, (_POSITIVE,)),
+    ("simulate", "stride", "sim.stride", _INT,
+     (_at_least(0, "non-negative (0 chooses it from n_max)"),)),
+    ("simulate", "offsets", "sim.offsets", _REALS, (_each(_FINITE),)),
+    ("error", "s", "error.s", _REALS, (_each(_FINITE),)),
+    ("error", "eta", "error.eta", _REALS, (_each(_FINITE),)),
+    ("error", "y0", "error.y0", _REALS, (_each(_FINITE),)),
+    ("error", "steps", "error.steps", _INTS, (_each(_NON_NEGATIVE),)),
+)
 _SECTIONS = {
-    "system": _SYSTEM_KEYS,
-    "run": _RUN_KEYS,
-    "search": _SEARCH_KEYS,
-    "simulate": _SIM_KEYS,
-    "error": _ERROR_KEYS,
+    "system": {"class", *(key for kind in SystemClass for key in kind.keys)},
+    **{section: {row[1] for row in _KEYS if row[0] == section} for section, *_ in _KEYS},
 }
 
 
@@ -172,164 +219,97 @@ def _scan(text: str, path: str) -> dict[str, dict[str, tuple[str, int]]]:
     return out
 
 
-def _get(raw: dict, section: str, key: str, default, path: str, convert=str, what=""):
-    """The key's value through convert, or default when it is absent; a
-    ConfigError at its line when convert raises ValueError."""
-    if section not in raw or key not in raw[section]:
-        return default
+def _invalid(raw: dict, section: str, key: str, what: str, path: str) -> ConfigError:
+    """The error for a value that is not what it must be, at the key's line."""
     value, lineno = raw[section][key]
+    return ConfigError(f"{key} must be {what}, got {value!r}", path, lineno)
+
+
+def _read(raw: dict, path: str) -> dict[str, dict]:
+    """{spec: {field: value}} for each table key the file holds, every value
+    converted and checked at its line; spec '' is RunConfig itself."""
+    out = defaultdict(dict)
+    for section, key, attr, (convert, what, _), checks in _KEYS:
+        if key not in raw.get(section, ()):
+            continue
+        try:
+            value = convert(raw[section][key][0])
+        except ValueError:
+            raise _invalid(raw, section, key, what, path)
+        for ok, need in checks:
+            if not ok(value):
+                raise _invalid(raw, section, key, need, path)
+        spec, _, name = attr.rpartition(".")
+        out[spec][name] = value
+    return out
+
+
+def _system(sec: dict, path: str) -> SystemSpec:
+    if "class" not in sec:
+        raise ConfigError("[system] needs a class key", path)
+    class_tag, lineno = sec["class"]
     try:
-        return convert(value)
+        kind = SystemClass(class_tag)
     except ValueError:
-        raise ConfigError(f"{key} must be {what}, got {value!r}", path, lineno)
-
-
-def _list_of(convert):
-    return lambda value: [convert(v.strip()) for v in value.split(",") if v.strip()]
-
-
-# (convert, what) for _get
-_REAL = float, "a real number"
-_INT = int, "an integer"
-_REALS = _list_of(float), "a list of reals"
-_INTS = _list_of(int), "a list of integers"
-
-
-def _require(raw: dict, section: str, key: str, ok: bool, what: str, path: str) -> None:
-    """ConfigError at the key's line unless ok; every default value is ok."""
-    if not ok:
-        value, lineno = raw[section][key]
-        raise ConfigError(f"{key} must be {what}, got {value!r}", path, lineno)
-
-
-def _finite(values) -> bool:
-    return all(map(math.isfinite, values))
+        *names, last = (kind.value for kind in SystemClass)
+        raise ConfigError(
+            f"class must be {', '.join(names)} or {last}, got {class_tag!r}",
+            path,
+            lineno,
+        )
+    exprs = {}
+    for key in kind.keys:
+        if key not in sec:
+            raise ConfigError(f"system class {class_tag} needs key {key!r}", path, lineno)
+        exprs[key] = sec[key][0]
+    extra = set(sec) - {"class", *kind.keys}
+    if extra:
+        key = sorted(extra)[0]
+        raise ConfigError(
+            f"key {key!r} does not belong to system class {class_tag}", path, sec[key][1]
+        )
+    return SystemSpec(class_tag, exprs)
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
     raw = _scan(text, path)
-    cfg = RunConfig()
+    system = _system(raw["system"], path) if "system" in raw else None
+    fields = _read(raw, path)
+    cfg = RunConfig(
+        system,
+        search=SearchSpec(**fields["search"]),
+        sim=SimulateSpec(**fields["sim"]),
+        **fields[""],
+    )
 
-    if "system" in raw:
-        sec = raw["system"]
-        if "class" not in sec:
-            raise ConfigError("[system] needs a class key", path)
-        class_tag, lineno = sec["class"]
-        try:
-            kind = SystemClass(class_tag)
-        except ValueError:
-            *names, last = (kind.value for kind in SystemClass)
-            raise ConfigError(
-                f"class must be {', '.join(names)} or {last}, got {class_tag!r}",
-                path,
-                lineno,
-            )
-        exprs = {}
-        for key in kind.keys:
-            if key not in sec:
-                raise ConfigError(
-                    f"system class {class_tag} needs key {key!r}", path, lineno
-                )
-            exprs[key] = sec[key][0]
-        extra = set(sec) - {"class", *kind.keys}
-        if extra:
-            key = sorted(extra)[0]
-            raise ConfigError(
-                f"key {key!r} does not belong to system class {class_tag}",
-                path,
-                sec[key][1],
-            )
-        cfg.system = SystemSpec(class_tag, exprs)
-
-    schemes_str = _get(raw, "run", "schemes", "", path)
-    cfg.schemes = [s.strip() for s in schemes_str.split(",") if s.strip()]
-    cfg.taus = _get(raw, "run", "tau", [], path, *_REALS)
-    _require(raw, "run", "tau", _finite(cfg.taus), "finite", path)
-    _require(raw, "run", "tau", all(t > 0.0 for t in cfg.taus), "positive", path)
     sweep_keys = {"tau_lo", "tau_hi", "tau_count"}
     present = sweep_keys & set(raw.get("run", {}))
     if present:
         if present != sweep_keys:
             missing = sorted(sweep_keys - present)
             raise ConfigError(f"sweep grid is missing keys {missing}", path)
-        scale = _get(raw, "run", "tau_scale", "linear", path)
-        if scale not in ("linear", "log"):
-            raise ConfigError(
-                f"tau_scale must be linear or log, got {scale!r}",
-                path,
-                raw["run"]["tau_scale"][1] if "tau_scale" in raw["run"] else None,
-            )
-        lo = _get(raw, "run", "tau_lo", None, path, *_REAL)
-        hi = _get(raw, "run", "tau_hi", None, path, *_REAL)
-        _require(raw, "run", "tau_lo", math.isfinite(lo), "finite", path)
-        _require(raw, "run", "tau_hi", math.isfinite(hi), "finite", path)
-        count = _get(raw, "run", "tau_count", None, path, *_INT)
-        if not (0.0 < lo <= hi) or count < 1 or (scale == "log" and lo <= 0.0):
+        cfg.sweep = sweep = SweepSpec(**fields["sweep"])
+        if not (0.0 < sweep.lo <= sweep.hi) or sweep.count < 1:
             raise ConfigError("invalid sweep range", path, raw["run"]["tau_lo"][1])
-        cfg.sweep = SweepSpec(lo, hi, count, scale)
-    cfg.empirical_tau_hi = _get(raw, "run", "empirical_tau_hi", 10.0, path, *_REAL)
-    tau_hi = cfg.empirical_tau_hi
-    _require(raw, "run", "empirical_tau_hi", math.isfinite(tau_hi), "finite", path)
-    _require(
-        raw, "run", "empirical_tau_hi", 0.0 < tau_hi <= TAU_HI_MAX,
-        f"positive and at most {TAU_HI_MAX!r}", path,
-    )
-    _require(
-        raw, "run", "empirical_tau_hi", tau_hi >= TAU_HI_MIN,
-        f"at least {TAU_HI_MIN!r}", path,
-    )
-    cfg.bisect_tol = _get(raw, "run", "bisect_tol", 1e-6, path, *_REAL)
-
-    cfg.search = SearchSpec(
-        p_min=_get(raw, "search", "p_min", -5.0, path, *_REAL),
-        p_max=_get(raw, "search", "p_max", 5.0, path, *_REAL),
-        q_min=_get(raw, "search", "q_min", -5.0, path, *_REAL),
-        q_max=_get(raw, "search", "q_max", 5.0, path, *_REAL),
-        grid=_get(raw, "search", "grid", 32, path, *_INT),
-        tol=_get(raw, "search", "tol", 1e-10, path, *_REAL),
-    )
-    search = cfg.search
     for lo_key, hi_key in (("p_min", "p_max"), ("q_min", "q_max")):
-        lo, hi = getattr(search, lo_key), getattr(search, hi_key)
-        _require(raw, "search", lo_key, math.isfinite(lo), "finite", path)
-        _require(raw, "search", hi_key, math.isfinite(hi), "finite", path)
-        key = hi_key if hi_key in raw.get("search", {}) else lo_key
-        _require(raw, "search", key, lo < hi, f"such that {lo_key} < {hi_key}", path)
-    _require(raw, "search", "grid", search.grid >= 4, "at least 4", path)
-    cfg.sim = SimulateSpec(
-        n_max=_get(raw, "simulate", "n_max", 100_000, path, *_INT),
-        escape_r=_get(raw, "simulate", "escape_r", 1e6, path, *_REAL),
-        stride=_get(raw, "simulate", "stride", 0, path, *_INT),
-        offsets=_get(raw, "simulate", "offsets", [1e-3, 0.0], path, *_REALS),
-    )
+        if not getattr(cfg.search, lo_key) < getattr(cfg.search, hi_key):
+            key = hi_key if hi_key in raw.get("search", {}) else lo_key
+            raise _invalid(raw, "search", key, f"such that {lo_key} < {hi_key}", path)
     if len(cfg.sim.offsets) % 2 != 0:
         raise ConfigError("offsets must contain an even number of reals", path)
-    _require(raw, "simulate", "offsets", _finite(cfg.sim.offsets), "finite", path)
-    _require(raw, "simulate", "escape_r", cfg.sim.escape_r > 0.0, "positive", path)
-    _require(raw, "simulate", "n_max", cfg.sim.n_max >= 1, "at least 1", path)
-    _require(
-        raw, "simulate", "stride", cfg.sim.stride >= 0,
-        "non-negative (0 chooses it from n_max)", path,
-    )
 
     if "error" in raw:
-        s = _get(raw, "error", "s", None, path, *_REALS)
-        eta = _get(raw, "error", "eta", None, path, *_REALS)
-        y0 = _get(raw, "error", "y0", None, path, *_REALS)
-        steps = _get(raw, "error", "steps", None, path, *_INTS)
-        for name, val, n in (("s", s, 4), ("eta", eta, 2), ("y0", y0, 2)):
-            if val is None or len(val) != n:
+        error = fields["error"]
+        for name, n in (("s", 4), ("eta", 2), ("y0", 2)):
+            if len(error.get(name, ())) != n:
                 raise ConfigError(f"[error] needs {name} with {n} reals", path)
-        if steps is None or not steps:
+        if not error.get("steps"):
             raise ConfigError("[error] needs a non-empty steps list", path)
-        for name, val in (("s", s), ("eta", eta), ("y0", y0)):
-            _require(raw, "error", name, _finite(val), "finite", path)
-        _require(raw, "error", "steps", min(steps) >= 0, "non-negative", path)
         try:
-            ErrorModel(Mat2(*s), tuple(eta), tuple(y0))
+            ErrorModel(Mat2(*error["s"]), tuple(error["eta"]), tuple(error["y0"]))
         except ValueError as err:  # S is not unimodular
-            _require(raw, "error", "s", False, f"unimodular ({err})", path)
-        cfg.error = ErrorSpec(s, eta, y0, steps)
+            raise _invalid(raw, "error", "s", f"unimodular ({err})", path)
+        cfg.error = ErrorSpec(**error)
     return cfg
 
 
@@ -345,47 +325,22 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical defaults-filled text; parse(serialize(cfg)) == cfg."""
     lines = []
     if cfg.system is not None:
-        lines += [f"[system]", f"class = {cfg.system.class_tag}"]
+        lines += ["[system]", f"class = {cfg.system.class_tag}"]
         for key in SystemClass(cfg.system.class_tag).keys:
             lines.append(f"{key} = {cfg.system.exprs[key]}")
-        lines.append("")
-    lines.append("[run]")
-    if cfg.schemes:
-        lines.append(f"schemes = {', '.join(cfg.schemes)}")
-    if cfg.taus:
-        lines.append(f"tau = {', '.join(fmt_float(t) for t in cfg.taus)}")
-    if cfg.sweep is not None:
-        lines += [
-            f"tau_lo = {fmt_float(cfg.sweep.lo)}",
-            f"tau_hi = {fmt_float(cfg.sweep.hi)}",
-            f"tau_count = {cfg.sweep.count}",
-            f"tau_scale = {cfg.sweep.scale}",
-        ]
-    lines += [
-        f"empirical_tau_hi = {fmt_float(cfg.empirical_tau_hi)}",
-        f"bisect_tol = {fmt_float(cfg.bisect_tol)}",
-        "",
-        "[search]",
-        f"p_min = {fmt_float(cfg.search.p_min)}",
-        f"p_max = {fmt_float(cfg.search.p_max)}",
-        f"q_min = {fmt_float(cfg.search.q_min)}",
-        f"q_max = {fmt_float(cfg.search.q_max)}",
-        f"grid = {cfg.search.grid}",
-        f"tol = {fmt_float(cfg.search.tol)}",
-        "",
-        "[simulate]",
-        f"n_max = {cfg.sim.n_max}",
-        f"escape_r = {fmt_float(cfg.sim.escape_r)}",
-        f"stride = {cfg.sim.stride}",
-        f"offsets = {', '.join(fmt_float(x) for x in cfg.sim.offsets)}",
-    ]
-    if cfg.error is not None:
-        lines += [
-            "",
-            "[error]",
-            f"s = {', '.join(fmt_float(x) for x in cfg.error.s)}",
-            f"eta = {', '.join(fmt_float(x) for x in cfg.error.eta)}",
-            f"y0 = {', '.join(fmt_float(x) for x in cfg.error.y0)}",
-            f"steps = {', '.join(str(n) for n in cfg.error.steps)}",
-        ]
+    section = None
+    for sec, key, attr, (_, _, fmt), _ in _KEYS:
+        owner, _, name = attr.rpartition(".")
+        spec = getattr(cfg, owner) if owner else cfg
+        if spec is None:  # no sweep grid, or no [error]
+            continue
+        value = getattr(spec, name)
+        if key in ("schemes", "tau") and not value:
+            continue
+        if sec != section:
+            if lines:
+                lines.append("")
+            lines.append(f"[{sec}]")
+            section = sec
+        lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"

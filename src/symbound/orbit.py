@@ -73,10 +73,10 @@ def simulate(
     and deterministic: identical inputs give bit-identical traces.  A step
     whose implicit solve fails ends in SolverFailed, whose step is the
     index of the state the step started from.  A step that leaves an
-    expression's domain (a DomainError, or a ValueError from math.sin, cos
-    or tan at +-inf) ends in LeftDomain.
+    expression's domain (a DomainError) or gives a NaN state ends in
+    LeftDomain, with the last finite state recorded.
     """
-    if tau <= 0.0:  # before the loop, which reads a ValueError as LeftDomain
+    if tau <= 0.0:
         raise ValueError("step size must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -99,17 +99,22 @@ def simulate(
 
     for n in range(1, n_max + 1):
         try:
-            x = step(scheme, sys, x, tau)
+            y = step(scheme, sys, x, tau)
         except ImplicitSolveFailed:
             return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
-        except (DomainError, ValueError) as err:
+        except DomainError as err:
             record(n - 1, x)
             verdict = LeftDomain(n - 1, str(err))
             return OrbitTrace(x0, scheme, tau, steps, states, verdict)
-        r = math.hypot(x.p, x.q)
+        r = math.hypot(y.p, y.q)
         if not math.isfinite(r):
-            record(n, x)
+            if math.isnan(y.p) or math.isnan(y.q):  # hypot(inf, nan) is inf
+                record(n - 1, x)
+                verdict = LeftDomain(n - 1, "the step gave a NaN state")
+                return OrbitTrace(x0, scheme, tau, steps, states, verdict)
+            record(n, y)
             return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, math.inf))
+        x = y
         if r > max_radius:
             max_radius = r
         if r > escape_radius:

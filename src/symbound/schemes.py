@@ -238,11 +238,15 @@ def scheme_from_name(name: str) -> Scheme:
 # Nonlinear stepping
 
 def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
-    """Advance one step of size tau > 0 with the scheme's kernel for sys."""
+    """Advance one step of size tau > 0 with the scheme's kernel for sys; a
+    step outside an expression's domain (sin at inf too) raises DomainError."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
     kernel = sys.kernels.get(scheme.template) or _new_kernel(scheme, sys)
-    return kernel(x, tau)
+    try:
+        return kernel(x, tau)
+    except ValueError as err:
+        raise ex.DomainError(str(err)) from err
 
 
 def _new_kernel(scheme: Scheme, sys: HamiltonianSystem):

@@ -223,6 +223,13 @@ def reference_step(scheme, sys, x: State, tau: float) -> State:
         raise NotApplicable(
             f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
         )
+    try:
+        return _fold_or_solve(scheme, sys, x, tau)
+    except ValueError as err:  # math.sin, cos or tan at +-inf
+        raise ex.DomainError(str(err)) from err
+
+
+def _fold_or_solve(scheme, sys, x: State, tau: float) -> State:
     stages = scheme.stages
     if not stages:
         return _implicit_midpoint(sys, x, tau)

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from symbound import config
 from symbound.config import (
     ConfigError,
     RunConfig,
@@ -191,6 +194,13 @@ _ERROR_SECTION = "[error]\ns = 1, 0, 0, 1\neta = 0, 0\ny0 = 0, 0\nsteps = 1\n"
          "empirical_tau_hi must be at least 1e-299, got '1e-320'"),
         ("[run]\nempirical_tau_hi = 9e-300\n", 2,
          "empirical_tau_hi must be at least 1e-299, got '9e-300'"),
+        # a NaN tolerance ends the bisection at once, at the scan bracket's midpoint
+        ("[run]\nbisect_tol = nan\n", 2, "bisect_tol must be finite, got 'nan'"),
+        ("[run]\nbisect_tol = -1e-6\n", 2,
+         "bisect_tol must be non-negative, got '-1e-6'"),
+        # no Newton residual is below a NaN or zero tolerance
+        ("[search]\ntol = nan\n", 2, "tol must be finite, got 'nan'"),
+        ("[search]\ntol = 0\n", 2, "tol must be positive, got '0'"),
     ],
 )
 def test_out_of_range_values_rejected_with_file_and_line(text, lineno, message):
@@ -201,12 +211,12 @@ def test_out_of_range_values_rejected_with_file_and_line(text, lineno, message):
 
 def test_boundary_values_are_accepted():
     cfg = parse_config(
-        "[run]\nempirical_tau_hi = 1e-299\n"
+        "[run]\nempirical_tau_hi = 1e-299\nbisect_tol = 0\n"
         "[search]\ngrid = 4\n[simulate]\nn_max = 1\nstride = 0\n"
         + _ERROR_SECTION.replace("steps = 1", "steps = 0")
     )
     assert (cfg.search.grid, cfg.sim.n_max, cfg.error.steps) == (4, 1, [0])
-    assert cfg.empirical_tau_hi == 1e-299
+    assert (cfg.empirical_tau_hi, cfg.bisect_tol) == (1e-299, 0.0)
 
 
 def test_odd_offsets_rejected():
@@ -233,3 +243,54 @@ def test_default_config_serializes():
     text = serialize_config(RunConfig())
     cfg = parse_config(text)
     assert cfg == RunConfig()
+
+
+# one valid, non-default value for every key of the key table
+_SAMPLES = {
+    ("run", "schemes"): "stormer-verlet, implicit-midpoint",
+    ("run", "tau"): "0.25, 3.0",
+    ("run", "tau_lo"): "0.05",
+    ("run", "tau_hi"): "2.5",
+    ("run", "tau_count"): "7",
+    ("run", "tau_scale"): "log",
+    ("run", "empirical_tau_hi"): "12.5",
+    ("run", "bisect_tol"): "1e-08",
+    ("search", "p_min"): "-1.5",
+    ("search", "p_max"): "2.0",
+    ("search", "q_min"): "-3.0",
+    ("search", "q_max"): "3.5",
+    ("search", "grid"): "9",
+    ("search", "tol"): "1e-12",
+    ("simulate", "n_max"): "500",
+    ("simulate", "escape_r"): "10000.0",
+    ("simulate", "stride"): "5",
+    ("simulate", "offsets"): "0.002, -0.001, 0.0, 0.003",
+    ("error", "s"): "1.0, 0.5, 0.0, 1.0",
+    ("error", "eta"): "0.01, -0.02",
+    ("error", "y0"): "0.1, 0.2",
+    ("error", "steps"): "0, 3, 50",
+}
+
+
+def test_every_key_round_trips():
+    assert set(_SAMPLES) == {(section, key) for section, key, *_ in config._KEYS}
+    sections = {}
+    for (section, key), value in _SAMPLES.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "[system]\nclass = newtonian\ng = -sin(q)\n" + "".join(
+        f"[{section}]\n" + "".join(lines) for section, lines in sections.items()
+    )
+    cfg = parse_config(text)
+    default = RunConfig()
+    for section, key, attr, *_ in config._KEYS:
+        owner, _, name = attr.rpartition(".")
+        spec = getattr(default, owner) if owner else default
+        if spec is not None:  # the sweep grid and [error] have no defaults
+            got = getattr(getattr(cfg, owner) if owner else cfg, name)
+            assert got != getattr(spec, name), key
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert serialize_config(again) == serialize_config(cfg)
+    for keys in config._SECTIONS.values():
+        for key in keys:
+            assert re.search(rf"(?<![\w']){key}(?![\w'])", config.__doc__), key

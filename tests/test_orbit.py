@@ -97,6 +97,23 @@ def test_a_math_domain_error_ends_the_orbit_in_left_domain():
             simulate(sys, Scheme.EULER_B, State(0.0, 0.0), tau, n_max=10)
 
 
+@pytest.mark.parametrize(
+    "sys, x0",
+    [
+        # exp(1000) - exp(1000) is inf - inf: the step gives (nan, nan)
+        (HamiltonianSystem.newtonian("exp(q) - exp(q)"), State(0.0, 1000.0)),
+        # the kick gives p = inf, where T' = inf - inf: (inf, nan), whose
+        # hypot is inf, not NaN
+        (HamiltonianSystem.separable("exp(p) - exp(p)", "-exp(q^2)"), State(0.0, 30.0)),
+    ],
+)
+def test_a_nan_state_ends_the_orbit_in_left_domain(sys, x0):
+    trace = simulate(sys, Scheme.EULER_B, x0, 0.1, n_max=10)
+    assert trace.verdict == LeftDomain(0, "the step gave a NaN state")
+    assert trace.steps == [0] and trace.states == [x0]
+    assert "nan" not in orbit_to_csv(sys, trace).splitlines()[3]
+
+
 def test_recording_stride_and_endpoints():
     trace = simulate(
         catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 0.1,

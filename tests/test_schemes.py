@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
+from symbound.expr import DomainError
 from symbound.mat2 import Mat2
 from symbound.schemes import (
     SCHEMES_BY_CLASS,
@@ -183,6 +184,14 @@ def test_step_kernels_equal_the_reference_bitwise(sys, p, q, tau):
             assert all(map(same_float, got, want)), (scheme, x, tau, got, want)
         else:
             assert got == want, (scheme, x, tau)
+
+
+def test_a_math_domain_error_in_a_step_is_a_domain_error():
+    # exp(900) saturates to inf, where math.sin raises ValueError
+    sys = HamiltonianSystem.newtonian("sin(exp(q^2)) - q")
+    for scheme in SCHEMES_BY_CLASS[sys.kind]:
+        with pytest.raises(DomainError, match="^math domain error$"):
+            step(scheme, sys, State(0.5, 30.0), 0.1)
 
 
 def test_kernels_of_one_tree_shape_share_compiled_code():
