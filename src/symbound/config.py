@@ -282,12 +282,15 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         **fields[""],
     )
 
-    sweep_keys = {"tau_lo", "tau_hi", "tau_count"}
-    present = sweep_keys & set(raw.get("run", {}))
+    # the grid is all or none; tau_scale, which has a default, only with it
+    run = raw.get("run", {})
+    grid_keys = {"tau_lo", "tau_hi", "tau_count"}
+    present = (grid_keys | {"tau_scale"}) & set(run)
     if present:
-        if present != sweep_keys:
-            missing = sorted(sweep_keys - present)
-            raise ConfigError(f"sweep grid is missing keys {missing}", path)
+        missing = sorted(grid_keys - present)
+        if missing:
+            line = min(run[key][1] for key in present)
+            raise ConfigError(f"sweep grid is missing keys {missing}", path, line)
         cfg.sweep = sweep = SweepSpec(**fields["sweep"])
         if not (0.0 < sweep.lo <= sweep.hi) or sweep.count < 1:
             raise ConfigError("invalid sweep range", path, raw["run"]["tau_lo"][1])

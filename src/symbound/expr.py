@@ -594,9 +594,11 @@ def to_string(expr: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Compilation to plain Python code, the one way expressions are evaluated.
-# Every operation goes through the guarded kernels above.  Constants are
-# read from a tuple _c, so the source text depends only on the shape of a
-# tree, and compiled code is cached by its text: all trees of one shape
+# Every operation goes through the guarded kernels above.  A constant is
+# read by its index in the tuple _c: as _c[i] in a compile_expr lambda, and
+# as a local _ki that a generated kernel binds once from _c[i]
+# (HamiltonianSystem.kernel).  So the source text depends only on the shape
+# of a tree, and compiled code is cached by its text: all trees of one shape
 # share one code object.
 
 _CODE_CACHE_SIZE = 256  # distinct sources kept compiled
@@ -605,30 +607,30 @@ _KERNELS = {"_div": _div, "_pow": _pow}
 _KERNELS.update({f"_f_{name}": fn for name, fn in _FUNC_IMPL.items()})
 
 
-def emit(expr: Expr, consts: list[float]) -> str:
+def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
     """Python source evaluating expr, with each variable read as the local
     name it has in the tree; each constant is appended to consts and read
-    as _c[i]."""
+    as slot.format(i), i its index in consts."""
     match expr:
         case Const(value):
             consts.append(value)
-            return f"_c[{len(consts) - 1}]"
+            return slot.format(len(consts) - 1)
         case Var(name):
             return name
         case Neg(arg):
-            return f"(-{emit(arg, consts)})"
+            return f"(-{emit(arg, consts, slot)})"
         case Add(l, r):
-            return f"({emit(l, consts)} + {emit(r, consts)})"
+            return f"({emit(l, consts, slot)} + {emit(r, consts, slot)})"
         case Sub(l, r):
-            return f"({emit(l, consts)} - {emit(r, consts)})"
+            return f"({emit(l, consts, slot)} - {emit(r, consts, slot)})"
         case Mul(l, r):
-            return f"({emit(l, consts)} * {emit(r, consts)})"
+            return f"({emit(l, consts, slot)} * {emit(r, consts, slot)})"
         case Div(l, r):
-            return f"_div({emit(l, consts)}, {emit(r, consts)})"
+            return f"_div({emit(l, consts, slot)}, {emit(r, consts, slot)})"
         case Pow(b, x):
-            return f"_pow({emit(b, consts)}, {emit(x, consts)})"
+            return f"_pow({emit(b, consts, slot)}, {emit(x, consts, slot)})"
         case Func(name, arg):
-            return f"_f_{name}({emit(arg, consts)})"
+            return f"_f_{name}({emit(arg, consts, slot)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -69,10 +69,12 @@ def simulate(
     """Iterate the scheme from x0; stop on escape, solver failure, leaving
     an expression's domain, or the horizon.
 
-    Every stride-th state is recorded plus the final one.  The run is pure
-    and deterministic: identical inputs give bit-identical traces.  A step
+    The initial state and every stride-th state are recorded, and so is
+    the final one, except after a failed solve.  The run is pure and
+    deterministic: identical inputs give bit-identical traces.  A step
     whose implicit solve fails ends in SolverFailed, whose step is the
-    index of the state the step started from.  A step that leaves an
+    index of the state the step started from; that state is recorded only
+    when its index is a multiple of stride.  A step that leaves an
     expression's domain (a DomainError) or gives a NaN state ends in
     LeftDomain, with the last finite state recorded.
     """
@@ -97,6 +99,7 @@ def simulate(
             steps.append(n)
             states.append(y)
 
+    hypot, isfinite = math.hypot, math.isfinite
     for n in range(1, n_max + 1):
         try:
             y = step(scheme, sys, x, tau)
@@ -106,9 +109,10 @@ def simulate(
             record(n - 1, x)
             verdict = LeftDomain(n - 1, str(err))
             return OrbitTrace(x0, scheme, tau, steps, states, verdict)
-        r = math.hypot(y.p, y.q)
-        if not math.isfinite(r):
-            if math.isnan(y.p) or math.isnan(y.q):  # hypot(inf, nan) is inf
+        yp, yq = y
+        r = hypot(yp, yq)
+        if not isfinite(r):
+            if math.isnan(yp) or math.isnan(yq):  # hypot(inf, nan) is inf
                 record(n - 1, x)
                 verdict = LeftDomain(n - 1, "the step gave a NaN state")
                 return OrbitTrace(x0, scheme, tau, steps, states, verdict)

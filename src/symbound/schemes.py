@@ -16,9 +16,11 @@ one.
 
 Each row builds its step template from its stages when it is defined: one
 straight line per kick or drift, holding $h_q or $h_p.  step runs the kernel
-HamiltonianSystem.kernel makes of it for the system.  At a trace-free
-linearization A of the separable shape [[0, a12], [a21, 0]] the stages are
-the exact matrices
+HamiltonianSystem.kernel makes of it for the system, which reads the
+system's constants as locals bound once and builds the new State with
+tuple.__new__, skipping the named tuple's Python-level __new__.  At a
+trace-free linearization A of the separable shape [[0, a12], [a21, 0]] the
+stages are the exact matrices
 
     kick(c)  = [[1, c*tau*a12], [0, 1]]
     drift(c) = [[1, 0], [c*tau*a21, 1]]
@@ -86,7 +88,9 @@ UNIMODULAR_TOL = 1e-10  # propagator's bound on |det S - 1| / (1 + |S|_F^2)
 
 
 # The implicit midpoint rule's damped Newton solve.  p, q are the midpoint,
-# at which the derivative texts are evaluated; (pn, qn) is the iterate.  The
+# at which the derivative texts are evaluated; (pn, qn) is the iterate, and
+# p, q stay its midpoint from one Newton iteration to the next.  The full
+# step (lam = 1.0, as 1.0 * d == d) is tried before the halving loop.  The
 # Newton matrix is spelled out in Mat2's det, frobenius_sq and solve order.
 _MIDPOINT = string.Template("""\
 def _step(x, tau):
@@ -100,8 +104,7 @@ def _step(x, tau):
     target = 1e-12 * (1.0 + rx + rx)  # pn, qn == xp, xq here
     for _ in range(100):
         if rn <= target:
-            return State(pn, qn)
-        p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
+            return _tuple_new(State, (pn, qn))
         h_pq = $h_pq
         a11, a12, a21, a22 = (
             1.0 + 0.5 * tau * h_pq,
@@ -119,23 +122,28 @@ def _step(x, tau):
         # det is NaN too
         b0, b1 = -r0, -r1
         dp, dq = (b0 * a22 - a12 * b1) / det, (a11 * b1 - b0 * a21) / det
-        lam = 1.0
-        for _ in range(60):
-            cp, cq = pn + lam * dp, qn + lam * dq
-            p, q = 0.5 * (xp + cp), 0.5 * (xq + cq)
-            c0, c1 = cp - xp + tau * $h_q, cq - xq - tau * $h_p
-            rcn = _hypot(c0, c1)
-            if rcn < rn or rcn <= target:
-                pn, qn, r0, r1, rn = cp, cq, c0, c1, rcn
-                break
-            lam *= 0.5
-        else:
-            raise ImplicitSolveFailed(
-                f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
-            )
+        cp, cq = pn + dp, qn + dq
+        p, q = 0.5 * (xp + cp), 0.5 * (xq + cq)
+        c0, c1 = cp - xp + tau * $h_q, cq - xq - tau * $h_p
+        rcn = _hypot(c0, c1)
+        if not (rcn < rn or rcn <= target):
+            lam = 0.5
+            for _ in range(59):
+                cp, cq = pn + lam * dp, qn + lam * dq
+                p, q = 0.5 * (xp + cp), 0.5 * (xq + cq)
+                c0, c1 = cp - xp + tau * $h_q, cq - xq - tau * $h_p
+                rcn = _hypot(c0, c1)
+                if rcn < rn or rcn <= target:
+                    break
+                lam *= 0.5
+            else:
+                raise ImplicitSolveFailed(
+                    f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
+                )
+        pn, qn, r0, r1, rn = cp, cq, c0, c1, rcn
         target = 1e-12 * (1.0 + rx + _hypot(pn, qn))
     if rn <= target:
-        return State(pn, qn)
+        return _tuple_new(State, (pn, qn))
     raise ImplicitSolveFailed(
         f"no convergence after 100 iterations (tau={tau!r})"
     )
@@ -151,7 +159,8 @@ def _stage_step(stages) -> string.Template:
         for move, c in stages
     ]
     return string.Template("\n".join(
-        ["def _step(x, tau):", "    p, q = x", *moves, "    return State(p, q)"]
+        ["def _step(x, tau):", "    p, q = x", *moves,
+         "    return _tuple_new(State, (p, q))"]
     ))
 
 
@@ -257,7 +266,7 @@ def _new_kernel(scheme: Scheme, sys: HamiltonianSystem):
             f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
         )
     return sys.kernel(
-        scheme.template, "_step", State=State, ImplicitSolveFailed=ImplicitSolveFailed,
+        scheme.template, "_step", ImplicitSolveFailed=ImplicitSolveFailed,
         _hypot=math.hypot, DECISION_TOL=DECISION_TOL,
     )
 

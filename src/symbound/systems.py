@@ -173,15 +173,24 @@ class HamiltonianSystem:
 
     def kernel(self, template: string.Template, name: str, **names):
         """The function that template's source binds to name, with the
-        derivative texts substituted for $h_p $h_q $h_pp $h_pq $h_qq, their
-        constants in one shared _c tuple, and names as its other globals.
-        Generated the first time, then cached in kernels under template."""
+        derivative texts substituted for $h_p $h_q $h_pp $h_pq $h_qq, and
+        State, _tuple_new (tuple.__new__, which builds a State without its
+        Python-level __new__) and names as its globals.  The texts read
+        constant i as the local _ki, a parameter default _ki=_c[i] added to
+        the def line that opens template: bound once per kernel, while the
+        source still depends only on the shapes of the trees.  Generated
+        the first time, then cached in kernels under template."""
         kernel = self.kernels.get(template)
         if kernel is None:
             consts: list[float] = []
-            texts = (ex.emit(tree, consts) for tree in self.derivatives)
+            texts = (ex.emit(tree, consts, "_k{}") for tree in self.derivatives)
             source = template.substitute(dict(zip(_DERIVATIVE_NAMES, texts)))
-            kernel = ex.define(source, name, consts, **names)
+            head, body = source.split("):\n", 1)
+            defaults = "".join(f", _k{i}=_c[{i}]" for i in range(len(consts)))
+            source = f"{head}{defaults}):\n{body}"
+            kernel = ex.define(
+                source, name, consts, State=State, _tuple_new=tuple.__new__, **names
+            )
             self.kernels[template] = kernel
         return kernel
 
@@ -292,7 +301,7 @@ def _newton_root(xp, xq, tol):
             lam *= 0.5
         else:
             break  # no improving step left; the residual is at its floor
-    return State(xp, xq) if r < tol else None
+    return _tuple_new(State, (xp, xq)) if r < tol else None
 """)
 
 
@@ -311,7 +320,7 @@ def _least_squares_step(a11, a12, a21, a22, f0, f1):
 def _newton_kernel(sys: HamiltonianSystem):
     """The system's Newton kernel (p0, q0, tol) -> State | None."""
     return sys.kernel(
-        _NEWTON, "_newton_root", State=State, DomainError=ex.DomainError,
+        _NEWTON, "_newton_root", DomainError=ex.DomainError,
         _hypot=math.hypot, _inf=math.inf, _least_squares_step=_least_squares_step,
     )
 

@@ -2,7 +2,8 @@
 random expression trees, finite differences, per-class reference formulas
 for the systems' compiled accessors, and the generic references for the
 generated kernels: the step of schemes.step, the stage product S(tau) of
-schemes.s_entries and the damped Newton root of find_equilibria."""
+schemes.s_entries and the damped Newton root of find_equilibria; and the
+orbit loop of orbit.simulate, on the reference step."""
 
 import functools
 import math
@@ -15,6 +16,14 @@ import symbound
 from symbound import catalog
 from symbound import expr as ex
 from symbound.mat2 import Mat2
+from symbound.orbit import (
+    Bounded,
+    Escaped,
+    LeftDomain,
+    OrbitTrace,
+    SolverFailed,
+    default_stride,
+)
 from symbound.schemes import KICK, ImplicitSolveFailed
 from symbound.systems import HamiltonianSystem, NotApplicable, State
 
@@ -240,6 +249,67 @@ def _fold_or_solve(scheme, sys, x: State, tau: float) -> State:
         else:
             q = q + (c * tau) * sys.h_p(p, q)
     return State(p, q)
+
+
+def reference_simulate(
+    sys,
+    scheme,
+    x0: State,
+    tau: float,
+    n_max: int = 100_000,
+    escape_radius: float = 1e6,
+    stride: int | None = None,
+) -> OrbitTrace:
+    """The orbit loop orbit.simulate must equal, verdict and recorded
+    states bit for bit, with every step taken by reference_step."""
+    if tau <= 0.0:
+        raise ValueError("step size must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if stride is None:
+        stride = default_stride(n_max)
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    r0 = math.hypot(x0.p, x0.q)
+    if not escape_radius > r0:
+        raise ValueError("escape radius must exceed the initial radius")
+    steps = [0]
+    states = [x0]
+    x = x0
+    max_radius = r0
+
+    def record(n: int, y: State) -> None:
+        if steps[-1] != n:
+            steps.append(n)
+            states.append(y)
+
+    for n in range(1, n_max + 1):
+        try:
+            y = reference_step(scheme, sys, x, tau)
+        except ImplicitSolveFailed:
+            return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
+        except ex.DomainError as err:
+            record(n - 1, x)
+            verdict = LeftDomain(n - 1, str(err))
+            return OrbitTrace(x0, scheme, tau, steps, states, verdict)
+        r = math.hypot(y.p, y.q)
+        if not math.isfinite(r):
+            if math.isnan(y.p) or math.isnan(y.q):  # hypot(inf, nan) is inf
+                record(n - 1, x)
+                verdict = LeftDomain(n - 1, "the step gave a NaN state")
+                return OrbitTrace(x0, scheme, tau, steps, states, verdict)
+            record(n, y)
+            return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, math.inf))
+        x = y
+        if r > max_radius:
+            max_radius = r
+        if r > escape_radius:
+            record(n, x)
+            return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, r))
+        if n % stride == 0:
+            record(n, x)
+    record(n_max, x)
+    return OrbitTrace(x0, scheme, tau, steps, states, Bounded(n_max, max_radius))
 
 
 def reference_stage_product(stages, a: Mat2, tau) -> Mat2:

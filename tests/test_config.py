@@ -137,6 +137,21 @@ def test_sweep_validation():
 
 
 @pytest.mark.parametrize(
+    "run_lines, missing, lineno",
+    [
+        ("tau_scale = log", "['tau_count', 'tau_hi', 'tau_lo']", 3),
+        ("tau_hi = 4.0\ntau_scale = log\ntau_lo = 0.1", "['tau_count']", 3),
+    ],
+)
+def test_a_partial_sweep_grid_names_its_missing_keys(run_lines, missing, lineno):
+    # tau_scale without the grid would otherwise parse to no sweep and be
+    # dropped from effective.cfg
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"# grid\n[run]\n{run_lines}\n", "grid.cfg")
+    assert str(info.value) == f"grid.cfg:{lineno}: sweep grid is missing keys {missing}"
+
+
+@pytest.mark.parametrize(
     "run_lines, key, lineno",
     [
         ("tau = 0.5, inf", "tau", 3),

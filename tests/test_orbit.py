@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbound import catalog
 from symbound import orbit
@@ -14,8 +17,10 @@ from symbound.orbit import (
     orbit_to_csv,
     simulate,
 )
-from symbound.schemes import ImplicitSolveFailed, NotApplicable, Scheme
+from symbound.schemes import SCHEMES_BY_CLASS, ImplicitSolveFailed, NotApplicable, Scheme
 from symbound.systems import HamiltonianSystem, State
+
+from conftest import KERNEL_SYSTEMS, reference_simulate, same_float
 
 
 def hamiltonian_drift(sys: HamiltonianSystem, trace: OrbitTrace) -> float:
@@ -152,6 +157,69 @@ def test_input_validation():
             catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 0.1,
             escape_radius=math.nan,
         )
+
+
+def assert_same_trace(got: OrbitTrace, want: OrbitTrace) -> None:
+    """Steps equal, states bit for bit (any NaN equals any NaN), and the
+    verdict of the same type with the same fields."""
+    assert got.steps == want.steps
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert same_float(a.p, b.p) and same_float(a.q, b.q), (a, b)
+    assert type(got.verdict) is type(want.verdict), (got.verdict, want.verdict)
+    for field in dataclasses.fields(want.verdict):
+        a, b = getattr(got.verdict, field.name), getattr(want.verdict, field.name)
+        assert same_float(a, b) if isinstance(b, float) else a == b, (a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(KERNEL_SYSTEMS),
+    st.floats(min_value=0.0, max_value=4.0, exclude_min=True),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=50),
+    st.sampled_from((10.0, 1e6, math.inf)),
+)
+def test_simulate_equals_the_reference_loop(sys, tau, p, q, n_max, stride, escape_radius):
+    x0 = State(p, q)
+    for scheme in SCHEMES_BY_CLASS[sys.kind]:
+        args = sys, scheme, x0, tau, n_max, escape_radius, stride
+        assert_same_trace(simulate(*args), reference_simulate(*args))
+
+
+@pytest.mark.parametrize(
+    "sys, scheme, x0, tau, kwargs, is_ending",
+    [
+        (catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 1.0,
+         {"n_max": 1000, "stride": 100},
+         lambda v: isinstance(v, Bounded) and v.n_steps == 1000),
+        (catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 2.1,
+         {"n_max": 10_000},
+         lambda v: isinstance(v, Escaped) and 1e6 < v.radius < math.inf),
+        # no radius exceeds an infinite escape radius: the orbit runs until
+        # its radius overflows
+        (catalog.harmonic(), Scheme.EULER_B, State(0.1, 0.0), 2.1,
+         {"n_max": 10_000, "escape_radius": math.inf},
+         lambda v: v == Escaped(v.step, math.inf)),
+        # the linear saddle at its Cayley step size
+        (catalog.saddle(), Scheme.IMPLICIT_MIDPOINT, State(0.1, 0.1), 2.0,
+         {"n_max": 100}, lambda v: v == SolverFailed(0)),
+        (HamiltonianSystem.newtonian("1 - sqrt(q + 1)"), Scheme.EULER_B,
+         State(0.1, 0.0), 3.5, {"n_max": 2000, "stride": 1000},
+         lambda v: v == LeftDomain(2, "sqrt of a negative value")),
+        (HamiltonianSystem.newtonian("exp(q) - exp(q)"), Scheme.EULER_B,
+         State(0.0, 1000.0), 0.1, {"n_max": 10},
+         lambda v: v == LeftDomain(0, "the step gave a NaN state")),
+    ],
+    ids=["bounded", "escaped", "escaped-to-inf", "solver-failed",
+         "left-domain", "nan-state"],
+)
+def test_each_ending_equals_the_reference_loop(sys, scheme, x0, tau, kwargs, is_ending):
+    trace = simulate(sys, scheme, x0, tau, **kwargs)
+    assert is_ending(trace.verdict), trace.verdict
+    assert_same_trace(trace, reference_simulate(sys, scheme, x0, tau, **kwargs))
 
 
 # ---------------------------------------------------------------------------

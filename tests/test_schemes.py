@@ -29,6 +29,7 @@ from symbound.systems import (
     HamiltonianSystem,
     NotTraceFree,
     State,
+    _newton_kernel,
     classify_equilibrium,
     find_equilibria,
 )
@@ -194,7 +195,40 @@ def test_a_math_domain_error_in_a_step_is_a_domain_error():
             step(scheme, sys, State(0.5, 30.0), 0.1)
 
 
+_PENDULUM = HamiltonianSystem.newtonian("-sin(q)")
+
+
+@pytest.mark.parametrize(
+    "sys, tau, x",
+    [
+        (_PENDULUM, 0.5, State(0.0, 0.5)),  # every full step accepted
+        (_PENDULUM, 2.0, State(0.0, 2.0)),  # one halving
+        (_PENDULUM, 3.0, State(0.0, 2.0)),  # four halvings
+        # damped Newton stalled at residual 5.915e-01
+        (HamiltonianSystem.general("p^4/4 + q^4/4 - q^2/2"), 15.407004816665449,
+         State(-4.087840461697741, 4.932215535644783)),
+        # singular Newton matrix
+        (HamiltonianSystem.general("cosh(p) - cos(q)"), 2.981967863863338,
+         State(3.4948596518636705, 3.950389674266752)),
+        # no convergence after 100 iterations
+        (HamiltonianSystem.general("cosh(p) - cos(q)"), 1.4191838208186764,
+         State(2.1570639215592413, 4.179234572892788)),
+    ],
+    ids=["full-step", "one-halving", "four-halvings", "stalled", "singular",
+         "no-convergence"],
+)
+def test_midpoint_line_search_branches_equal_the_reference(sys, tau, x):
+    got = _outcome(step, Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    want = _outcome(reference_step, Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    if isinstance(want, State):
+        assert isinstance(got, State) and all(map(same_float, got, want)), (got, want)
+    else:
+        assert got == want
+
+
 def test_kernels_of_one_tree_shape_share_compiled_code():
+    # the constants are bound per system, so the source, and with it the
+    # compiled code, depends only on the shapes of the trees
     slow = HamiltonianSystem.newtonian("-2*sin(q)")
     fast = HamiltonianSystem.newtonian("-3*sin(q)")
     x = State(0.1, 0.2)
@@ -203,6 +237,14 @@ def test_kernels_of_one_tree_shape_share_compiled_code():
         kernels = slow.kernels[scheme.template], fast.kernels[scheme.template]
         assert kernels[0] is not kernels[1]
         assert kernels[0].__code__ is kernels[1].__code__
+    # the Newton kernel of find_equilibria: g = -k*sin(q) - 1 has its roots
+    # where sin(q) = -1/k
+    slow, fast = (HamiltonianSystem.newtonian(f"-{k}*sin(q) - 1") for k in (2, 3))
+    roots = _newton_kernel(slow), _newton_kernel(fast)
+    assert roots[0] is not roots[1]
+    assert roots[0].__code__ is roots[1].__code__
+    assert roots[0](0.1, 0.2, 1e-10).q == pytest.approx(math.asin(-1 / 2))
+    assert roots[1](0.1, 0.2, 1e-10).q == pytest.approx(math.asin(-1 / 3))
 
 
 def test_scheme_names_round_trip():
