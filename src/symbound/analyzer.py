@@ -266,19 +266,17 @@ def _max_abs(first, *rest):
 # Step-size limits
 
 def tau_max_from_matrix(scheme: Scheme, a: Mat2) -> TauLimit:
-    """Closed-form preserving limit for a scheme at a linearization A."""
-    require_finite(a)
+    """Closed-form preserving limit for a scheme at a linearization A: for
+    an A that fails require_shape, the NotApplicable naming the failed test."""
+    try:
+        require_shape(scheme, a)
+    except ShapeMismatch as err:
+        raise NotApplicable(f"{scheme.value}: {err}") from err
     if not scheme.stages:
         h0 = a.det  # H_pp H_qq - H_pq^2 for a trace-free hamiltonian Jacobian
         if h0 < 0.0:
             return TauLimit(2.0 / math.sqrt(-h0), scheme, singular=True)
         return TauLimit(math.inf, scheme, singular=False)
-    try:
-        require_shape(scheme, a)
-    except ShapeMismatch as err:
-        raise NotApplicable(
-            f"{scheme.value} needs a separable linearization [[0, *], [*, 0]]"
-        ) from err
     newtonian_only = scheme.classes == {SystemClass.NEWTONIAN}
     if newtonian_only and abs(a.a21 - 1.0) > DECISION_TOL * (1.0 + a.max_norm):
         raise NotApplicable(

@@ -7,18 +7,21 @@ inhomogeneous recurrence
 
 whose closed form, when I - S is invertible, is
 
-    Y_n = S^n (Y_0 - c) + c,    c = (I - S)^{-1} eta.
+    Y_n = S^n (Y_0 - c) + c,    c = (I - S)^{-1} eta,
 
-Boundedness of the sequence is decided structurally from the spectrum of
-the unimodular S: elliptic maps (|tr S| < 2) keep every trajectory bounded;
-hyperbolic maps (|tr S| > 2) keep exactly those whose expanding component
-of Y_0 - c vanishes.
+so the sequence is bounded exactly when Y_0 - c lies in the bounded-orbit
+subspace of the unimodular S: the subspace whose dimension analyze reports
+as dimBS, from analyzer.dim_bounded_discrete with its DECISION_TOL band
+about |tr S| = 2.  That is the whole plane for an elliptic S or S = -I,
+and else one line: the contracting eigenline of a hyperbolic S, or the
+kernel of S + I for a shear about -I.
 """
 
 import math
 from dataclasses import dataclass
 
-from .mat2 import DECISION_TOL, Mat2, Vec2, eigenvector, unimodularity_lost
+from .analyzer import dim_bounded_discrete
+from .mat2 import DECISION_TOL, Mat2, Vec2, unimodularity_lost
 
 
 class SingularResolvent(Exception):
@@ -82,44 +85,24 @@ def closed_form_error(model: ErrorModel, n: int) -> Vec2:
 
 
 def error_bounded(model: ErrorModel) -> BoundednessResult:
-    """Decide sup_n ||Y_n|| < inf structurally from the spectrum of S."""
-    tol = 1e-12  # the relative zero of a component of Y0 - c and of S + I
+    """Decide sup_n ||Y_n|| < inf: is Y0 - c in dim_bounded_discrete(S)?"""
     c = _resolvent_offset(model)
     xi = (model.y0[0] - c[0], model.y0[1] - c[1])
-    tr = model.s.trace
-    if abs(tr) < 2.0:
+    bounded_subspace = dim_bounded_discrete(model.s)
+    if bounded_subspace.whole_space:
         return BoundednessResult(
-            True, f"elliptic: |trace S| = {abs(tr)!r} < 2, S^n stays bounded"
+            True, "elliptic or S = -I: dimBS = 2, every orbit stays bounded"
         )
-    if abs(tr) > 2.0:
-        disc = math.sqrt(tr * tr - 4.0 * model.s.det)
-        lam_expand = 0.5 * (tr + math.copysign(disc, tr))
-        lam_contract = 0.5 * (tr - math.copysign(disc, tr))
-        ve = eigenvector(model.s, lam_expand)
-        vc = eigenvector(model.s, lam_contract)
-        basis = Mat2(ve[0], vc[0], ve[1], vc[1])
-        coeff_expand, _ = basis.solve(xi)
-        scale = 1.0 + math.hypot(*xi)
-        if abs(coeff_expand) <= tol * scale:
-            return BoundednessResult(
-                True,
-                "hyperbolic: the expanding component of Y0 - (I-S)^-1 eta "
-                "vanishes; the trajectory lies on the contracting line",
-            )
+    ((u1, u2),) = bounded_subspace.basis
+    off_line = u1 * xi[1] - u2 * xi[0]  # u is a unit vector
+    if abs(off_line) <= 1e-12 * (1.0 + math.hypot(*xi)):
         return BoundednessResult(
-            False,
-            f"hyperbolic: expanding eigenvalue {lam_expand!r} acts on a "
-            f"non-zero component {coeff_expand!r}",
-        )
-    # |tr| == 2 with I - S invertible means tr == -2 (tr == 2 is singular)
-    m = model.s + Mat2.identity()
-    if m.max_norm <= tol:
-        return BoundednessResult(True, "S = -I: the orbit alternates, bounded")
-    k = m.apply(xi)
-    if math.hypot(*k) <= tol * (1.0 + math.hypot(*xi)):
-        return BoundednessResult(
-            True, "parabolic about -I: Y0 - c lies in the kernel of S + I"
+            True,
+            "dimBS = 1: Y0 - (I-S)^-1 eta lies on the bounded line (the "
+            "contracting eigenline, or the kernel of a shear)",
         )
     return BoundednessResult(
-        False, "parabolic about -I: the shear component grows linearly"
+        False,
+        f"dimBS = 1: Y0 - (I-S)^-1 eta has a component {off_line!r} off the "
+        f"bounded line {(u1, u2)!r}",
     )

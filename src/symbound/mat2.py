@@ -7,7 +7,8 @@ the arithmetic stays explicit instead of going through an array library.
 ``Mat2`` is an immutable named tuple of its entries in row-major order, so
 hot loops can unpack ``a11, a12, a21, a22 = m`` once instead of going
 through attribute and property lookups.  Scalar multiples go through
-``scale``: ``*`` is the tuple's repetition, not a matrix operation.
+``scale`` and sums are spelled out entry by entry: ``*`` and ``+`` are the
+tuple's repetition and concatenation, not matrix operations.
 """
 
 import math
@@ -40,14 +41,6 @@ class Mat2(NamedTuple):
     @property
     def det(self) -> float:
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 + other.a11,
-            self.a12 + other.a12,
-            self.a21 + other.a21,
-            self.a22 + other.a22,
-        )
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2(

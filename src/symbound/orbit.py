@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import DomainError
-from .schemes import ImplicitSolveFailed, Scheme, step
+from .schemes import ImplicitSolveFailed, Scheme, step, step_size_error
 from .systems import HamiltonianSystem, State
 
 
@@ -78,8 +78,8 @@ def simulate(
     expression's domain (a DomainError) or gives a NaN state ends in
     LeftDomain, with the last finite state recorded.
     """
-    if tau <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < tau < math.inf:
+        raise step_size_error(tau)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if stride is None:

@@ -246,11 +246,21 @@ def scheme_from_name(name: str) -> Scheme:
 # ---------------------------------------------------------------------------
 # Nonlinear stepping
 
-def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
-    """Advance one step of size tau > 0 with the scheme's kernel for sys; a
-    step outside an expression's domain (sin at inf too) raises DomainError."""
+def step_size_error(tau: float) -> ValueError:
+    """The ValueError for a step size tau outside (0, inf)."""
     if tau <= 0.0:
-        raise ValueError("step size must be positive")
+        return ValueError("step size must be positive")
+    return ValueError(f"step size must be finite, got {tau!r}")
+
+
+def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
+    """Advance one step of size tau, 0 < tau < inf, with the scheme's kernel
+    for sys; a step outside an expression's domain (sin at inf too) raises
+    DomainError."""
+    # tau * 0.0 + tau is tau for a finite tau and NaN for an infinity or a
+    # NaN: one comparison per step, against a constant
+    if not tau * 0.0 + tau > 0.0:
+        raise step_size_error(tau)
     kernel = sys.kernels.get(scheme.template) or _new_kernel(scheme, sys)
     try:
         return kernel(x, tau)
@@ -322,10 +332,8 @@ def propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
 def shaped_propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
     """propagator for an A that require_shape has passed: the step-size
     checks, S(tau), SingularCayley and the unimodularity guard."""
-    if tau <= 0.0:
-        raise ValueError("step size must be positive")
-    if not tau < math.inf:
-        raise ValueError(f"step size must be finite, got {tau!r}")
+    if not 0.0 < tau < math.inf:
+        raise step_size_error(tau)
     s, det, singular = s_entries(scheme, a, tau)
     if singular:
         raise SingularCayley(

@@ -228,6 +228,8 @@ def reference_step(scheme, sys, x: State, tau: float) -> State:
     generic path the generated kernels of schemes.step must equal bitwise."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
+    if not tau < math.inf:
+        raise ValueError(f"step size must be finite, got {tau!r}")
     if not scheme.applicable_to(sys):
         raise NotApplicable(
             f"scheme {scheme.value} does not apply to a {sys.kind.value} system"
@@ -264,6 +266,8 @@ def reference_simulate(
     states bit for bit, with every step taken by reference_step."""
     if tau <= 0.0:
         raise ValueError("step size must be positive")
+    if not tau < math.inf:
+        raise ValueError(f"step size must be finite, got {tau!r}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if stride is None:

@@ -215,7 +215,8 @@ def test_rank1_with_off_axis_kernel_under_implicit_midpoint():
     # nilpotent A (trace 0, det 0): Cayley gives S = I + tau A exactly
     a = Mat2(1.0, 1.0, -1.0, -1.0)
     s = propagator(Scheme.IMPLICIT_MIDPOINT, a, 0.7)
-    assert (s - (Mat2.identity() + a.scale(0.7))).max_norm <= 1e-12
+    expected = Mat2(1.0 + 0.7 * a.a11, 0.7 * a.a12, 0.7 * a.a21, 1.0 + 0.7 * a.a22)
+    assert (s - expected).max_norm <= 1e-12
     v = check_preservation(a, s)
     assert v.case == 3 and v.condition_holds
     assert v.containment is ContainmentNote.EXACT  # kernels coincide exactly
@@ -437,11 +438,16 @@ def test_verdict_grid_masks_the_cayley_band():
 @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_non_finite_or_non_positive_tau_is_rejected(tau):
     a = Mat2(0.0, -1.0, 1.0, 0.0)
+    harmonic = catalog.harmonic()
+    message = "positive" if tau <= 0.0 else f"finite, got {tau!r}"
     for scheme in Scheme:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"step size must be {message}"):
             propagator(scheme, a, tau)
         with pytest.raises(ValueError):
             verdict_grid(scheme, a, [0.5, tau])
+        # step checks tau before it builds or looks up a kernel
+        with pytest.raises(ValueError, match=f"step size must be {message}"):
+            step(scheme, harmonic, State(1.0, 0.0), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +494,13 @@ def test_tau_max_rejects_wrong_shapes():
     with pytest.raises(NotApplicable):
         tau_max_from_matrix(Scheme.STORMER_VERLET, a)
     assert tau_max_from_matrix(Scheme.EULER_B, a).value == 2.0 / math.sqrt(2.0)
+    # not trace-free: every row rejects it, as propagator does
+    a = Mat2(1.0, -2.0, 1.0, 1.0)
+    with pytest.raises(NotTraceFree):
+        propagator(Scheme.IMPLICIT_MIDPOINT, a, 0.5)
+    for scheme in Scheme:
+        with pytest.raises(NotApplicable, match="not trace-free"):
+            tau_max_from_matrix(scheme, a)
 
 
 @pytest.mark.parametrize(

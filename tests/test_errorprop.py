@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symbound.analyzer import dim_bounded_discrete
 from symbound.errorprop import (
     ErrorModel,
     SingularResolvent,
@@ -94,6 +95,20 @@ def test_hyperbolic_split_by_initial_error():
     assert not error_bounded(ErrorModel(s, (0.0, 0.0), (1.0, 0.0)))
     res = error_bounded(ErrorModel(s, (0.0, 0.0), (0.0, 1.0)))
     assert res.bounded and "contracting" in res.reason
+
+
+@pytest.mark.parametrize("trace", [2.0 + 1e-11, 2.0 - 1e-11, -2.0 + 1e-11, -2.0 - 1e-11])
+@pytest.mark.parametrize("on_line", [True, False])
+def test_the_trace_band_about_2_uses_analyze_bounded_subspace(trace, on_line):
+    # companion matrix, det 1: inside the DECISION_TOL band about |tr S| = 2
+    # dim_bounded_discrete reads S as a shear, whose bounded subspace is a line
+    s = Mat2(trace, -1.0, 1.0, 0.0)
+    subspace = dim_bounded_discrete(s)
+    assert subspace.dim == 1
+    ((u1, u2),) = subspace.basis
+    y0 = (3.0 * u1, 3.0 * u2) if on_line else (u1 - u2, u2 + u1)
+    # eta = 0 makes c = 0, so Y0 - c is y0
+    assert error_bounded(ErrorModel(s, (0.0, 0.0), y0)).bounded is on_line
 
 
 def test_minus_identity_is_bounded():

@@ -96,10 +96,12 @@ def test_a_math_domain_error_ends_the_orbit_in_left_domain():
     trace = simulate(sys, Scheme.EULER_B, State(0.0, 30.0), 0.5, n_max=10)
     assert trace.verdict == LeftDomain(0, "math domain error")
     assert trace.steps == [0]
-    # a bad step size is still an error, not a verdict
-    for tau in (0.0, -0.5):
-        with pytest.raises(ValueError, match="step size must be positive"):
-            simulate(sys, Scheme.EULER_B, State(0.0, 0.0), tau, n_max=10)
+    # a bad step size is still an error, not a verdict built from it
+    for tau in (0.0, -0.5, -math.inf, math.inf, math.nan):
+        message = "positive" if tau <= 0.0 else f"finite, got {tau!r}"
+        for system in (sys, catalog.harmonic()):
+            with pytest.raises(ValueError, match=f"step size must be {message}"):
+                simulate(system, Scheme.EULER_B, State(0.1, 0.0), tau, n_max=10)
 
 
 @pytest.mark.parametrize(

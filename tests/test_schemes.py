@@ -307,7 +307,8 @@ def _stage_product(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
         m = Mat2.identity() - b
         d = m.det
         inverse = Mat2(m.a22 / d, -m.a12 / d, -m.a21 / d, m.a11 / d)
-        return inverse @ (Mat2.identity() + b)
+        # I + b entry by entry (0.0 + -0.0 is 0.0)
+        return inverse @ Mat2(1.0 + b.a11, 0.0 + b.a12, 0.0 + b.a21, 1.0 + b.a22)
 
     def kick(c):
         return Mat2(1.0, c * tau * a.a12, 0.0, 1.0)
