@@ -15,18 +15,16 @@ on both sides:
 
 The preservation verdict holds when the discrete side matches what the
 continuous classification demands: elliptic over a center, hyperbolic over
-a saddle, a shear of matching rank over a degenerate linearization.  The
-closed-form step-size limits are
+a saddle, a shear of matching rank over a degenerate linearization.
 
-  explicit schemes     2 / sqrt(det A)     when det A > 0, else unlimited
-                       (det A = T'' V'', or -g' for newtonian systems)
-  implicit-midpoint    2 / sqrt(-H0), H0 = H_pp H_qq - H_pq^2, when H0 < 0
-                       (a solvability singularity), else unlimited
-
-and the empirical limit is recovered independently by bisecting the
-verdict predicate in tau.  The explicit limit is one formula because every
-stage row of the scheme table has tr S = 2 - tau^2 det A, which reaches -2
-at tau = 2 / sqrt(det A).
+The closed-form step-size limit is one formula for both kinds of scheme
+row.  A stage row's tr S = 2 - tau^2 det A reaches -2, and the Cayley
+row's denominator det(I - tau A / 2) = 1 + tau^2 det A / 4 reaches 0, at
+y tau^2 = 4, with y = det A (T'' V'', or -g' for newtonian systems) for a
+stage row and y = -det A for the Cayley row.  The limit is 2 / sqrt(y)
+when y > 0 (for the Cayley row a solvability singularity), else unlimited.
+The empirical limit is recovered independently by bisecting the verdict
+predicate in tau.
 
 The trace/rank test has one definition, _condition_holds, over floats or
 arrays of S entries.  check_preservation applies it and also builds both
@@ -53,9 +51,9 @@ from .schemes import (
     propagator,
     require_finite,
     require_shape,
-    s_entries,
     shaped_propagator,
     step,
+    step_size_error,
 )
 from .systems import (
     Equilibrium,
@@ -63,7 +61,6 @@ from .systems import (
     HamiltonianSystem,
     NotApplicable,
     State,
-    SystemClass,
     classify_equilibrium,
     collapse_continuum,
 )
@@ -109,7 +106,6 @@ class PreservationVerdict(NamedTuple):
 @dataclass(frozen=True)
 class TauLimit:
     value: float  # math.inf when unlimited
-    scheme: Scheme
     singular: bool  # True when the limit is a solvability singularity
 
 
@@ -198,19 +194,20 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
 
     Row for row the same as ``propagator`` followed by
     ``check_preservation(a, s).condition_holds``: S comes from the same
-    ``s_entries`` expressions, evaluated on an array, and the trace/rank
+    row's ``s_entries``, evaluated on an array, and the trace/rank
     test is check_preservation's own, on arrays, so every trace and every
     verdict is bit-identical to the scalar path.  Raises what ``propagator``
     raises (ValueError, NonFiniteLinearization, ShapeMismatch,
     AssertionError); the bounded subspaces are not computed.
     """
     taus = np.asarray(taus, dtype=float)
-    if not np.all((taus > 0.0) & (taus < math.inf)):
-        raise ValueError("step size must be positive and finite")
+    valid = (taus > 0.0) & (taus < math.inf)
+    if not valid.all():
+        raise step_size_error(taus[~valid][0].item())
     require_shape(scheme, a)
     case = _CASE_INDEX[classify_equilibrium(a)]
     with np.errstate(all="ignore"):
-        (s11, s12, s21, s22), _, singular = s_entries(scheme, a, taus)
+        (s11, s12, s21, s22), _, singular = scheme.s_entries(a, taus)
         singular = np.broadcast_to(singular, taus.shape)
         det, lost = unimodularity_lost(s11, s12, s21, s22, UNIMODULAR_TOL)
         lost = lost & ~singular
@@ -272,20 +269,10 @@ def tau_max_from_matrix(scheme: Scheme, a: Mat2) -> TauLimit:
         require_shape(scheme, a)
     except ShapeMismatch as err:
         raise NotApplicable(f"{scheme.value}: {err}") from err
-    if not scheme.stages:
-        h0 = a.det  # H_pp H_qq - H_pq^2 for a trace-free hamiltonian Jacobian
-        if h0 < 0.0:
-            return TauLimit(2.0 / math.sqrt(-h0), scheme, singular=True)
-        return TauLimit(math.inf, scheme, singular=False)
-    newtonian_only = scheme.classes == {SystemClass.NEWTONIAN}
-    if newtonian_only and abs(a.a21 - 1.0) > DECISION_TOL * (1.0 + a.max_norm):
-        raise NotApplicable(
-            f"{scheme.value} expects a newtonian linearization [[0, g'], [1, 0]]"
-        )
-    det = a.det  # tr S = 2 - tau^2 det A for every stage row
-    if det > 0.0:
-        return TauLimit(2.0 / math.sqrt(det), scheme, singular=False)
-    return TauLimit(math.inf, scheme, singular=False)
+    y = a.det if scheme.stages else -a.det
+    if y > 0.0:
+        return TauLimit(2.0 / math.sqrt(y), singular=not scheme.stages)
+    return TauLimit(math.inf, singular=False)
 
 
 def tau_max(scheme: Scheme, eq: Equilibrium) -> TauLimit:
@@ -332,7 +319,7 @@ def find_transition(predicate, tau_hi: float, tol: float) -> float:
             return math.inf
         # the transition sits above the requested range; bracket upward
         transition = bisect_transition(predicate, tau_hi, 10.0 * tau_hi, tol)
-        _check_monotone(predicate, transition, tau_min, 10.0 * tau_hi, tol)
+        _check_monotone(predicate, transition, 10.0 * tau_hi, tol)
         return transition
     ratio = (tau_hi / tau_min) ** (1.0 / (_SCAN_POINTS - 1))
     grid = [tau_min * ratio**i for i in range(_SCAN_POINTS)]
@@ -354,14 +341,19 @@ def find_transition(predicate, tau_hi: float, tol: float) -> float:
     transition = bisect_transition(
         predicate, grid[first_false - 1], grid[first_false], tol
     )
-    _check_monotone(predicate, transition, tau_min, tau_hi, tol)
+    _check_monotone(predicate, transition, tau_hi, tol)
     return transition
 
 
 def _check_monotone(
-    predicate, transition: float, tau_min: float, tau_top: float, tol: float
+    predicate, transition: float, tau_top: float, tol: float
 ) -> None:
-    """Sample around a refined transition: true strictly below, false above."""
+    """Sample around a refined transition, inside its bracket (0, tau_top]:
+    true strictly below, from tau_top * 1e-8 on, and false above."""
+    # as far below the bracket top as the scan starts below tau_hi: from
+    # tau_hi * 1e-8 under an upward bracket, tau^2 det A of a center can
+    # drop below the float spacing at 2, and tr S rounds to 2
+    tau_min = tau_top * 1e-8
     margin = max(10.0 * tol, 1e-9 * transition)
     lo_end = transition - margin
     if lo_end > tau_min:

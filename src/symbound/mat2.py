@@ -7,8 +7,8 @@ the arithmetic stays explicit instead of going through an array library.
 ``Mat2`` is an immutable named tuple of its entries in row-major order, so
 hot loops can unpack ``a11, a12, a21, a22 = m`` once instead of going
 through attribute and property lookups.  Scalar multiples go through
-``scale`` and sums are spelled out entry by entry: ``*`` and ``+`` are the
-tuple's repetition and concatenation, not matrix operations.
+``scale`` and sums are spelled out entry by entry: ``+`` and ``*`` raise
+TypeError, where the tuple would silently concatenate or repeat.
 """
 
 import math
@@ -49,6 +49,14 @@ class Mat2(NamedTuple):
             self.a21 - other.a21,
             self.a22 - other.a22,
         )
+
+    def __add__(self, other):
+        raise TypeError("Mat2 has no +: add the entries one by one")
+
+    def __mul__(self, other):
+        raise TypeError("Mat2 has no *: use scale(k), or @ for a product")
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(

@@ -25,12 +25,11 @@ stages are the exact matrices
     kick(c)  = [[1, c*tau*a12], [0, 1]]
     drift(c) = [[1, 0], [c*tau*a21, 1]]
 
-and their product S(tau), last stage leftmost, is a straight-line function
-each row also generates from its stages when it is defined: each stage is
-one line of the 2x2 product, every 0.0 term kept, so the propagator entries
-carry no differencing error.  s_entries calls it for a float or an ndarray
-of taus.  Every row so far has tr S = 2 - tau^2 det A, hence the one
-explicit limit 2 / sqrt(det A).
+and their product S(tau), last stage leftmost, is the row's s_entries, a
+straight-line function each row generates from its stages when it is
+defined: each stage is one line of the 2x2 product, every 0.0 term kept, so
+the propagator entries carry no differencing error.  Every row so far has
+tr S = 2 - tau^2 det A, hence the one explicit limit 2 / sqrt(det A).
 
 The implicit midpoint rule has no stages:
 
@@ -42,10 +41,16 @@ inlined and the 2x2 Newton matrix spelled out in Mat2's operation order, so
 it gives the same bits and raises the same errors at the same points as the
 solve written on the compiled accessors and Mat2.
 
-Its propagator is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
+Its s_entries is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
 it ceases to exist at the first tau where the denominator determinant
 reaches zero, and is reported singular from that point on (the one-step
 family is not continued past the singularity).
+
+Every row's s_entries(a, tau) gives (S, Cayley det, singular), unguarded,
+with the same bits for a float tau and an ndarray of taus (then S is a
+Mat2 of arrays); a stage row's last two are None and False.  A singular
+float tau gives no S, as float division by a zero determinant raises;
+array rows are divided anyway, and the caller masks them.
 
 Schemes are stateless: step and propagator are pure functions, safe to
 call concurrently (two threads may build the same kernel once each).
@@ -179,7 +184,7 @@ _DRIFT_LINES = """\
 
 
 def _new_stage_product(stages):
-    """Generate (a, tau) -> S(tau) for a stage row: start from the last
+    """Generate the s_entries of a stage row: start from the last
     stage's matrix and right-multiply by each earlier one, as
     Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0 terms stay,
     because they decide signed zeros, infinities and NaNs."""
@@ -196,11 +201,32 @@ def _new_stage_product(stages):
             (_KICK_LINES if move is KICK else _DRIFT_LINES).format(c=c)
             for move, c in stages[-2::-1]
         ),
-        "    return _tuple_new(Mat2, (m11, m12, m21, m22))",
+        "    return _tuple_new(Mat2, (m11, m12, m21, m22)), None, False",
     ]
     return ex.define(
         "\n".join(lines), "_stage_product", (), Mat2=Mat2, _tuple_new=_tuple_new
     )
+
+
+def _cayley(a: Mat2, tau):
+    """The implicit midpoint row's s_entries: (I - B)^-1 (I + B), B = tau A / 2."""
+    h = 0.5 * tau
+    b11, b12, b21, b22 = h * a.a11, h * a.a12, h * a.a21, h * a.a22
+    d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
+    det = d11 * d22 - d12 * d21
+    singular = det <= DECISION_TOL * (
+        1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
+    )
+    if singular is True:
+        return None, det, True
+    i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
+    p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
+    return _tuple_new(Mat2, (
+        i11 * p11 + i12 * p21,
+        i11 * p12 + i12 * p22,
+        i21 * p11 + i22 * p21,
+        i21 * p12 + i22 * p22,
+    )), det, singular
 
 
 class Scheme(enum.Enum):
@@ -221,8 +247,8 @@ class Scheme(enum.Enum):
         scheme.classes = classes  # frozenset of SystemClass
         scheme.stages = stages  # empty for the implicit midpoint rule
         scheme.template = _stage_step(stages) if stages else _MIDPOINT
-        # (a, tau) -> S(tau) as a Mat2; an explicit row only
-        scheme.stage_product = _new_stage_product(stages) if stages else None
+        # (a, tau) -> (S(tau), Cayley det, singular)
+        scheme.s_entries = _new_stage_product(stages) if stages else _cayley
         return scheme
 
     def applicable_to(self, sys: HamiltonianSystem) -> bool:
@@ -334,7 +360,7 @@ def shaped_propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
     checks, S(tau), SingularCayley and the unimodularity guard."""
     if not 0.0 < tau < math.inf:
         raise step_size_error(tau)
-    s, det, singular = s_entries(scheme, a, tau)
+    s, det, singular = scheme.s_entries(a, tau)
     if singular:
         raise SingularCayley(
             f"Cayley denominator determinant {det!r} at tau={tau!r}"
@@ -343,43 +369,6 @@ def shaped_propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
     if lost:
         raise AssertionError(f"propagator lost unimodularity: det={det!r}")
     return s
-
-
-def s_entries(scheme: Scheme, a: Mat2, tau):
-    """The entries of S(tau), unguarded, for a float or an ndarray of taus.
-
-    Returns ``(s, det, singular)``: S as a Mat2 (of arrays for an array
-    of taus), the Cayley denominator determinant and whether it counts as
-    singular (``None`` and ``False`` for the explicit schemes).  The
-    arithmetic is the same on floats and on arrays, so both give the same
-    bits.  A singular float tau returns no entries, because float division
-    by a zero determinant raises; array rows are divided anyway, and the
-    caller masks them.
-    """
-    if not scheme.stages:
-        return _cayley(a, tau)
-    return scheme.stage_product(a, tau), None, False
-
-
-def _cayley(a: Mat2, tau):
-    """(I - B)^-1 (I + B) with B = (tau/2) A, in the form of s_entries."""
-    h = 0.5 * tau
-    b11, b12, b21, b22 = h * a.a11, h * a.a12, h * a.a21, h * a.a22
-    d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
-    det = d11 * d22 - d12 * d21
-    singular = det <= DECISION_TOL * (
-        1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
-    )
-    if singular is True:
-        return None, det, True
-    i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
-    p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
-    return _tuple_new(Mat2, (
-        i11 * p11 + i12 * p21,
-        i11 * p12 + i12 * p22,
-        i21 * p11 + i22 * p21,
-        i21 * p12 + i22 * p22,
-    )), det, singular
 
 
 # ---------------------------------------------------------------------------

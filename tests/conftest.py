@@ -2,8 +2,8 @@
 random expression trees, finite differences, per-class reference formulas
 for the systems' compiled accessors, and the generic references for the
 generated kernels: the step of schemes.step, the stage product S(tau) of
-schemes.s_entries and the damped Newton root of find_equilibria; and the
-orbit loop of orbit.simulate, on the reference step."""
+a stage row's s_entries and the damped Newton root of find_equilibria; and
+the orbit loop of orbit.simulate, on the reference step."""
 
 import functools
 import math

@@ -443,7 +443,7 @@ def test_non_finite_or_non_positive_tau_is_rejected(tau):
     for scheme in Scheme:
         with pytest.raises(ValueError, match=f"step size must be {message}"):
             propagator(scheme, a, tau)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"step size must be {message}"):
             verdict_grid(scheme, a, [0.5, tau])
         # step checks tau before it builds or looks up a kernel
         with pytest.raises(ValueError, match=f"step size must be {message}"):
@@ -490,10 +490,11 @@ def test_tau_max_rejects_wrong_shapes():
     eq = _eq_from_matrix(Mat2(1.0, 0.5, 0.5, -1.0))
     with pytest.raises(NotApplicable):
         tau_max(Scheme.EULER_B, eq)
-    a = Mat2(0.0, -1.0, 2.0, 0.0)  # separable but not newtonian-normalized
-    with pytest.raises(NotApplicable):
-        tau_max_from_matrix(Scheme.STORMER_VERLET, a)
-    assert tau_max_from_matrix(Scheme.EULER_B, a).value == 2.0 / math.sqrt(2.0)
+    # separable with a21 != 1: require_shape passes it for every stage row,
+    # as propagator and the bisection do
+    a = Mat2(0.0, -1.0, 2.0, 0.0)
+    for scheme in (Scheme.EULER_B, Scheme.YOSHIDA2, Scheme.STORMER_VERLET):
+        assert tau_max_from_matrix(scheme, a).value == 2.0 / math.sqrt(2.0)
     # not trace-free: every row rejects it, as propagator does
     a = Mat2(1.0, -2.0, 1.0, 1.0)
     with pytest.raises(NotTraceFree):
@@ -555,6 +556,24 @@ def test_closed_form_equals_empirical_across_catalog():
                     assert math.isinf(emp), (name, scheme.value)
                 else:
                     assert abs(closed - emp) <= 1e-5, (name, scheme.value)
+
+
+_OFF_DIAGONAL = st.floats(0.1, 10.0).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(tuple(Scheme)), _OFF_DIAGONAL, _OFF_DIAGONAL)
+def test_closed_form_equals_empirical_at_every_separable_a(scheme, b, c):
+    # the closed form and the bisection read one applicability rule,
+    # require_shape, so they agree at every A = [[0, b], [c, 0]], also where
+    # the limit lies above tau_hi and |det A| is small
+    a = Mat2(0.0, b, c, 0.0)
+    closed = tau_max_from_matrix(scheme, a).value
+    emp = empirical_tau_max(scheme, _eq_from_matrix(a))
+    if math.isinf(closed):
+        assert math.isinf(emp), (scheme, a, emp)
+    else:
+        assert abs(closed - emp) <= 1e-5, (scheme, a, closed, emp)
 
 
 def test_transition_above_requested_bracket():

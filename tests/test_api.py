@@ -1,7 +1,10 @@
 """The public API, pinned: the parameters of every function and exception
-class the package exports.  Adding a knob or removing a parameter changes a
-line here, so the change shows up as a reviewed test diff."""
+class the package exports, and the fields of every record (named tuple or
+dataclass) it exports.  Adding a knob or a field, or removing a parameter
+or a field, changes a line here, so the change shows up as a reviewed test
+diff."""
 
+import dataclasses
 import inspect
 
 import symbound
@@ -48,6 +51,26 @@ SIGNATURES = {
     "to_string": "(expr)",
 }
 
+FIELDS = {
+    "Bounded": "(n_steps, max_radius)",
+    "BoundedSubspace": "(dim, basis, whole_space)",
+    "BoundednessResult": "(bounded, reason)",
+    "Equilibrium": "(point, a, kind, residual, continuum_suspected)",
+    "ErrorModel": "(s, eta, y0)",
+    "Escaped": "(step, radius)",
+    "Expr": "()",
+    "LeftDomain": "(step, reason)",
+    "Mat2": "(a11, a12, a21, a22)",
+    "OrbitTrace": "(initial, scheme, tau, steps, states, verdict)",
+    "PreservationReport": "(system, scheme, taus, entries)",
+    "PreservationVerdict": (
+        "(case, condition_holds, marginal, dim_b_a, dim_b_s, containment)"
+    ),
+    "SolverFailed": "(step)",
+    "State": "(p, q)",
+    "TauLimit": "(value, singular)",
+}
+
 
 def _parameters(obj) -> str:
     """The signature less its annotations; an exception class that keeps
@@ -71,3 +94,23 @@ def test_exported_signatures_are_pinned():
         )
     }
     assert exported == SIGNATURES
+
+
+def _fields(cls) -> str | None:
+    """The field names of a dataclass or a named tuple, else None."""
+    if dataclasses.is_dataclass(cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+    elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        names = list(cls._fields)
+    else:
+        return None
+    return f"({', '.join(names)})"
+
+
+def test_exported_record_fields_are_pinned():
+    exported = {
+        name: _fields(obj)
+        for name, obj in vars(symbound).items()
+        if not name.startswith("_") and inspect.isclass(obj)
+    }
+    assert {k: v for k, v in exported.items() if v is not None} == FIELDS

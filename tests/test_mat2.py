@@ -59,6 +59,22 @@ def test_normalized_sign_convention():
         normalized((0.0, 0.0))
 
 
+def test_sum_and_scalar_product_raise_type_error():
+    # the tuple would concatenate or repeat; Mat2 names scale and the
+    # entrywise spelling instead
+    m = Mat2(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(TypeError, match="entries one by one"):
+        m + m
+    with pytest.raises(TypeError, match="entries one by one"):
+        (1.0, 2.0) + m
+    with pytest.raises(TypeError, match="scale"):
+        m * 2
+    with pytest.raises(TypeError, match="scale"):
+        2.0 * m
+    # unpacking and rebuilding the entries are unaffected
+    assert tuple(m) == (1.0, 2.0, 3.0, 4.0) and (*m, 5.0)[4] == 5.0
+
+
 def test_immutable_hashable_and_equal_by_entries():
     m = Mat2(1.0, 2.0, 3.0, 4.0)
     with pytest.raises(AttributeError):

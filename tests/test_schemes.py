@@ -20,7 +20,6 @@ from symbound.schemes import (
     explicit_euler_defect,
     propagator,
     require_shape,
-    s_entries,
     scheme_from_name,
     step,
     symplecticity_defect,
@@ -349,7 +348,7 @@ def test_propagator_is_bitwise_the_stage_product():
                     # as is
                     with pytest.raises(ValueError):
                         propagator(scheme, a, tau)
-                    got, _, singular = s_entries(scheme, a, tau)
+                    got, _, singular = scheme.s_entries(a, tau)
                     if singular:  # only a non-finite A makes it singular here
                         assert not finite_a
                         continue
@@ -370,15 +369,15 @@ _ENTRY = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
     st.lists(_ENTRY, min_size=1, max_size=8),
 )
 def test_generated_stage_product_is_the_reference_fold(scheme, a, tau, taus):
-    # the S(tau) that s_entries runs, for a float and an ndarray tau, bit for
-    # bit the generic fold of the row's stages, on any entries and any tau
+    # the row's s_entries, for a float and an ndarray tau, bit for bit the
+    # generic fold of the row's stages, on any entries and any tau
     a = Mat2(*a)
-    got, _, _ = s_entries(scheme, a, tau)
+    got, _, _ = scheme.s_entries(a, tau)
     want = reference_stage_product(scheme.stages, a, tau)
     assert all(map(same_float, got, want)), (scheme, a, tau, got, want)
     taus = np.array(taus)
     with np.errstate(all="ignore"):
-        got, _, _ = s_entries(scheme, a, taus)
+        got, _, _ = scheme.s_entries(a, taus)
         want = reference_stage_product(scheme.stages, a, taus)
     for g, w in zip(got, want):
         g, w = (np.broadcast_to(x, taus.shape).tolist() for x in (g, w))
