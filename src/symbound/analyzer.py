@@ -334,10 +334,6 @@ def find_transition(predicate, tau_hi: float, tol: float) -> float:
         raise InconsistentPredicate(
             "predicate is not monotone in tau on the scanned grid"
         )
-    if first_false == 0:
-        raise InconsistentPredicate(
-            "predicate already fails at the smallest scanned tau"
-        )
     transition = bisect_transition(
         predicate, grid[first_false - 1], grid[first_false], tol
     )

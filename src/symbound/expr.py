@@ -10,6 +10,10 @@ Grammar, tightest binding first:
 
 Known functions: sin cos tan exp log sqrt sinh cosh tanh abs.
 
+Two tables define the language: _BINARY, one row per binary operator (how
+to_string prints it and the source emit writes for it), and _FUNCS, one
+row per function (its guarded value and its derivative rule).
+
 compile_expr evaluates in IEEE double precision with real-valued
 semantics: log and sqrt of non-positive/negative arguments, division by
 zero, zero to a negative power and a negative base to a fractional or
@@ -26,7 +30,9 @@ be shared freely across threads.
 import functools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ExprError(Exception):
@@ -123,11 +129,6 @@ class Func(Expr):
     arg: Expr
 
 
-FUNCTIONS = frozenset(
-    {"sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "abs"}
-)
-
-
 # ---------------------------------------------------------------------------
 # Guarded numeric kernels, shared by compiled code and constant folding so
 # both produce bit-identical results.
@@ -188,18 +189,50 @@ def _cosh(x: float) -> float:
         return math.inf
 
 
-_FUNC_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": _exp,
-    "log": _log,
-    "sqrt": _sqrt,
-    "sinh": _sinh,
-    "cosh": _cosh,
-    "tanh": math.tanh,
-    "abs": math.fabs,
+# ---------------------------------------------------------------------------
+# The two tables.  to_string prints a node bare where its precedence is at
+# least the one its context asks for, and in parentheses otherwise.
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+class _Binary(NamedTuple):
+    text: str  # the operator to_string prints between the operands
+    prec: int  # the node's own precedence
+    left: int  # the least precedence each operand prints bare at
+    right: int
+    source: str  # what emit writes, formatted with the operands' sources
+
+
+_BINARY = {
+    Add: _Binary(" + ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1, "({} + {})"),
+    Sub: _Binary(" - ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1, "({} - {})"),
+    Mul: _Binary(" * ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1, "({} * {})"),
+    Div: _Binary(" / ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1, "_div({}, {})"),
+    Pow: _Binary("^", _PREC_POW, _PREC_ATOM, _PREC_NEG, "_pow({}, {})"),
 }
+
+
+class _Function(NamedTuple):
+    value: Callable[[float], float]  # the guarded kernel, emitted as _f_<name>
+    derivative: Callable[[Expr, Expr], Expr] | None  # (u, du) -> d f(u), if any
+
+
+_FUNCS = {
+    "sin": _Function(math.sin, lambda u, du: Mul(Func("cos", u), du)),
+    "cos": _Function(math.cos, lambda u, du: Mul(Neg(Func("sin", u)), du)),
+    "tan": _Function(math.tan, lambda u, du: Mul(
+        Div(Const(1.0), Pow(Func("cos", u), Const(2.0))), du)),
+    "exp": _Function(_exp, lambda u, du: Mul(Func("exp", u), du)),
+    "log": _Function(_log, lambda u, du: Div(du, u)),
+    "sqrt": _Function(_sqrt, lambda u, du: Div(du, Mul(Const(2.0), Func("sqrt", u)))),
+    "sinh": _Function(_sinh, lambda u, du: Mul(Func("cosh", u), du)),
+    "cosh": _Function(_cosh, lambda u, du: Mul(Func("sinh", u), du)),
+    "tanh": _Function(math.tanh, lambda u, du: Mul(
+        Div(Const(1.0), Pow(Func("cosh", u), Const(2.0))), du)),
+    "abs": _Function(math.fabs, None),
+}
+FUNCTIONS = frozenset(_FUNCS)
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +403,12 @@ def variables(expr: Expr) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Differentiation
 
-_DIFF_TABLE = {
-    # outer derivative of f(u) as a function of u; chain factor applied below
-    "sin": lambda u: Func("cos", u),
-    "cos": lambda u: Neg(Func("sin", u)),
-    "tan": lambda u: Div(Const(1.0), Pow(Func("cos", u), Const(2.0))),
-    "exp": lambda u: Func("exp", u),
-    "sinh": lambda u: Func("cosh", u),
-    "cosh": lambda u: Func("sinh", u),
-    "tanh": lambda u: Div(Const(1.0), Pow(Func("cosh", u), Const(2.0))),
-}
-
-
 def differentiate(expr: Expr, var: str) -> Expr:
     """Exact symbolic derivative with respect to ``var``.
 
     The result uses only the node kinds above, so it can be differentiated
-    again for second derivatives.  ``abs`` is rejected.
+    again for second derivatives.  A function whose row has no derivative
+    rule (``abs``) raises NonDifferentiableNode.
     """
     match expr:
         case Const():
@@ -395,10 +417,8 @@ def differentiate(expr: Expr, var: str) -> Expr:
             return Const(1.0 if name == var else 0.0)
         case Neg(arg):
             return Neg(differentiate(arg, var))
-        case Add(left, right):
-            return Add(differentiate(left, var), differentiate(right, var))
-        case Sub(left, right):
-            return Sub(differentiate(left, var), differentiate(right, var))
+        case Add(left, right) | Sub(left, right):
+            return type(expr)(differentiate(left, var), differentiate(right, var))
         case Mul(left, right):
             return Add(
                 Mul(differentiate(left, var), right),
@@ -429,16 +449,11 @@ def differentiate(expr: Expr, var: str) -> Expr:
                     Div(Mul(exponent, differentiate(base, var)), base),
                 ),
             )
-        case Func("abs", _):
-            raise NonDifferentiableNode("abs is not differentiable")
-        case Func("log", arg):
-            return Div(differentiate(arg, var), arg)
-        case Func("sqrt", arg):
-            return Div(
-                differentiate(arg, var), Mul(Const(2.0), Func("sqrt", arg))
-            )
         case Func(name, arg):
-            return Mul(_DIFF_TABLE[name](arg), differentiate(arg, var))
+            derivative = _FUNCS[name].derivative
+            if derivative is None:
+                raise NonDifferentiableNode(f"{name} is not differentiable")
+            return derivative(arg, differentiate(arg, var))
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -528,7 +543,7 @@ def simplify(expr: Expr) -> Expr:
             return _fold(Pow(b, e), _pow, b, e)
         case Func(name, arg):
             a = simplify(arg)
-            return _fold(Func(name, a), _FUNC_IMPL[name], a)
+            return _fold(Func(name, a), _FUNCS[name].value, a)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -536,55 +551,24 @@ def simplify(expr: Expr) -> Expr:
 # Printing.  Parenthesization preserves the exact grouping of the tree so
 # that parse(to_string(e)) evaluates bit-identically to e.
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
-def _prec(e: Expr) -> int:
-    match e:
-        case Const(value):
-            # the sign bit, not value < 0: -0.0 also prints with a leading minus
-            return _PREC_NEG if math.copysign(1.0, value) < 0 else _PREC_ATOM
-        case Var() | Func():
-            return _PREC_ATOM
-        case Pow():
-            return _PREC_POW
-        case Neg():
-            return _PREC_NEG
-        case Mul() | Div():
-            return _PREC_MUL
-        case _:
-            return _PREC_ADD
-
-
 def _fmt(e: Expr, min_prec: int) -> str:
     match e:
         case Const(value):
             s = repr(value)
+            # the sign bit, not value < 0: -0.0 also prints with a leading minus
+            prec = _PREC_NEG if math.copysign(1.0, value) < 0 else _PREC_ATOM
         case Var(name):
-            s = name
-        case Neg(arg):
-            s = "-" + _fmt(arg, _PREC_NEG)
-        case Add(l, r):
-            s = f"{_fmt(l, _PREC_ADD)} + {_fmt(r, _PREC_ADD + 1)}"
-        case Sub(l, r):
-            s = f"{_fmt(l, _PREC_ADD)} - {_fmt(r, _PREC_ADD + 1)}"
-        case Mul(l, r):
-            s = f"{_fmt(l, _PREC_MUL)} * {_fmt(r, _PREC_MUL + 1)}"
-        case Div(l, r):
-            s = f"{_fmt(l, _PREC_MUL)} / {_fmt(r, _PREC_MUL + 1)}"
-        case Pow(b, x):
-            s = f"{_fmt(b, _PREC_ATOM)}^{_fmt(x, _PREC_NEG)}"
+            return name
         case Func(name, arg):
             return f"{name}({_fmt(arg, 0)})"
+        case Neg(arg):
+            s, prec = "-" + _fmt(arg, _PREC_NEG), _PREC_NEG
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
+            row = _BINARY[type(e)]
+            s, prec = _fmt(l, row.left) + row.text + _fmt(r, row.right), row.prec
         case _:
             raise TypeError(f"not an expression node: {e!r}")
-    if _prec(e) < min_prec:
-        return f"({s})"
-    return s
+    return f"({s})" if prec < min_prec else s
 
 
 def to_string(expr: Expr) -> str:
@@ -604,7 +588,7 @@ def to_string(expr: Expr) -> str:
 _CODE_CACHE_SIZE = 256  # distinct sources kept compiled
 
 _KERNELS = {"_div": _div, "_pow": _pow}
-_KERNELS.update({f"_f_{name}": fn for name, fn in _FUNC_IMPL.items()})
+_KERNELS.update({f"_f_{name}": row.value for name, row in _FUNCS.items()})
 
 
 def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
@@ -619,16 +603,9 @@ def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
             return name
         case Neg(arg):
             return f"(-{emit(arg, consts, slot)})"
-        case Add(l, r):
-            return f"({emit(l, consts, slot)} + {emit(r, consts, slot)})"
-        case Sub(l, r):
-            return f"({emit(l, consts, slot)} - {emit(r, consts, slot)})"
-        case Mul(l, r):
-            return f"({emit(l, consts, slot)} * {emit(r, consts, slot)})"
-        case Div(l, r):
-            return f"_div({emit(l, consts, slot)}, {emit(r, consts, slot)})"
-        case Pow(b, x):
-            return f"_pow({emit(b, consts, slot)}, {emit(x, consts, slot)})"
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
+            left = emit(l, consts, slot)  # first, so consts keeps tree order
+            return _BINARY[type(expr)].source.format(left, emit(r, consts, slot))
         case Func(name, arg):
             return f"_f_{name}({emit(arg, consts, slot)})"
     raise TypeError(f"not an expression node: {expr!r}")

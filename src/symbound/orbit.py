@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .expr import DomainError
 from .schemes import ImplicitSolveFailed, Scheme, step, step_size_error
-from .systems import HamiltonianSystem, State
+from .systems import HamiltonianSystem, NotApplicable, State
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,23 @@ def simulate(
     return OrbitTrace(x0, scheme, tau, steps, states, Bounded(n_max, max_radius))
 
 
+def _energy_cells(sys: HamiltonianSystem, states: list[State]) -> list[str]:
+    """repr(H) of each state; blank throughout for a newtonian system, which
+    has no H, and blank at a state where H leaves its domain."""
+    cells = []
+    for x in states:
+        try:
+            cells.append(repr(sys.energy(x)))
+        except NotApplicable:
+            return ["" for _ in states]
+        except (DomainError, ValueError):  # e.g. cos(inf) at an escaped state
+            cells.append("")
+    return cells
+
+
 def orbit_to_csv(sys: HamiltonianSystem, trace: OrbitTrace) -> str:
-    """CSV with columns step,p,q,H; H is left blank when not evaluable."""
-    try:
-        energies = [repr(sys.energy(s)) for s in trace.states]
-    except Exception:  # newtonian systems
-        energies = ["" for _ in trace.states]
+    """CSV with columns step,p,q,H; see _energy_cells for a blank H."""
+    energies = _energy_cells(sys, trace.states)
     verdict = trace.verdict
     if isinstance(verdict, Bounded):
         summary = f"bounded n_steps={verdict.n_steps} max_radius={verdict.max_radius!r}"

@@ -61,7 +61,7 @@ def evaluate(expr: ex.Expr, bindings: dict[str, float]) -> float:
         case ex.Pow(base, exponent):
             return ex._pow(evaluate(base, bindings), evaluate(exponent, bindings))
         case ex.Func(name, arg):
-            return ex._FUNC_IMPL[name](evaluate(arg, bindings))
+            return ex._FUNCS[name].value(evaluate(arg, bindings))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

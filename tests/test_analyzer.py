@@ -10,7 +10,11 @@ from symbound import catalog
 from symbound.analyzer import (
     TAU_HI_MAX,
     TAU_HI_MIN,
+    CSV_HEADER,
     ContainmentNote,
+    EquilibriumReport,
+    PreservationReport,
+    TauRow,
     bisect_transition,
     InconsistentPredicate,
     NotUnimodular,
@@ -39,7 +43,13 @@ from symbound.schemes import (
     propagator,
     step,
 )
-from symbound.systems import Equilibrium, NotTraceFree, State, find_equilibria
+from symbound.systems import (
+    Equilibrium,
+    EquilibriumKind,
+    NotTraceFree,
+    State,
+    find_equilibria,
+)
 from symbound.verify import catalog_equilibria
 
 from conftest import outcome_type
@@ -613,6 +623,32 @@ def test_inconsistent_predicate_is_reported():
         find_transition(lambda t: False, tau_hi=4.0, tol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "predicate, message",
+    [
+        (lambda t: t < 0.5 or 1.5 < t < 2.0,
+         "predicate is not monotone in tau on the scanned grid"),
+        # failing at the smallest scanned tau and holding above it is the
+        # same pattern: a false before a true on the grid
+        (lambda t: 1e-7 < t < 1.0,
+         "predicate is not monotone in tau on the scanned grid"),
+        (lambda t: t < 1.0 and not 6e-5 < t < 1e-4,
+         "predicate fails at tau=9.220574808913482e-05 below the transition "
+         "0.9999998710311131"),
+        (lambda t: t < 1.0 or 2.0 < t < 3.0,
+         "predicate holds at tau=2.0909153724743446 above the transition "
+         "0.9999998710311131"),
+        (lambda t: False,
+         "predicate fails for every scanned tau; no preserving range found"),
+    ],
+    ids=["grid", "smallest", "below", "above", "never"],
+)
+def test_each_inconsistent_pattern_names_its_failure(predicate, message):
+    with pytest.raises(InconsistentPredicate) as info:
+        find_transition(predicate, tau_hi=4.0, tol=1e-6)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # fixed points of the schemes at equilibria
 
@@ -696,6 +732,23 @@ def test_report_csv_shape():
     assert second[7] == "false"
     text = report_to_text(report)
     assert "tau_max closed-form = 2.0" in text
+
+
+def test_an_entry_error_is_a_comment_and_its_rows_have_no_limit():
+    a = Mat2(0.0, -1.0, 1.0, 0.0)
+    eq = Equilibrium(State(0.0, 0.5), a, EquilibriumKind.CENTER, 0.0)
+    row = TauRow(0.5, 2.0, check_preservation(a, propagator(Scheme.EULER_B, a, 0.5)), True)
+    entry = EquilibriumReport(eq, None, None, [row], error="NotApplicable: no limit")
+    report = PreservationReport("H = test", Scheme.EULER_B, [0.5], [entry])
+    assert report_to_csv(report).splitlines()[4:] == [
+        CSV_HEADER,
+        "# p0=0.0 q0=0.5 error: NotApplicable: no limit",
+        "0.0,0.5,1,1.0,2.0,2,2,true,nan,nan",
+    ]
+    assert report_to_text(report).splitlines()[1:3] == [
+        "  equilibrium (p=0, q=0.5)  kind=center  detA=1  residual=0.00e+00",
+        "    NotApplicable: no limit",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -458,6 +458,17 @@ def test_simulate_writes_orbit_files(tmp_path, capsys):
     assert "Bounded" in capsys.readouterr().out
 
 
+def test_simulate_without_tau_runs_the_sweep_grid(tmp_path, capsys):
+    text = HARMONIC_SWEEP.replace("tau = 1.0\n", "").replace("tau_count = 40", "tau_count = 2")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.glob("orbit_*.csv")) == [
+        "orbit_euler-b_t0_eq0_off0.csv", "orbit_euler-b_t1_eq0_off0.csv"
+    ]
+    stdout = capsys.readouterr().out
+    assert "t0_eq0_off0.csv: tau=0.1 " in stdout and "t1_eq0_off0.csv: tau=4.0 " in stdout
+
+
 def test_simulate_rejects_escape_radius_inside_initial_point(tmp_path, capsys):
     text = HARMONIC_SWEEP.replace("escape_r = 1000.0", "escape_r = 0.0005")
     cfg = _write(tmp_path, text)
@@ -474,6 +485,24 @@ def test_simulate_escape_is_a_result_not_an_error(tmp_path, capsys):
     assert "Escaped" in stdout
     text = (out / "orbit_euler-b_t0_eq0_off0.csv").read_text()
     assert text.splitlines()[0].startswith("# verdict(heuristic) = escaped")
+
+
+def test_one_state_outside_the_energy_domain_blanks_only_its_h(tmp_path):
+    # escape_r = inf lets the orbit reach (inf, inf), where cos(inf) raises
+    # ValueError; every other state keeps its H
+    text = (
+        "[system]\nclass = separable\nt = p^2/2\nv = q^2/2 - cos(q)\n\n"
+        "[run]\nschemes = euler-b\ntau = 3.0\n\n"
+        "[simulate]\nescape_r = inf\noffsets = 0.0, 0.1\n"
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "orbit_euler-b_t0_eq0_off0.csv").read_text().splitlines()
+    assert lines[0] == "# verdict(heuristic) = escaped step=370 radius=inf"
+    assert lines[3] == "0,0.0,0.1,-0.9900041652780258"
+    assert lines[-2] == "360,1.594549411184441e+300,4.174584555221999e+300,inf"
+    assert lines[-1] == "370,inf,inf,"
+    assert all(line.split(",")[3] for line in lines[3:-1])
 
 
 def test_analyze_stops_newton_at_an_infinite_jacobian(tmp_path):
@@ -571,6 +600,17 @@ steps = 0, 1, 6
     assert n6[5] == "bounded"
 
 
+def test_errordemo_with_a_singular_resolvent_writes_nan_closed_forms(tmp_path):
+    # S - I = [[0, 1], [0, 0]] has no inverse: no closed form, no verdict
+    text = "[error]\ns = 1, 1, 0, 1\neta = 0.01, 0\ny0 = 0, 0\nsteps = 0, 5\n"
+    cfg, out = _write(tmp_path, text), tmp_path / "out"
+    assert main(["errordemo", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (out / "errordemo.csv").read_text().splitlines()[1:] == [
+        "0,0.0,0.0,nan,nan,singular-resolvent",
+        "5,0.05,0.0,nan,nan,singular-resolvent",
+    ]
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 1
     assert "needs --config" in capsys.readouterr().err
@@ -581,6 +621,24 @@ def test_config_error_reports_file_and_line(tmp_path, capsys):
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "bogus" in err and "run.cfg:" in err
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        (PENDULUM_NH + "[run]\n", ":15", "duplicate section [run]"),
+        (PENDULUM_NH.replace("grid = 16", "grid 16"), ":14", "expected key = value"),
+        (PENDULUM_NH.replace("class = newtonian\n", ""), "", "[system] needs a class key"),
+        (None, "", "No such file or directory"),
+    ],
+    ids=["duplicate-section", "no-equals", "no-class", "no-file"],
+)
+def test_malformed_config_files_are_config_errors(tmp_path, capsys, text, where, message):
+    cfg = _write(tmp_path, text) if text is not None else str(tmp_path / "absent.cfg")
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}{where}: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_expression_error_reports_file_and_offset(tmp_path, capsys):

@@ -254,6 +254,12 @@ def test_log_sweep_grid():
     assert taus[2] == pytest.approx(10.0)
 
 
+def test_a_one_point_sweep_grid_is_its_lower_end():
+    cfg = parse_config("[run]\ntau_lo = 0.5\ntau_hi = 2.0\ntau_count = 1\n")
+    assert cfg.sweep.taus() == [0.5]
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_default_config_serializes():
     text = serialize_config(RunConfig())
     cfg = parse_config(text)

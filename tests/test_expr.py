@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,17 @@ def test_parse_errors_carry_positions():
         parse("   ")
     with pytest.raises(UnexpectedToken):
         parse("p @ q")
+
+
+def test_unary_plus_is_dropped():
+    assert parse("+q") == parse("++q") == Var("q")
+    assert parse("-+q") == Neg(Var("q"))
+
+
+def test_input_ending_after_an_operator():
+    with pytest.raises(UnexpectedToken, match="unexpected end of input") as err:
+        parse("q +")
+    assert err.value.position == 3
 
 
 # each of depth n: the tree's height, with a parenthesised group as a level
@@ -224,6 +236,12 @@ def test_simplify_identities():
     assert simplify(Neg(Neg(q))) == q
 
 
+def test_simplify_leaves_what_does_not_fold():
+    # a domain error or an overflow stays in the tree, for evaluation to meet
+    for text in ("1/0", "exp(1000)", "log(0)"):
+        assert simplify(parse(text)) == parse(text)
+
+
 def test_simplify_preserves_semantics_bulk():
     rng = np.random.default_rng(11)
     checked = 0
@@ -311,6 +329,32 @@ def test_negative_zero_power_base_keeps_its_parentheses():
 
 
 # ---------------------------------------------------------------------------
+# the function table
+
+@pytest.mark.parametrize("name", sorted(ex.FUNCTIONS))
+def test_every_function_has_a_value_a_kernel_and_a_derivative_rule(name):
+    row = ex._FUNCS[name]
+    assert ex._KERNELS[f"_f_{name}"] is row.value
+    tree = Func(name, Mul(Const(0.5), Var("x")))
+    assert _run(to_string(tree), x=0.7) == row.value(0.35)
+    try:
+        d = differentiate(tree, "x")
+    except NonDifferentiableNode as err:
+        assert row.derivative is None and str(err) == f"{name} is not differentiable"
+        return
+    exact = evaluate(d, {"x": 0.7})
+    assert abs(exact - central_diff(tree, {"x": 0.7}, "x")) <= 1e-6 * (1.0 + abs(exact))
+
+
+def test_the_documented_functions_are_the_table():
+    (known,) = re.findall(r"^Known functions: (.*)\.$", ex.__doc__, re.MULTILINE)
+    readme = (Path(ex.__file__).parents[2] / "README.md").read_text()
+    (listed,) = re.findall(r"the usual arithmetic, and `([^`]*)`", readme)
+    assert set(known.split()) == set(listed.split()) == ex.FUNCTIONS
+    assert len(known.split()) == len(listed.split()) == len(ex.FUNCTIONS)
+
+
+# ---------------------------------------------------------------------------
 # compiled evaluation
 
 def test_compiled_matches_tree_eval_bitwise():
@@ -361,3 +405,27 @@ def test_define_is_the_only_generated_code_path():
             and ONLY_CALLER.get(node.func.id, path.name) != path.name
         ]
         assert calls == [], (path.name, calls)
+
+
+def _broad_handlers(tree: ast.AST):
+    """The except clauses of tree that catch everything: bare, Exception or
+    BaseException, alone or in a tuple."""
+    broad = {"Exception", "BaseException"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or (isinstance(t, ast.Name) and t.id in broad) for t in types):
+                yield node
+
+
+def test_every_broad_except_states_its_reason():
+    # a handler that catches everything hides the faults it was not written for
+    src = Path(ex.__file__).parent
+    unmarked = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in _broad_handlers(ast.parse(text, str(path))):
+            if not re.search(r"# noqa: BLE001 - \S", lines[node.lineno - 1]):
+                unmarked.append(f"{path.name}:{node.lineno}")
+    assert unmarked == []
