@@ -31,15 +31,14 @@ arrays of S entries.  check_preservation applies it and also builds both
 bounded subspaces; verdict_grid applies it to a whole tau grid at once; the
 bisection's predicate computes only the verdict: it checks A's shape and
 classifies A once per limit, then runs only S(tau) and the test for each
-tau, building no subspace.
+tau, building no subspace.  Only verdict_grid works on arrays, so only it
+imports numpy; the scalar paths start without it.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .mat2 import DECISION_TOL, Mat2, Vec2, eigenvector, normalized, unimodularity_lost
 from .schemes import (
@@ -184,9 +183,9 @@ def check_preservation(a: Mat2, s: Mat2) -> PreservationVerdict:
 
 
 class VerdictGrid(NamedTuple):
-    trace: np.ndarray  # tr S per tau; NaN where the Cayley form is singular
-    holds: np.ndarray  # condition_holds per tau; False where singular
-    singular: np.ndarray  # the rows where propagator raises SingularCayley
+    trace: "np.ndarray"  # tr S per tau; NaN where the Cayley form is singular
+    holds: "np.ndarray"  # condition_holds per tau; False where singular
+    singular: "np.ndarray"  # the rows where propagator raises SingularCayley
 
 
 def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
@@ -200,6 +199,8 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
     raises (ValueError, NonFiniteLinearization, ShapeMismatch,
     AssertionError); the bounded subspaces are not computed.
     """
+    import numpy as np
+
     taus = np.asarray(taus, dtype=float)
     valid = (taus > 0.0) & (taus < math.inf)
     if not valid.all():
@@ -252,6 +253,8 @@ def _max_norm(a, b, c, d):
 def _max_abs(first, *rest):
     """Mat2.max_norm over arrays: Python's max keeps a NaN only in first
     place, where np.maximum would propagate any NaN."""
+    import numpy as np
+
     out = abs(first)
     for x in rest:
         x = abs(x)

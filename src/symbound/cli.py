@@ -15,7 +15,6 @@ import os
 import sys as _sys
 from pathlib import Path
 
-from . import verify as verify_mod
 from .analyzer import (
     InconsistentPredicate,
     empirical_tau_max,
@@ -359,7 +358,9 @@ def cmd_errordemo(ctx: _Ctx) -> int:
 
 
 def cmd_verify(ctx: _Ctx) -> int:
-    results = verify_mod.run_all(ctx.seed)
+    from . import verify
+
+    results = verify.run_all(ctx.seed)
     lines = [f"verify seed={ctx.seed}"]
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name:<24} {r.detail}")

@@ -320,7 +320,7 @@ def load_config(path) -> RunConfig:
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as err:
-        raise ConfigError(str(err), str(path))
+        raise ConfigError(err.strerror or str(err), str(path))
     return parse_config(text, str(path))
 
 

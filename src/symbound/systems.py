@@ -16,7 +16,8 @@ Jacobian and the generated kernels are built from the same set for every
 class.  HamiltonianSystem.kernel turns a template of the derivative texts
 into a kernel and caches it on the system, the only state a system changes
 after construction; a race on the cache only builds one kernel twice, so
-systems are safe to share between threads.
+systems are safe to share between threads.  numpy is imported only by the
+Newton search's least-squares step at a singular Jacobian.
 """
 
 import enum
@@ -24,8 +25,6 @@ import math
 import string
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from . import expr as ex
 from .mat2 import DECISION_TOL, Mat2
@@ -312,6 +311,8 @@ def _least_squares_step(a11, a12, a21, a22, f0, f1):
     # x * 0.0 is 0.0 for every finite x and NaN for an infinity or a NaN
     if not a11 * 0.0 + a12 * 0.0 + a21 * 0.0 + a22 * 0.0 + f0 * 0.0 + f1 * 0.0 == 0.0:
         return None
+    import numpy as np
+
     jm = np.array([[a11, a12], [a21, a22]])
     sol = np.linalg.lstsq(jm, np.array([-f0, -f1]), rcond=None)[0]
     return float(sol[0]), float(sol[1])

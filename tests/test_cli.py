@@ -638,6 +638,7 @@ def test_malformed_config_files_are_config_errors(tmp_path, capsys, text, where,
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}{where}: ") and message in err
+    assert err.count(cfg) == 1  # the path is named once, also when it cannot be opened
     assert "Traceback" not in err
 
 
@@ -764,6 +765,43 @@ def test_one_process_answers_each_call_like_a_fresh_one(tmp_path, capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports symbound from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        cwd=ROOT, timeout=60.0,
+    )
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    run = _fresh_python(
+        "import sys, symbound, symbound.cli\nprint('numpy' in sys.modules)"
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("analyze", "configs/pendulum.cfg"),
+        ("errordemo", "configs/errordemo.cfg"),
+        ("simulate", "tests/golden/general.cfg"),
+    ],
+)
+def test_cli_commands_run_without_numpy(tmp_path, command, cfg):
+    # none of these reaches verdict_grid, verify or the least-squares step
+    run = _fresh_python(
+        "import sys\nfrom symbound.cli import main\n"
+        f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "0 False\n", "")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -782,11 +820,8 @@ def test_verify_passes_and_lists_required_suites(capsys):
 
 
 def test_verify_failure_exits_2(monkeypatch, capsys):
-    import symbound.cli as cli_mod
-
     monkeypatch.setattr(
-        cli_mod.verify_mod,
-        "run_all",
+        "symbound.verify.run_all",
         lambda seed: [SuiteResult("synthetic", False, "forced failure")],
     )
     assert main(["verify"]) == 2

@@ -407,6 +407,24 @@ def test_define_is_the_only_generated_code_path():
         assert calls == [], (path.name, calls)
 
 
+def test_only_verify_imports_numpy_at_module_level():
+    # numpy costs most of a CLI process's start; the modules that need it
+    # only on some paths import it inside the function that does
+    src = Path(ex.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        numpy_imports = [
+            node.lineno
+            for node in tree.body
+            if (
+                isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            )
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+        ]
+        assert numpy_imports == [] or path.name == "verify.py", (path.name, numpy_imports)
+
+
 def _broad_handlers(tree: ast.AST):
     """The except clauses of tree that catch everything: bare, Exception or
     BaseException, alone or in a tuple."""

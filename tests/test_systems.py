@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from symbound import catalog
 from symbound import expr as ex
+from symbound import systems
 from symbound.mat2 import Mat2
 from symbound.schemes import SCHEMES_BY_CLASS, step
 from symbound.systems import (
@@ -348,3 +349,39 @@ def test_stepping_and_find_equilibria_define_one_kernel_per_template(monkeypatch
             step(scheme, sys, State(0.1, 0.2), 0.5)
     assert sorted(built) == sorted(["_newton_root"] + ["_step"] * len(schemes))
     assert set(sys.kernels) == {_NEWTON, *(scheme.template for scheme in schemes)}
+
+
+def test_find_equilibria_takes_the_least_squares_step_bit_for_bit(monkeypatch):
+    # a pendulum from the bench family whose Newton search meets exactly
+    # singular Jacobians; the reprs were recorded before numpy's import moved
+    # into _least_squares_step
+    calls = []
+    least_squares_step = systems._least_squares_step
+
+    def counted(*args):
+        calls.append(args)
+        return least_squares_step(*args)
+
+    # _newton_kernel binds the module global when it builds the kernel
+    monkeypatch.setattr(systems, "_least_squares_step", counted)
+    sys = HamiltonianSystem.newtonian("-0.7095*sin(0.7012*q)")
+    box = ((-1.0, 1.0), (-6.720463463184098, 6.720463463184098))
+    eqs = find_equilibria(sys, box=box, grid=12)
+    assert calls
+    saddle = "Mat2(a11=-0.0, a12=0.49750140000000004, a21=1.0, a22=0.0)"
+    center = "Mat2(a11=-0.0, a12=-0.49750140000000004, a21=1.0, a22=0.0)"
+    assert [repr(e) for e in eqs] == [
+        f"Equilibrium(point=State(p=0.0, q=-4.480308975456065), a={saddle}, "
+        "kind=<EquilibriumKind.SADDLE: 'saddle'>, residual=8.688869039950471e-17, "
+        "continuum_suspected=False)",
+        f"Equilibrium(point=State(p=0.0, q=2.0426368929626904e-16), a={center}, "
+        "kind=<EquilibriumKind.CENTER: 'center'>, residual=1.0162147139405888e-16, "
+        "continuum_suspected=False)",
+        f"Equilibrium(point=State(p=0.0, q=4.480308975456065), a={saddle}, "
+        "kind=<EquilibriumKind.SADDLE: 'saddle'>, residual=8.688869039950471e-17, "
+        "continuum_suspected=False)",
+    ]
+    # lstsq's minimum-norm step at a Jacobian of this family; the closed
+    # form A^T b / |A|^2 gives (1.0, 6.484086767688023e-17) here
+    direction = least_squares_step(-0.0, 9.138952456219905e-17, 1.0, 0.0, -0.7095, -1.0)
+    assert direction == (1.0, 0.0) and math.copysign(1.0, direction[1]) == 1.0
