@@ -29,10 +29,11 @@ predicate in tau.
 The trace/rank test has one definition, _condition_holds, over floats or
 arrays of S entries.  check_preservation applies it and also builds both
 bounded subspaces; verdict_grid applies it to a whole tau grid at once; the
-bisection's predicate computes only the verdict: it checks A's shape and
-classifies A once per limit, then runs only S(tau) and the test for each
-tau, building no subspace.  Only verdict_grid works on arrays, so only it
-imports numpy; the scalar paths start without it.
+bisection's predicate computes only the verdict: A's shape is checked and A
+classified when the predicate is made, before any tau, and each call runs
+only S(tau) and the test, building no subspace.  Every verdict entry checks
+and classifies A before it reads a tau.  Only verdict_grid works on arrays,
+so only it imports numpy; the scalar paths start without it.
 """
 
 import enum
@@ -48,7 +49,6 @@ from .schemes import (
     ShapeMismatch,
     SingularCayley,
     propagator,
-    require_finite,
     require_shape,
     shaped_propagator,
     step,
@@ -59,7 +59,6 @@ from .systems import (
     EquilibriumKind,
     HamiltonianSystem,
     NotApplicable,
-    State,
     classify_equilibrium,
     collapse_continuum,
 )
@@ -71,14 +70,6 @@ class NotUnimodular(Exception):
 
 class InconsistentPredicate(Exception):
     """The preservation predicate was not monotone in tau on the bracket."""
-
-
-_CASE_INDEX = {
-    EquilibriumKind.CENTER: 1,
-    EquilibriumKind.SADDLE: 2,
-    EquilibriumKind.RANK1_DEGENERATE: 3,
-    EquilibriumKind.RANK0_ZERO: 4,
-}
 
 
 class BoundedSubspace(NamedTuple):
@@ -116,7 +107,8 @@ def _line(v: Vec2) -> BoundedSubspace:
 
 
 def dim_bounded_continuous(a: Mat2) -> BoundedSubspace:
-    """Bounded-orbit subspace of y' = A y for trace-free A."""
+    """Bounded-orbit subspace of y' = A y for trace-free A; a non-finite A
+    raises NonFiniteLinearization."""
     return _continuous_subspace(a, classify_equilibrium(a))
 
 
@@ -161,9 +153,8 @@ def check_preservation(a: Mat2, s: Mat2) -> PreservationVerdict:
     lines generally differ by O(tau), hence DIM_ONLY).  A non-finite A
     raises NonFiniteLinearization.
     """
-    require_finite(a)
     kind = classify_equilibrium(a)
-    case = _CASE_INDEX[kind]
+    case = kind.case
     b_a = _continuous_subspace(a, kind)
     b_s = dim_bounded_discrete(s)
     s11, s12, s21, s22 = s
@@ -196,17 +187,17 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
     row's ``s_entries``, evaluated on an array, and the trace/rank
     test is check_preservation's own, on arrays, so every trace and every
     verdict is bit-identical to the scalar path.  Raises what ``propagator``
-    raises (ValueError, NonFiniteLinearization, ShapeMismatch,
-    AssertionError); the bounded subspaces are not computed.
+    raises, A's errors (NonFiniteLinearization, ShapeMismatch) before tau's
+    ValueError, and AssertionError; the bounded subspaces are not computed.
     """
     import numpy as np
 
+    require_shape(scheme, a)
+    case = classify_equilibrium(a).case
     taus = np.asarray(taus, dtype=float)
     valid = (taus > 0.0) & (taus < math.inf)
     if not valid.all():
         raise step_size_error(taus[~valid][0].item())
-    require_shape(scheme, a)
-    case = _CASE_INDEX[classify_equilibrium(a)]
     with np.errstate(all="ignore"):
         (s11, s12, s21, s22), _, singular = scheme.s_entries(a, taus)
         singular = np.broadcast_to(singular, taus.shape)
@@ -316,31 +307,30 @@ def find_transition(predicate, tau_hi: float, tol: float) -> float:
         raise ValueError(
             f"tau_hi must be at least {TAU_HI_MIN!r} and at most {TAU_HI_MAX!r}"
         )
-    tau_min = tau_hi * 1e-8
     if predicate(tau_hi):
-        if predicate(10.0 * tau_hi):
+        top = 10.0 * tau_hi
+        if predicate(top):
             return math.inf
         # the transition sits above the requested range; bracket upward
-        transition = bisect_transition(predicate, tau_hi, 10.0 * tau_hi, tol)
-        _check_monotone(predicate, transition, 10.0 * tau_hi, tol)
-        return transition
-    ratio = (tau_hi / tau_min) ** (1.0 / (_SCAN_POINTS - 1))
-    grid = [tau_min * ratio**i for i in range(_SCAN_POINTS)]
-    grid[-1] = tau_hi
-    values = [predicate(t) for t in grid]
-    if True not in values:
-        raise InconsistentPredicate(
-            "predicate fails for every scanned tau; no preserving range found"
-        )
-    first_false = values.index(False)
-    if any(values[first_false:]):
-        raise InconsistentPredicate(
-            "predicate is not monotone in tau on the scanned grid"
-        )
-    transition = bisect_transition(
-        predicate, grid[first_false - 1], grid[first_false], tol
-    )
-    _check_monotone(predicate, transition, tau_hi, tol)
+        lo, hi = tau_hi, top
+    else:
+        tau_min = tau_hi * 1e-8
+        ratio = (tau_hi / tau_min) ** (1.0 / (_SCAN_POINTS - 1))
+        grid = [tau_min * ratio**i for i in range(_SCAN_POINTS - 1)] + [tau_hi]
+        # the predicate has just failed at tau_hi, the last point
+        values = [predicate(t) for t in grid[:-1]] + [False]
+        if True not in values:
+            raise InconsistentPredicate(
+                "predicate fails for every scanned tau; no preserving range found"
+            )
+        first_false = values.index(False)
+        if any(values[first_false:]):
+            raise InconsistentPredicate(
+                "predicate is not monotone in tau on the scanned grid"
+            )
+        lo, hi, top = grid[first_false - 1], grid[first_false], tau_hi
+    transition = bisect_transition(predicate, lo, hi, tol)
+    _check_monotone(predicate, transition, top, tol)
     return transition
 
 
@@ -389,17 +379,14 @@ def _verdict_predicate(scheme: Scheme, a: Mat2):
     False where the Cayley form is singular.
 
     Computes the verdict only: A is checked by require_shape and classified
-    once, at the first call with a valid tau, where propagator checks it;
-    each call then runs shaped_propagator and the trace/rank test of that
-    case, and no bounded subspace is built.
+    once, here, so a bad A raises before any tau is read; each call then
+    runs shaped_propagator and the trace/rank test of that case, and no
+    bounded subspace is built.
     """
-    case = None
+    require_shape(scheme, a)
+    case = classify_equilibrium(a).case
 
     def holds(tau: float) -> bool:
-        nonlocal case
-        if case is None and 0.0 < tau < math.inf:
-            require_shape(scheme, a)
-            case = _CASE_INDEX[classify_equilibrium(a)]
         try:
             s11, s12, s21, s22 = shaped_propagator(scheme, a, tau)
         except SingularCayley:
@@ -481,40 +468,21 @@ def preservation_report(
             )
         except (NotApplicable, NonFiniteLinearization, InconsistentPredicate) as err:
             entry.error = f"{type(err).__name__}: {err}"
+        x0 = eq.point
         for tau in tau_list:
             try:
                 s = propagator(scheme, eq.a, tau)
                 verdict = check_preservation(eq.a, s)
-                fp = _fixed_point_preserved(scheme, sys, eq.point, tau)
-                entry.rows.append(
-                    TauRow(
-                        tau=tau,
-                        trace_s=s.trace,
-                        verdict=verdict,
-                        fixed_point_ok=fp,
-                    )
-                )
+                y = step(scheme, sys, x0, tau)  # the fixed point must stay put
+                fixed = math.hypot(y.p - x0.p, y.q - x0.q) <= _FIXED_POINT_TOL
+                row = TauRow(tau, s.trace, verdict, fixed)
             except Exception as err:  # noqa: BLE001 - per-item aggregation
-                entry.rows.append(
-                    TauRow(
-                        tau=tau,
-                        trace_s=None,
-                        verdict=None,
-                        fixed_point_ok=None,
-                        error=f"{type(err).__name__}: {err}",
-                    )
-                )
+                row = TauRow(tau, None, None, None, f"{type(err).__name__}: {err}")
+            entry.rows.append(row)
         entries.append(entry)
     return PreservationReport(
         system=sys.describe(), scheme=scheme, taus=list(tau_list), entries=entries
     )
-
-
-def _fixed_point_preserved(
-    scheme: Scheme, sys: HamiltonianSystem, x0: State, tau: float
-) -> bool:
-    y = step(scheme, sys, x0, tau)
-    return math.hypot(y.p - x0.p, y.q - x0.q) <= _FIXED_POINT_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,13 @@ class _Ctx:
         return load_config(self.config_path)
 
     def prepare_out(self, cfg: RunConfig) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
+        """Create --out, or end in a UsageError, and write effective.cfg."""
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise UsageError(
+                f"cannot create output directory {str(self.out)!r}: {err.strerror}"
+            )
         _write_atomic(self.out / "effective.cfg", serialize_config(cfg))
 
 

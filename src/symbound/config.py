@@ -17,10 +17,11 @@ Sections and keys:
                 each class's keys come from its row of the SystemClass table
     [run]       schemes = euler-b, yoshida2, stormer-verlet, implicit-midpoint
                 tau = 0.5, 1.0            explicit step sizes, positive and finite
-                tau_lo, tau_hi, tau_count, tau_scale = linear|log   sweep grid
+                tau_lo, tau_hi, tau_count, tau_scale = linear|log   finite sweep grid
                 empirical_tau_hi = 10.0   bracket top for bisection, 1e-299..1e300
                 bisect_tol = 1e-06        bisection tolerance, finite and >= 0
-    [search]    p_min < p_max, q_min < q_max (finite), grid >= 4,
+    [search]    p_min < p_max, q_min < q_max (finite, and the box's width
+                plus height too), grid >= 4,
                 tol = 1e-10 (finite, > 0)
     [simulate]  n_max >= 1, escape_r > 0, stride >= 0 (0 = auto),
                 offsets = dp, dq, ...  (finite)
@@ -66,13 +67,16 @@ class SweepSpec:
     def taus(self) -> list[float]:
         if self.count == 1:
             return [self.lo]
-        n = self.count - 1
-        if self.scale == "log":
-            grid = [self.lo * (self.hi / self.lo) ** (i / n) for i in range(self.count)]
-        else:
-            grid = [self.lo + (self.hi - self.lo) * i / n for i in range(self.count)]
+        grid = self.points(range(self.count))
         grid[0], grid[-1] = self.lo, self.hi  # pin endpoints exactly
         return grid
+
+    def points(self, indices) -> list[float]:
+        """The grid points at indices, before taus() pins the two ends."""
+        n = self.count - 1
+        if self.scale == "log":
+            return [self.lo * (self.hi / self.lo) ** (i / n) for i in indices]
+        return [self.lo + (self.hi - self.lo) * i / n for i in indices]
 
 
 @dataclass
@@ -294,10 +298,19 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         cfg.sweep = sweep = SweepSpec(**fields["sweep"])
         if not (0.0 < sweep.lo <= sweep.hi) or sweep.count < 1:
             raise ConfigError("invalid sweep range", path, raw["run"]["tau_lo"][1])
+        # both grid formulas grow with i, so of the points taus() does not
+        # pin the last is the largest: one point to test, not the grid
+        if sweep.count > 2 and not math.isfinite(sweep.points([sweep.count - 2])[0]):
+            raise _invalid(
+                raw, "run", "tau_hi", "such that every sweep grid point is finite", path
+            )
     for lo_key, hi_key in (("p_min", "p_max"), ("q_min", "q_max")):
         if not getattr(cfg.search, lo_key) < getattr(cfg.search, hi_key):
             key = hi_key if hi_key in raw.get("search", {}) else lo_key
             raise _invalid(raw, "search", key, f"such that {lo_key} < {hi_key}", path)
+    box = cfg.search  # find_equilibria's degenerate-box test
+    if not math.isfinite((box.p_max - box.p_min) + (box.q_max - box.q_min)):
+        raise ConfigError("search box width plus height must be finite", path)
     if len(cfg.sim.offsets) % 2 != 0:
         raise ConfigError("offsets must contain an even number of reals", path)
 
@@ -318,9 +331,12 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as err:
         raise ConfigError(err.strerror or str(err), str(path))
+    except UnicodeDecodeError as err:  # a file that is not UTF-8 text
+        raise ConfigError(str(err), str(path))
     return parse_config(text, str(path))
 
 

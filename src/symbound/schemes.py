@@ -64,11 +64,12 @@ from . import expr as ex
 from .mat2 import DECISION_TOL, Mat2, unimodularity_lost
 from .systems import (
     HamiltonianSystem,
+    NonFiniteLinearization,  # noqa: F401 - re-exported
     NotApplicable,
     ShapeMismatch,
     State,
     SystemClass,
-    require_trace_free,
+    require_linearization,
 )
 
 
@@ -79,10 +80,6 @@ class ImplicitSolveFailed(Exception):
 
 class SingularCayley(Exception):
     pass
-
-
-class NonFiniteLinearization(ValueError):
-    """The linearization A has an infinite or NaN entry."""
 
 
 KICK, DRIFT = True, False  # a stage is (move, fraction c of the step)
@@ -321,22 +318,11 @@ def explicit_euler_step(sys: HamiltonianSystem, x: State, tau: float) -> State:
 # Mat2's trace / det / frobenius_sq / max_norm / @ in the same operation
 # order, so every float equals its Mat2 expression bit for bit.
 
-def require_finite(a: Mat2) -> None:
-    """NonFiniteLinearization unless every entry of A is finite, so that no
-    propagator, verdict or limit is built from an infinity or a NaN."""
-    a11, a12, a21, a22 = a
-    # x * 0.0 is 0.0 for every finite x and NaN for an infinity or a NaN
-    if not a11 * 0.0 + a12 * 0.0 + a21 * 0.0 + a22 * 0.0 == 0.0:
-        raise NonFiniteLinearization(
-            f"linearization has a non-finite entry: {tuple(a)!r}"
-        )
-
-
 def require_shape(scheme: Scheme, a: Mat2) -> None:
-    """NonFiniteLinearization unless A is finite; NotTraceFree unless it is
-    trace-free; for the explicit schemes ShapeMismatch unless [[0, *], [*, 0]]."""
-    require_finite(a)
-    require_trace_free(a)
+    """require_linearization (NonFiniteLinearization, then NotTraceFree),
+    then for the explicit schemes ShapeMismatch unless A is [[0, *], [*, 0]].
+    It checks A only; it does not classify it."""
+    require_linearization(a)
     if not scheme.stages:
         return
     a11, a12, a21, a22 = a
@@ -349,9 +335,9 @@ def require_shape(scheme: Scheme, a: Mat2) -> None:
 
 def propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
     """Exact S(tau) for the scheme applied to the linear system y' = A y:
-    require_shape on A, then shaped_propagator."""
-    if 0.0 < tau < math.inf:  # else shaped_propagator rejects tau before A
-        require_shape(scheme, a)
+    require_shape on A, then shaped_propagator, so a bad A is reported
+    before a bad tau."""
+    require_shape(scheme, a)
     return shaped_propagator(scheme, a, tau)
 
 

@@ -38,6 +38,10 @@ class NotTraceFree(ShapeMismatch):
     pass
 
 
+class NonFiniteLinearization(ValueError):
+    """The linearization A has an infinite or NaN entry."""
+
+
 class NotApplicable(Exception):
     """An operation was requested for a system class that does not support it."""
 
@@ -62,10 +66,19 @@ class State(NamedTuple):
 
 
 class EquilibriumKind(enum.Enum):
-    CENTER = "center"
-    SADDLE = "saddle"
-    RANK1_DEGENERATE = "rank1-degenerate"
-    RANK0_ZERO = "rank0-zero"
+    """The case table of a trace-free linearization: (printed name, the
+    paper's case number) per row."""
+
+    CENTER = ("center", 1)
+    SADDLE = ("saddle", 2)
+    RANK1_DEGENERATE = ("rank1-degenerate", 3)
+    RANK0_ZERO = ("rank0-zero", 4)
+
+    def __new__(cls, value, case):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.case = case
+        return kind
 
 
 def _as_expr(e) -> ex.Expr:
@@ -216,10 +229,16 @@ def collapse_continuum(eqs: list[Equilibrium]) -> list[Equilibrium]:
     return eqs[:1] if eqs and eqs[0].continuum_suspected else eqs
 
 
-def require_trace_free(a: Mat2) -> float:
-    """NotTraceFree unless |tr A| <= DECISION_TOL * sqrt(1 + ||A||_F^2), the
-    one trace-free test; returns the scale 1 + ||A||_F^2."""
+def require_linearization(a: Mat2) -> float:
+    """The one check on a linearization A: NonFiniteLinearization unless
+    every entry is finite, then NotTraceFree unless |tr A| <= DECISION_TOL *
+    sqrt(1 + ||A||_F^2).  Returns the scale 1 + ||A||_F^2."""
     a11, a12, a21, a22 = a
+    # x * 0.0 is 0.0 for every finite x and NaN for an infinity or a NaN
+    if not a11 * 0.0 + a12 * 0.0 + a21 * 0.0 + a22 * 0.0 == 0.0:
+        raise NonFiniteLinearization(
+            f"linearization has a non-finite entry: {tuple(a)!r}"
+        )
     scale = 1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
     trace = a11 + a22
     if abs(trace) > DECISION_TOL * math.sqrt(scale):
@@ -228,12 +247,13 @@ def require_trace_free(a: Mat2) -> float:
 
 
 def classify_equilibrium(a: Mat2) -> EquilibriumKind:
-    """Classify a trace-free linearization by its determinant and rank.
+    """Classify a linearization that passes require_linearization by its
+    determinant and rank.
 
     Scale-aware thresholds: the determinant test uses DECISION_TOL *
     (1 + ||A||_F^2), so that degeneracy decisions survive rescaling.
     """
-    det_tol = DECISION_TOL * require_trace_free(a)
+    det_tol = DECISION_TOL * require_linearization(a)
     a11, a12, a21, a22 = a
     d = a11 * a22 - a12 * a21
     if d > det_tol:
@@ -338,8 +358,9 @@ def find_equilibria(
     (q, p).  When at least ``grid`` distinct points converge and every one
     has a singular Jacobian, as all along a curve of equilibria, the set is
     likely a continuum and every result carries ``continuum_suspected``.
-    A root whose Jacobian or residual leaves the expressions' domain has no
-    linearization and is skipped.
+    A root whose Jacobian or residual leaves the expressions' domain, or
+    whose Jacobian has a non-finite entry, has no linearization and is
+    skipped.
     """
     (p_lo, p_hi), (q_lo, q_hi) = box
     if grid < 4:
@@ -373,9 +394,10 @@ def find_equilibria(
     for x in found:
         try:
             a, residual = sys.jacobian(x), sys.residual(x)
+            kind = classify_equilibrium(a)
         except (ex.DomainError, ValueError):
             continue  # a root the linearization is not defined at
-        linearized.append((x, a, classify_equilibrium(a), residual))
+        linearized.append((x, a, kind, residual))
     continuum = len(found) >= grid and all(
         kind in _SINGULAR_KINDS for _, _, kind, _ in linearized
     )

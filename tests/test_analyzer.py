@@ -48,6 +48,7 @@ from symbound.systems import (
     EquilibriumKind,
     NotTraceFree,
     State,
+    classify_equilibrium,
     find_equilibria,
 )
 from symbound.verify import catalog_equilibria
@@ -56,8 +57,6 @@ from conftest import outcome_type
 
 
 def _eq_from_matrix(a: Mat2, point=State(0.0, 0.0)) -> Equilibrium:
-    from symbound.systems import classify_equilibrium
-
     return Equilibrium(point=point, a=a, kind=classify_equilibrium(a), residual=0.0)
 
 
@@ -395,12 +394,14 @@ def _scalar_verdict(scheme, a, tau):
 @given(_grid_cases())
 @example((Scheme.IMPLICIT_MIDPOINT, _ROUNDED_A, [_ROUNDED_TAU]))
 def test_verdict_predicate_equals_check_preservation(case):
-    # one predicate over the whole tau list, as the bisection calls it
+    # one predicate over the whole tau list, as the bisection calls it; a bad
+    # A raises when the predicate is made, as propagator raises it for every tau
     scheme, a, taus = case
-    holds = _verdict_predicate(scheme, a)
+    holds = outcome_type(_verdict_predicate, scheme, a)
     for tau in taus:
         want = outcome_type(_scalar_verdict, scheme, a, tau)
-        assert outcome_type(holds, tau) == want, (scheme, a, tau)
+        got = holds if isinstance(holds, type) else outcome_type(holds, tau)
+        assert got == want, (scheme, a, tau)
 
 
 def test_rounded_negative_discriminant_still_gives_an_eigenline():
@@ -521,12 +522,30 @@ def test_tau_max_rejects_wrong_shapes():
 )
 def test_non_finite_linearization_is_rejected_everywhere(a):
     with pytest.raises(NonFiniteLinearization):
+        classify_equilibrium(a)
+    with pytest.raises(NonFiniteLinearization):
+        dim_bounded_continuous(a)
+    with pytest.raises(NonFiniteLinearization):
         check_preservation(a, Mat2.identity())
+    eq = Equilibrium(State(0.0, 0.0), a, EquilibriumKind.RANK1_DEGENERATE, 0.0)
     for scheme in Scheme:
         with pytest.raises(NonFiniteLinearization):
             tau_max_from_matrix(scheme, a)
         with pytest.raises(NonFiniteLinearization):
             verdict_grid(scheme, a, [0.5, 1.0])
+        # A is checked before tau: a bad tau does not hide a bad A
+        for tau in (0.5, -1.0, math.inf):
+            with pytest.raises(NonFiniteLinearization):
+                propagator(scheme, a, tau)
+        with pytest.raises(NonFiniteLinearization):
+            verdict_grid(scheme, a, [-1.0])
+        with pytest.raises(NonFiniteLinearization):
+            empirical_tau_max(scheme, eq)
+    # a root whose Jacobian has a non-finite entry has no linearization
+    sys = catalog.harmonic()
+    assert len(find_equilibria(sys, grid=4)) == 1
+    sys.jacobian = lambda x: a
+    assert find_equilibria(sys, grid=4) == []
 
 
 # ---------------------------------------------------------------------------

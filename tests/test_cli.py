@@ -642,6 +642,27 @@ def test_malformed_config_files_are_config_errors(tmp_path, capsys, text, where,
     assert "Traceback" not in err
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[system]\nclass = newtonian\ng = -sin(q)\xff\n")
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and "0xff" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_out_that_cannot_be_created_is_an_error(tmp_path, capsys, sub):
+    cfg = _write(tmp_path, PENDULUM_NH)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_expression_error_reports_file_and_offset(tmp_path, capsys):
     cfg = _write(tmp_path, PENDULUM_NH.replace("g = -sin(q)", "g = -zin(q)"))
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -252,6 +253,52 @@ def test_log_sweep_grid():
     assert taus[0] == pytest.approx(0.1)
     assert taus[1] == pytest.approx(1.0)
     assert taus[2] == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "tau_lo = 1e-8\ntau_hi = 1.7976931348623157e308\ntau_count = 5",
+        "tau_lo = 1e-300\ntau_hi = 1e300\ntau_count = 5\ntau_scale = log",
+    ],
+    ids=["linear", "log"],
+)
+def test_a_sweep_grid_with_an_overflowing_point_is_rejected_at_tau_hi(grid):
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[run]\n{grid}\n", "grid.cfg")
+    assert str(info.value).startswith(
+        "grid.cfg:3: tau_hi must be such that every sweep grid point is finite"
+    )
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "tau_lo = 1e-300\ntau_hi = 1e300\ntau_count = 2\ntau_scale = log",
+        "tau_lo = 1e-8\ntau_hi = 1.7976931348623157e308\ntau_count = 2",
+        "tau_lo = 1e-8\ntau_hi = 8.98846567431158e307\ntau_count = 3",
+        "tau_lo = 1e-300\ntau_hi = 1e8\ntau_count = 2000\ntau_scale = log",
+    ],
+)
+def test_a_sweep_grid_of_finite_points_is_accepted(grid):
+    # the pinned ends are kept as given: a ratio or span that overflows
+    # between them is no point of the grid
+    taus = parse_config(f"[run]\n{grid}\n").sweep.taus()
+    assert all(map(math.isfinite, taus))
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        "p_min = -1e308\np_max = 1e308",  # the width overflows
+        "p_max = 1e308\nq_max = 1e308",  # width plus height overflows
+    ],
+)
+def test_a_search_box_whose_size_overflows_is_rejected(box):
+    # find_equilibria would raise ValueError("degenerate search box")
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[search]\n{box}\n", "box.cfg")
+    assert str(info.value) == "box.cfg: search box width plus height must be finite"
 
 
 def test_a_one_point_sweep_grid_is_its_lower_end():
