@@ -26,31 +26,36 @@ when y > 0 (for the Cayley row a solvability singularity), else unlimited.
 The empirical limit is recovered independently by bisecting the verdict
 predicate in tau.
 
-The trace/rank test has one definition, _condition_holds, over floats or
-arrays of S entries.  check_preservation applies it and also builds both
-bounded subspaces; verdict_grid applies it to a whole tau grid at once; the
-bisection's predicate computes only the verdict: A's shape is checked and A
-classified when the predicate is made, before any tau, and each call runs
-only S(tau) and the test, building no subspace.  Every verdict entry checks
-and classifies A before it reads a tau.  Only verdict_grid works on arrays,
-so only it imports numpy; the scalar paths start without it.
+The trace/rank test has one definition, _CASE_TESTS, one text per case,
+generated into code over floats or arrays of S entries.  check_preservation
+applies it and also builds both bounded subspaces; verdict_grid applies it
+to a whole tau grid at once; the bisection's predicate computes only the
+verdict: A's shape is checked and A classified when the predicate is made,
+before any tau, and each call runs the verdict generated for the scheme row
+and that case, S(tau) and the test in one straight line, building no
+subspace.  Every verdict entry checks and classifies A before it reads a
+tau.  Only verdict_grid works on arrays, so only it imports numpy; the
+scalar paths start without it.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import expr as ex
 from .mat2 import DECISION_TOL, Mat2, Vec2, eigenvector, normalized, unimodularity_lost
 from .schemes import (
+    GUARD_NAMES,
     UNIMODULAR_TOL,
     NonFiniteLinearization,
     Scheme,
     ShapeMismatch,
-    SingularCayley,
+    guarded_s_body,
+    indent,
     propagator,
     require_shape,
-    shaped_propagator,
     step,
     step_size_error,
 )
@@ -158,7 +163,7 @@ def check_preservation(a: Mat2, s: Mat2) -> PreservationVerdict:
     b_a = _continuous_subspace(a, kind)
     b_s = dim_bounded_discrete(s)
     s11, s12, s21, s22 = s
-    holds = _condition_holds(case, s11, s12, s21, s22, _max_norm)
+    holds = _case_test(case)(s11, s12, s21, s22)
     marginal = case <= 2 and abs(abs(s11 + s22) - 2.0) <= DECISION_TOL
     if not holds:
         note = ContainmentNote.NOT_APPLICABLE
@@ -207,33 +212,42 @@ def verdict_grid(scheme: Scheme, a: Mat2, taus) -> VerdictGrid:
             raise AssertionError(
                 f"propagator lost unimodularity: det={det[lost][0].item()!r}"
             )
-        holds = _condition_holds(case, s11, s12, s21, s22, _max_abs) & ~singular
-    return VerdictGrid(np.where(singular, math.nan, s11 + s22), holds, singular)
+        holds = _case_test(case, arrays=True)(s11, s12, s21, s22) & ~singular
+        trace = np.where(singular, math.nan, s11 + s22)
+    return VerdictGrid(trace, holds, singular)
 
 
-def _condition_holds(case, s11, s12, s21, s22, max_abs):
-    """The trace/rank preservation test of S = [[s11, s12], [s21, s22]] for
-    the case of A (1 center, 2 saddle, 3 rank 1, 4 zero), on floats with
-    max_abs = _max_norm or on arrays of entries with max_abs = _max_abs.
+# The trace/rank preservation test of S = [[s11, s12], [s21, s22]]: one body
+# per case of A (1 center, 2 saddle, 3 rank 1, 4 zero), ending in its
+# return.  The operations are Mat2's (trace, S - I, det, frobenius_sq,
+# max_norm) in their order, with _max_abs bound to _max_norm on floats and
+# to the array _max_abs on arrays of entries, so both give the same verdicts.
+_CASE_TESTS = {
+    1: "return abs(s11 + s22) < 2.0",
+    2: "return abs(s11 + s22) > 2.0",
+    3: """\
+m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
+rank1 = (_max_abs(m11, m12, m21, m22) > DECISION_TOL) & (
+    abs(m11 * m22 - m12 * m21)
+    <= DECISION_TOL * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
+)
+tr_is_2 = abs(s11 + s22 - 2.0) <= DECISION_TOL * (1.0 + _max_abs(s11, s12, s21, s22))
+return tr_is_2 & rank1""",
+    4: """\
+m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
+return _max_abs(m11, m12, m21, m22) <= DECISION_TOL""",
+}
 
-    The operations are Mat2's (trace, S - I, det, frobenius_sq, max_norm),
-    in their order, so floats and arrays give the same verdicts.
-    """
-    tr = s11 + s22
-    if case == 1:
-        return abs(tr) < 2.0
-    if case == 2:
-        return abs(tr) > 2.0
-    # S - I, entry by entry as Mat2.__sub__ computes it
-    m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
-    if case == 3:
-        rank1 = (max_abs(m11, m12, m21, m22) > DECISION_TOL) & (
-            abs(m11 * m22 - m12 * m21)
-            <= DECISION_TOL * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
-        )
-        tr_is_2 = abs(tr - 2.0) <= DECISION_TOL * (1.0 + max_abs(s11, s12, s21, s22))
-        return tr_is_2 & rank1
-    return max_abs(m11, m12, m21, m22) <= DECISION_TOL
+
+@functools.cache
+def _case_test(case: int, arrays: bool = False):
+    """The generated test of a case, (s11, s12, s21, s22) -> holds, on
+    floats or, with arrays, on ndarrays of entries."""
+    return ex.define(
+        f"def _test(s11, s12, s21, s22):\n{indent(_CASE_TESTS[case], 1)}",
+        "_test", (), DECISION_TOL=DECISION_TOL,
+        _max_abs=_max_abs if arrays else _max_norm,
+    )
 
 
 def _max_norm(a, b, c, d):
@@ -380,20 +394,31 @@ def _verdict_predicate(scheme: Scheme, a: Mat2):
 
     Computes the verdict only: A is checked by require_shape and classified
     once, here, so a bad A raises before any tau is read; each call then
-    runs shaped_propagator and the trace/rank test of that case, and no
-    bounded subspace is built.
+    runs the generated verdict of the row and that case, and no bounded
+    subspace is built.
     """
     require_shape(scheme, a)
-    case = classify_equilibrium(a).case
+    return _verdict(scheme, classify_equilibrium(a).case)(a)
 
-    def holds(tau: float) -> bool:
-        try:
-            s11, s12, s21, s22 = shaped_propagator(scheme, a, tau)
-        except SingularCayley:
-            return False
-        return _condition_holds(case, s11, s12, s21, s22, _max_norm)
 
-    return holds
+@functools.cache
+def _verdict(scheme: Scheme, case: int):
+    """The generated verdict of a scheme row and a case: a -> (tau -> holds).
+
+    The predicate reads A's entries from closure cells.  Its body is
+    shaped_propagator's, the same text (guarded_s_body), but returning
+    False where the Cayley form is singular instead of raising
+    SingularCayley; then the case's test.
+    """
+    source = "\n".join([
+        "def _verdict(a):",
+        "    a11, a12, a21, a22 = a",
+        "    def holds(tau):",
+        guarded_s_body(scheme, "return False", 2),
+        indent(_CASE_TESTS[case], 2),
+        "    return holds",
+    ])
+    return ex.define(source, "_verdict", (), _max_abs=_max_norm, **GUARD_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Known functions: sin cos tan exp log sqrt sinh cosh tanh abs.
 
 Two tables define the language: _BINARY, one row per binary operator (how
 to_string prints it and the source emit writes for it), and _FUNCS, one
-row per function (its guarded value and its derivative rule).
+row per function (its guarded value, its derivative rule and its image of
+an interval, which enclose uses).
 
 compile_expr evaluates in IEEE double precision with real-valued
 semantics: log and sqrt of non-positive/negative arguments, division by
@@ -216,21 +217,75 @@ _BINARY = {
 class _Function(NamedTuple):
     value: Callable[[float], float]  # the guarded kernel, emitted as _f_<name>
     derivative: Callable[[Expr, Expr], Expr] | None  # (u, du) -> d f(u), if any
+    # (lo, hi) -> the least and the greatest value over [lo, hi], before
+    # enclose moves them outwards; DomainError where there is none
+    image: Callable[[float, float], tuple[float, float]]
+
+
+def _increasing(f):
+    return lambda lo, hi: (f(lo), f(hi))
+
+
+def _even(f):
+    """The image of an even f that grows with |x|."""
+    def image(lo, hi):
+        ends = f(lo), f(hi)
+        return (f(0.0) if lo <= 0.0 <= hi else min(ends)), max(ends)
+    return image
+
+
+def _multiples(lo, hi, shift):
+    """The k with shift + k pi in [lo, hi], with slack for the rounding of
+    both, so that a near miss counts as inside; None where the interval
+    spans 2 pi or more."""
+    slack = 1e-9 * (1.0 + abs(lo) + abs(hi))
+    if not hi - lo + 2.0 * slack < 2.0 * math.pi:
+        return None
+    k = math.ceil((lo - slack - shift) / math.pi)
+    ks = []
+    while k * math.pi + shift <= hi + slack:
+        ks.append(k)
+        k += 1
+    return ks
+
+
+def _wave(f, shift):
+    """The image of f = cos(x - shift): the values at the ends, widened to
+    1 at shift + k pi for even k and to -1 for odd k inside the interval."""
+    def image(lo, hi):
+        ks = _multiples(lo, hi, shift)
+        if ks is None:
+            return -1.0, 1.0
+        ends = f(lo), f(hi)
+        low, high = min(ends), max(ends)
+        for k in ks:
+            low, high = (-1.0, high) if k % 2 else (low, 1.0)
+        return low, high
+    return image
+
+
+def _tan_image(lo, hi):
+    if _multiples(lo, hi, 0.5 * math.pi) != []:
+        raise DomainError("tan has a pole in the interval")
+    return math.tan(lo), math.tan(hi)
 
 
 _FUNCS = {
-    "sin": _Function(math.sin, lambda u, du: Mul(Func("cos", u), du)),
-    "cos": _Function(math.cos, lambda u, du: Mul(Neg(Func("sin", u)), du)),
+    "sin": _Function(math.sin, lambda u, du: Mul(Func("cos", u), du),
+                     _wave(math.sin, 0.5 * math.pi)),
+    "cos": _Function(math.cos, lambda u, du: Mul(Neg(Func("sin", u)), du),
+                     _wave(math.cos, 0.0)),
     "tan": _Function(math.tan, lambda u, du: Mul(
-        Div(Const(1.0), Pow(Func("cos", u), Const(2.0))), du)),
-    "exp": _Function(_exp, lambda u, du: Mul(Func("exp", u), du)),
-    "log": _Function(_log, lambda u, du: Div(du, u)),
-    "sqrt": _Function(_sqrt, lambda u, du: Div(du, Mul(Const(2.0), Func("sqrt", u)))),
-    "sinh": _Function(_sinh, lambda u, du: Mul(Func("cosh", u), du)),
-    "cosh": _Function(_cosh, lambda u, du: Mul(Func("sinh", u), du)),
+        Div(Const(1.0), Pow(Func("cos", u), Const(2.0))), du), _tan_image),
+    "exp": _Function(_exp, lambda u, du: Mul(Func("exp", u), du), _increasing(_exp)),
+    "log": _Function(_log, lambda u, du: Div(du, u), _increasing(_log)),
+    "sqrt": _Function(_sqrt, lambda u, du: Div(du, Mul(Const(2.0), Func("sqrt", u))),
+                      _increasing(_sqrt)),
+    "sinh": _Function(_sinh, lambda u, du: Mul(Func("cosh", u), du), _increasing(_sinh)),
+    "cosh": _Function(_cosh, lambda u, du: Mul(Func("sinh", u), du), _even(_cosh)),
     "tanh": _Function(math.tanh, lambda u, du: Mul(
-        Div(Const(1.0), Pow(Func("cosh", u), Const(2.0))), du)),
-    "abs": _Function(math.fabs, None),
+        Div(Const(1.0), Pow(Func("cosh", u), Const(2.0))), du), _increasing(math.tanh)),
+    "abs": _Function(math.fabs, None, _even(math.fabs)),
 }
 FUNCTIONS = frozenset(_FUNCS)
 
@@ -544,6 +599,73 @@ def simplify(expr: Expr) -> Expr:
         case Func(name, arg):
             a = simplify(arg)
             return _fold(Func(name, a), _FUNCS[name].value, a)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# Enclosure: interval arithmetic over a box, each bound moved one ulp
+# outwards, so that the rounding of the bounds (within one ulp, as for
+# sums, products and the libm functions) cannot shrink the interval.
+
+def _outward(lo: float, hi: float) -> tuple[float, float]:
+    if not -math.inf < lo <= hi < math.inf:  # NaN fails too
+        raise DomainError("no finite enclosure")
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _span(*values: float) -> tuple[float, float]:
+    return _outward(min(values), max(values))
+
+
+def enclose(expr: Expr, box: dict[str, tuple[float, float]]) -> tuple[float, float]:
+    """A finite interval (lo, hi) that holds the exact value of expr at
+    every point of box, which maps each variable to its interval.  A
+    DomainError where box leaves the domain of expr or no finite bound is
+    found, as where a divisor or the base of a negative power may be zero,
+    or tan may meet a pole."""
+    match expr:
+        case Const(value):
+            return _outward(value, value)
+        case Var(name):
+            return box[name]
+        case Neg(arg):
+            lo, hi = enclose(arg, box)
+            return -hi, -lo
+        case Add(l, r):
+            (a, b), (c, d) = enclose(l, box), enclose(r, box)
+            return _outward(a + c, b + d)
+        case Sub(l, r):
+            (a, b), (c, d) = enclose(l, box), enclose(r, box)
+            return _outward(a - d, b - c)
+        case Mul(l, r):
+            (a, b), (c, d) = enclose(l, box), enclose(r, box)
+            return _span(a * c, a * d, b * c, b * d)
+        case Div(l, r):
+            (a, b), (c, d) = enclose(l, box), enclose(r, box)
+            if c <= 0.0 <= d:
+                raise DomainError("the divisor may be zero")
+            return _span(a / c, a / d, b / c, b / d)
+        case Pow(base, Const(n)):
+            # x^n is monotone on either side of 0, where _pow defines it
+            lo, hi = enclose(base, box)
+            ends = _pow(lo, n), _pow(hi, n)
+            if lo < 0.0 < hi:  # so n is an integer
+                if n < 0.0:
+                    raise DomainError("zero raised to a negative power")
+                if n % 2.0 == 0.0:
+                    return _outward(0.0, max(ends))
+            return _span(*ends)
+        case Pow(base, exponent):
+            # exp(exponent * log(base)), for a base positive throughout
+            lo, hi = enclose(base, box)
+            if not lo > 0.0:
+                raise DomainError("a base that may not be positive")
+            a, b = _outward(math.log(lo), math.log(hi))
+            c, d = enclose(exponent, box)
+            lo, hi = _span(a * c, a * d, b * c, b * d)
+            return _outward(_exp(lo), _exp(hi))
+        case Func(name, arg):
+            return _outward(*_FUNCS[name].image(*enclose(arg, box)))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

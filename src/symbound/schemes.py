@@ -25,10 +25,10 @@ stages are the exact matrices
     kick(c)  = [[1, c*tau*a12], [0, 1]]
     drift(c) = [[1, 0], [c*tau*a21, 1]]
 
-and their product S(tau), last stage leftmost, is the row's s_entries, a
-straight-line function each row generates from its stages when it is
-defined: each stage is one line of the 2x2 product, every 0.0 term kept, so
-the propagator entries carry no differencing error.  Every row so far has
+and their product S(tau), last stage leftmost, is the row's s_lines, the
+straight-line code each row builds from its stages when it is defined:
+each stage is one line of the 2x2 product, every 0.0 term kept, so the
+propagator entries carry no differencing error.  Every row so far has
 tr S = 2 - tau^2 det A, hence the one explicit limit 2 / sqrt(det A).
 
 The implicit midpoint rule has no stages:
@@ -41,19 +41,24 @@ inlined and the 2x2 Newton matrix spelled out in Mat2's operation order, so
 it gives the same bits and raises the same errors at the same points as the
 solve written on the compiled accessors and Mat2.
 
-Its s_entries is the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
+Its s_lines are the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
 it ceases to exist at the first tau where the denominator determinant
 reaches zero, and is reported singular from that point on (the one-step
 family is not continued past the singularity).
 
-Every row's s_entries(a, tau) gives (S, Cayley det, singular), unguarded,
-with the same bits for a float tau and an ndarray of taus (then S is a
-Mat2 of arrays); a stage row's last two are None and False.  A singular
+Every row's s_entries is generated from its s_lines when the row is
+defined.  shaped_propagator and the analyzer's verdicts are generated from
+them on first use, between the step-size check and the unimodularity
+guard, one text for both (guarded_s_body).
+s_entries(a, tau) gives (S, Cayley det, singular), unguarded, with the
+same bits for a float tau and an ndarray of taus (then S is a Mat2 of
+arrays); a stage row's last two are None and False.  A singular
 float tau gives no S, as float division by a zero determinant raises;
 array rows are divided anyway, and the caller masks them.
 
 Schemes are stateless: step and propagator are pure functions, safe to
-call concurrently (two threads may build the same kernel once each).
+call concurrently (two threads may build the same kernel, or the same
+shaped propagator, once each).
 """
 
 import enum
@@ -170,60 +175,84 @@ def _stage_step(stages) -> string.Template:
 # one Python call faster
 _tuple_new = tuple.__new__
 
-# one stage of the fold: M @ [[1, k], [0, 1]] for a kick, M @ [[1, 0], [d, 1]]
+# one stage of the fold: S @ [[1, k], [0, 1]] for a kick, S @ [[1, 0], [d, 1]]
 # for a drift
 _KICK_LINES = """\
-    k = ({c!r} * tau) * a12
-    m11, m12, m21, m22 = m11 + m12 * 0.0, m11 * k + m12, m21 + m22 * 0.0, m21 * k + m22"""
+k = ({c!r} * tau) * a12
+s11, s12, s21, s22 = s11 + s12 * 0.0, s11 * k + s12, s21 + s22 * 0.0, s21 * k + s22"""
 _DRIFT_LINES = """\
-    d = ({c!r} * tau) * a21
-    m11, m12, m21, m22 = m11 + m12 * d, m11 * 0.0 + m12, m21 + m22 * d, m21 * 0.0 + m22"""
+d = ({c!r} * tau) * a21
+s11, s12, s21, s22 = s11 + s12 * d, s11 * 0.0 + s12, s21 + s22 * d, s21 * 0.0 + s22"""
 
 
-def _new_stage_product(stages):
-    """Generate the s_entries of a stage row: start from the last
-    stage's matrix and right-multiply by each earlier one, as
-    Mat2.__matmul__ does less its x * 1.0 == x factors; the 0.0 terms stay,
-    because they decide signed zeros, infinities and NaNs."""
+def _stage_lines(stages) -> str:
+    """The s_lines of a stage row: start from the last stage's matrix and
+    right-multiply by each earlier one, as Mat2.__matmul__ does less its
+    x * 1.0 == x factors; the 0.0 terms stay, because they decide signed
+    zeros, infinities and NaNs."""
     move, c = stages[-1]
     if move is KICK:
         first = f"1.0, ({c!r} * tau) * a12, 0.0, 1.0"
     else:
         first = f"1.0, 0.0, ({c!r} * tau) * a21, 1.0"
-    lines = [
-        "def _stage_product(a, tau):",
-        "    _, a12, a21, _ = a",
-        f"    m11, m12, m21, m22 = {first}",
+    return "\n".join([
+        f"s11, s12, s21, s22 = {first}",
         *(
             (_KICK_LINES if move is KICK else _DRIFT_LINES).format(c=c)
             for move, c in stages[-2::-1]
         ),
-        "    return _tuple_new(Mat2, (m11, m12, m21, m22)), None, False",
-    ]
+    ])
+
+
+# The s_lines of the implicit midpoint row: the Cayley transform
+# (I - B)^-1 (I + B), B = tau A / 2, with $on_singular run where its
+# denominator determinant det is singular.
+_CAYLEY_LINES = """\
+h = 0.5 * tau
+b11, b12, b21, b22 = h * a11, h * a12, h * a21, h * a22
+d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
+det = d11 * d22 - d12 * d21
+singular = det <= DECISION_TOL * (
+    1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
+)
+if singular is True:
+    $on_singular
+i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
+p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
+s11, s12, s21, s22 = (
+    i11 * p11 + i12 * p21,
+    i11 * p12 + i12 * p22,
+    i21 * p11 + i22 * p21,
+    i21 * p12 + i22 * p22,
+)"""
+
+
+def indent(lines: str, level: int) -> str:
+    """Source lines indented by level blocks of four spaces."""
+    pad = "    " * level
+    return "\n".join(pad + line for line in lines.split("\n"))
+
+
+def _s_code(scheme: "Scheme", on_singular: str) -> str:
+    """The row's s_lines as straight-line code from the locals a11, a12,
+    a21, a22 and tau to s11, s12, s21, s22, running on_singular, which
+    leaves the function, where the Cayley form is singular."""
+    return string.Template(scheme.s_lines).substitute(on_singular=on_singular)
+
+
+def _new_s_entries(scheme: "Scheme"):
+    """Generate the row's s_entries from its s_lines."""
+    tail = "None, False" if scheme.stages else "det, singular"
+    source = (
+        "def _s_entries(a, tau):\n"
+        "    a11, a12, a21, a22 = a\n"
+        f"{indent(_s_code(scheme, 'return None, det, True'), 1)}\n"
+        f"    return _tuple_new(Mat2, (s11, s12, s21, s22)), {tail}"
+    )
     return ex.define(
-        "\n".join(lines), "_stage_product", (), Mat2=Mat2, _tuple_new=_tuple_new
+        source, "_s_entries", (),
+        Mat2=Mat2, _tuple_new=_tuple_new, DECISION_TOL=DECISION_TOL,
     )
-
-
-def _cayley(a: Mat2, tau):
-    """The implicit midpoint row's s_entries: (I - B)^-1 (I + B), B = tau A / 2."""
-    h = 0.5 * tau
-    b11, b12, b21, b22 = h * a.a11, h * a.a12, h * a.a21, h * a.a22
-    d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
-    det = d11 * d22 - d12 * d21
-    singular = det <= DECISION_TOL * (
-        1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
-    )
-    if singular is True:
-        return None, det, True
-    i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
-    p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
-    return _tuple_new(Mat2, (
-        i11 * p11 + i12 * p21,
-        i11 * p12 + i12 * p22,
-        i21 * p11 + i22 * p21,
-        i21 * p12 + i22 * p22,
-    )), det, singular
 
 
 class Scheme(enum.Enum):
@@ -244,8 +273,13 @@ class Scheme(enum.Enum):
         scheme.classes = classes  # frozenset of SystemClass
         scheme.stages = stages  # empty for the implicit midpoint rule
         scheme.template = _stage_step(stages) if stages else _MIDPOINT
+        # S(tau) as straight-line code, from which s_entries and the
+        # analyzer's verdicts are generated
+        scheme.s_lines = _stage_lines(stages) if stages else _CAYLEY_LINES
         # (a, tau) -> (S(tau), Cayley det, singular)
-        scheme.s_entries = _new_stage_product(stages) if stages else _cayley
+        scheme.s_entries = _new_s_entries(scheme)
+        # (a, tau) -> S(tau), guarded: shaped_propagator, generated on first use
+        scheme.shaped = None
         return scheme
 
     def applicable_to(self, sys: HamiltonianSystem) -> bool:
@@ -344,17 +378,50 @@ def propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
 def shaped_propagator(scheme: Scheme, a: Mat2, tau: float) -> Mat2:
     """propagator for an A that require_shape has passed: the step-size
     checks, S(tau), SingularCayley and the unimodularity guard."""
-    if not 0.0 < tau < math.inf:
-        raise step_size_error(tau)
-    s, det, singular = scheme.s_entries(a, tau)
-    if singular:
-        raise SingularCayley(
-            f"Cayley denominator determinant {det!r} at tau={tau!r}"
-        )
-    det, lost = unimodularity_lost(*s, UNIMODULAR_TOL)
-    if lost:
-        raise AssertionError(f"propagator lost unimodularity: det={det!r}")
-    return s
+    return (scheme.shaped or _new_shaped(scheme))(a, tau)
+
+
+def guarded_s_body(scheme: Scheme, on_singular: str, level: int) -> str:
+    """Function-body code, indented by level blocks, from the locals a11,
+    a12, a21, a22 and tau to the row's S(tau) in s11, s12, s21, s22: the
+    step-size check, the row's s_lines (on_singular where the Cayley form
+    is singular) and the unimodularity guard.  shaped_propagator and the
+    analyzer's verdicts run it, with GUARD_NAMES among their globals."""
+    return indent("\n".join([
+        "if not 0.0 < tau < _inf:",
+        "    raise step_size_error(tau)",
+        _s_code(scheme, on_singular),
+        "det, lost = unimodularity_lost(s11, s12, s21, s22, UNIMODULAR_TOL)",
+        "if lost:",
+        '    raise AssertionError(f"propagator lost unimodularity: det={det!r}")',
+    ]), level)
+
+
+# the names guarded_s_body's code reads
+GUARD_NAMES = dict(
+    _inf=math.inf, step_size_error=step_size_error,
+    unimodularity_lost=unimodularity_lost, UNIMODULAR_TOL=UNIMODULAR_TOL,
+    DECISION_TOL=DECISION_TOL,
+)
+
+
+def _new_shaped(scheme: Scheme):
+    """Generate the row's shaped_propagator, (a, tau) -> S(tau), and keep
+    it on the row."""
+    singular = (
+        'raise SingularCayley(f"Cayley denominator determinant {det!r} at tau={tau!r}")'
+    )
+    source = "\n".join([
+        "def _shaped(a, tau):",
+        "    a11, a12, a21, a22 = a",
+        guarded_s_body(scheme, singular, 1),
+        "    return _tuple_new(Mat2, (s11, s12, s21, s22))",
+    ])
+    scheme.shaped = ex.define(
+        source, "_shaped", (), SingularCayley=SingularCayley, Mat2=Mat2,
+        _tuple_new=_tuple_new, **GUARD_NAMES,
+    )
+    return scheme.shaped
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ are produced symbolically and compiled at construction time, so
 linearizations carry no differencing error, and the vector field, the
 Jacobian and the generated kernels are built from the same set for every
 class.  HamiltonianSystem.kernel turns a template of the derivative texts
-into a kernel and caches it on the system, the only state a system changes
-after construction; a race on the cache only builds one kernel twice, so
-systems are safe to share between threads.  numpy is imported only by the
+into a kernel and caches it on the system; the kernels and the texts,
+emitted once for all of them, are the only state a system changes after
+construction.  A race on either only builds it twice, so systems are safe
+to share between threads.  numpy is imported only by the
 Newton search's least-squares step at a singular Jacobian.
 """
 
 import enum
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -183,6 +185,15 @@ class HamiltonianSystem:
         hqq = self.h_qq(x.p, x.q)
         return Mat2(-hpq, -hqq, hpp, hpq)
 
+    @functools.cached_property
+    def _texts(self):
+        """The derivative texts by template name, the def-line defaults that
+        bind their constants, and the constants: emitted once per system."""
+        consts: list[float] = []
+        texts = [ex.emit(tree, consts, "_k{}") for tree in self.derivatives]
+        defaults = "".join(f", _k{i}=_c[{i}]" for i in range(len(consts)))
+        return dict(zip(_DERIVATIVE_NAMES, texts)), defaults, consts
+
     def kernel(self, template: string.Template, name: str, **names):
         """The function that template's source binds to name, with the
         derivative texts substituted for $h_p $h_q $h_pp $h_pq $h_qq, and
@@ -194,14 +205,11 @@ class HamiltonianSystem:
         the first time, then cached in kernels under template."""
         kernel = self.kernels.get(template)
         if kernel is None:
-            consts: list[float] = []
-            texts = (ex.emit(tree, consts, "_k{}") for tree in self.derivatives)
-            source = template.substitute(dict(zip(_DERIVATIVE_NAMES, texts)))
-            head, body = source.split("):\n", 1)
-            defaults = "".join(f", _k{i}=_c[{i}]" for i in range(len(consts)))
-            source = f"{head}{defaults}):\n{body}"
+            texts, defaults, consts = self._texts
+            head, body = template.substitute(texts).split("):\n", 1)
             kernel = ex.define(
-                source, name, consts, State=State, _tuple_new=tuple.__new__, **names
+                f"{head}{defaults}):\n{body}", name, consts,
+                State=State, _tuple_new=tuple.__new__, **names,
             )
             self.kernels[template] = kernel
         return kernel
@@ -273,8 +281,10 @@ def classify_equilibrium(a: Mat2) -> EquilibriumKind:
 # to the rounding floor, so accepted roots are fixed points of the schemes to
 # full precision, not merely within tol.  A point outside the expressions'
 # domain is a DomainError, or a ValueError from math.sin, cos or tan at +-inf.
+# basins holds (p, q, rho^2) per ball of a root already found (_basin); an
+# iterate inside one returns None, as it would only find that root again.
 _NEWTON = string.Template("""\
-def _newton_root(xp, xq, tol):
+def _newton_root(xp, xq, tol, basins=()):
     p, q = xp, xq
     try:
         f0, f1 = -$h_q, $h_p
@@ -282,6 +292,10 @@ def _newton_root(xp, xq, tol):
         return None
     r = _hypot(f0, f1)
     for _ in range(50):
+        for bp, bq, rho_sq in basins:
+            dp, dq = xp - bp, xq - bq
+            if dp * dp + dq * dq < rho_sq:
+                return None
         floor = 1e-15 * (1.0 + _hypot(xp, xq))
         if r <= floor:
             break
@@ -339,11 +353,60 @@ def _least_squares_step(a11, a12, a21, a22, f0, f1):
 
 
 def _newton_kernel(sys: HamiltonianSystem):
-    """The system's Newton kernel (p0, q0, tol) -> State | None."""
+    """The system's Newton kernel (p0, q0, tol, basins=()) -> State | None."""
     return sys.kernel(
         _NEWTON, "_newton_root", DomainError=ex.DomainError,
         _hypot=math.hypot, _inf=math.inf, _least_squares_step=_least_squares_step,
     )
+
+
+def _basin(sys: HamiltonianSystem, x: State, a: Mat2, tol: float):
+    """(p, q, rho^2) of a ball about the centre or saddle x, with Jacobian
+    a, that no Newton iterate leaves once inside, or None.
+
+    beta = ||a||_F / |det a| is ||a^-1||_F.  rho starts at 0.1 (1 + |x|) and
+    is accepted when theta = beta * max ||J(y) - a||_F over the ball is at
+    most 1/8, else rho <- 0.1 rho / theta, at most three times.  The max is
+    bounded from above by enclosing H_pp, H_pq and H_qq over the square
+    about the ball (ex.enclose), so it holds at every point of the ball,
+    not only at samples.  With theta <= 1/8, J is invertible on the ball,
+    a damped Newton step inside it contracts towards the one root there,
+    and a point with residual below tol lies within (8/7) beta tol <=
+    1.2e-7 of that root: a seed that enters the ball ends merged into x,
+    outside the box or at no root.  A box that leaves the domain, or
+    beta * tol > 1e-7, gives no ball.
+    """
+    a11, a12, a21, a22 = a
+    beta = math.sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22) / abs(
+        a11 * a22 - a12 * a21
+    )
+    if not beta * tol <= 1e-7:
+        return None
+    rho = 0.1 * (1.0 + math.hypot(x.p, x.q))
+    for _ in range(4):
+        # a hair wider than the ball, for the rounding of the kernel's test
+        w = rho * (1.0 + 1e-9)
+        box = {
+            name: (math.nextafter(c - w, -math.inf), math.nextafter(c + w, math.inf))
+            for name, c in zip(_PQ, x)
+        }
+        try:
+            (pp_lo, pp_hi), (pq_lo, pq_hi), (qq_lo, qq_hi) = (
+                ex.enclose(tree, box) for tree in sys.derivatives[2:]
+            )
+        except ex.DomainError:
+            return None
+        # a = (-H_pq, -H_qq, H_pp, H_pq) at x
+        dpp = max(pp_hi - a21, a21 - pp_lo)
+        dpq = max(pq_hi - a22, a22 - pq_lo)
+        dqq = max(qq_hi + a12, -a12 - qq_lo)
+        theta = beta * math.sqrt(dpp * dpp + 2.0 * dpq * dpq + dqq * dqq)
+        if theta <= 0.125:
+            return x.p, x.q, rho * rho
+        if not theta < math.inf:
+            return None
+        rho = 0.1 * rho / theta
+    return None
 
 
 def find_equilibria(
@@ -355,9 +418,12 @@ def find_equilibria(
     """Locate equilibria by Newton iteration seeded on a grid over ``box``.
 
     Converged points are deduplicated within distance 1e-6 and sorted by
-    (q, p).  When at least ``grid`` distinct points converge and every one
-    has a singular Jacobian, as all along a curve of equilibria, the set is
-    likely a continuum and every result carries ``continuum_suspected``.
+    (q, p).  Each new root is linearized and classified when it is found,
+    and a centre or saddle gets a ball (_basin): a later seed whose iterate
+    enters it stops, as it would only find that root again.  When at least
+    ``grid`` distinct points converge and every one has a singular
+    Jacobian, as all along a curve of equilibria, the set is likely a
+    continuum and every result carries ``continuum_suspected``.
     A root whose Jacobian or residual leaves the expressions' domain, or
     whose Jacobian has a non-finite entry, has no linearization and is
     skipped.
@@ -372,10 +438,12 @@ def find_equilibria(
     qs = [q_lo + (q_hi - q_lo) * i / (grid - 1) for i in range(grid)]
     margin = 1e-9 * (1.0 + max(abs(p_lo), abs(p_hi), abs(q_lo), abs(q_hi)))
     newton_root = _newton_kernel(sys)
-    found: list[State] = []
+    # (root, (a, kind, residual) or None where it has no linearization)
+    found: list[tuple] = []
+    basins: list[tuple[float, float, float]] = []
     for q0 in qs:
         for p0 in ps:
-            root = newton_root(p0, q0, tol)
+            root = newton_root(p0, q0, tol, basins)
             if root is None:
                 continue
             # Newton may wander out of the box; only report roots inside it
@@ -384,20 +452,23 @@ def find_equilibria(
                 and q_lo - margin <= root.q <= q_hi + margin
             ):
                 continue
-            for existing in found:
+            for existing, _ in found:
                 if math.hypot(root.p - existing.p, root.q - existing.q) < 1e-6:
                     break
             else:
-                found.append(root)
-    found.sort(key=lambda s: (s.q, s.p))
-    linearized = []
-    for x in found:
-        try:
-            a, residual = sys.jacobian(x), sys.residual(x)
-            kind = classify_equilibrium(a)
-        except (ex.DomainError, ValueError):
-            continue  # a root the linearization is not defined at
-        linearized.append((x, a, kind, residual))
+                try:
+                    a, residual = sys.jacobian(root), sys.residual(root)
+                    kind = classify_equilibrium(a)
+                except (ex.DomainError, ValueError):
+                    found.append((root, None))  # not linearizable, still found
+                    continue
+                found.append((root, (a, kind, residual)))
+                if kind.case <= 2:
+                    basin = _basin(sys, root, a, tol)
+                    if basin is not None:
+                        basins.append(basin)
+    found.sort(key=lambda f: (f[0].q, f[0].p))
+    linearized = [(x, *lin) for x, lin in found if lin is not None]
     continuum = len(found) >= grid and all(
         kind in _SINGULAR_KINDS for _, _, kind, _ in linearized
     )

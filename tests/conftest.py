@@ -2,8 +2,10 @@
 random expression trees, finite differences, per-class reference formulas
 for the systems' compiled accessors, and the generic references for the
 generated kernels: the step of schemes.step, the stage product S(tau) of
-a stage row's s_entries and the damped Newton root of find_equilibria; and
-the orbit loop of orbit.simulate, on the reference step."""
+a stage row's s_entries, the Cayley transform of the midpoint row's, the
+guarded propagator of shaped_propagator, the damped Newton root of
+find_equilibria and the verdict predicate of the bisection; the orbit loop of orbit.simulate, on the reference step; and
+the grid scan of find_equilibria with no basins."""
 
 import functools
 import math
@@ -15,7 +17,7 @@ import numpy as np
 import symbound
 from symbound import catalog
 from symbound import expr as ex
-from symbound.mat2 import Mat2
+from symbound.mat2 import DECISION_TOL, Mat2, unimodularity_lost
 from symbound.orbit import (
     Bounded,
     Escaped,
@@ -24,8 +26,23 @@ from symbound.orbit import (
     SolverFailed,
     default_stride,
 )
-from symbound.schemes import KICK, ImplicitSolveFailed
-from symbound.systems import HamiltonianSystem, NotApplicable, State
+from symbound.schemes import (
+    KICK,
+    UNIMODULAR_TOL,
+    ImplicitSolveFailed,
+    SingularCayley,
+    require_shape,
+    step_size_error,
+)
+from symbound.systems import (
+    _SINGULAR_KINDS,
+    Equilibrium,
+    HamiltonianSystem,
+    NotApplicable,
+    State,
+    _newton_kernel,
+    classify_equilibrium,
+)
 
 
 def pytest_configure(config):
@@ -435,3 +452,135 @@ def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
         else:
             break  # no improving step left; the residual is at its floor
     return x if r < tol else None
+
+
+def reference_cayley(a: Mat2, tau):
+    """(I - B)^-1 (I + B), B = tau A / 2, with its denominator determinant
+    and whether it is singular, for a float or an ndarray tau; None for S at
+    a singular float tau.  The reference the midpoint row's s_entries must
+    equal bitwise."""
+    h = 0.5 * tau
+    b11, b12, b21, b22 = h * a.a11, h * a.a12, h * a.a21, h * a.a22
+    d11, d12, d21, d22 = 1.0 - b11, 0.0 - b12, 0.0 - b21, 1.0 - b22
+    det = d11 * d22 - d12 * d21
+    singular = det <= DECISION_TOL * (
+        1.0 + (d11 * d11 + d12 * d12 + d21 * d21 + d22 * d22)
+    )
+    if singular is True:
+        return None, det, True
+    i11, i12, i21, i22 = d22 / det, -d12 / det, -d21 / det, d11 / det
+    p11, p12, p21, p22 = 1.0 + b11, 0.0 + b12, 0.0 + b21, 1.0 + b22
+    return Mat2(
+        i11 * p11 + i12 * p21,
+        i11 * p12 + i12 * p22,
+        i21 * p11 + i22 * p21,
+        i21 * p12 + i22 * p22,
+    ), det, singular
+
+
+def reference_condition_holds(case, s11, s12, s21, s22):
+    """The trace/rank preservation test of S for the case of A (1 center, 2
+    saddle, 3 rank 1, 4 zero), on floats, written as a branch per case."""
+    tr = s11 + s22
+    if case == 1:
+        return abs(tr) < 2.0
+    if case == 2:
+        return abs(tr) > 2.0
+    # S - I, entry by entry as Mat2.__sub__ computes it
+    m11, m12, m21, m22 = s11 - 1.0, s12 - 0.0, s21 - 0.0, s22 - 1.0
+    if case == 3:
+        rank1 = (Mat2(m11, m12, m21, m22).max_norm > DECISION_TOL) & (
+            abs(m11 * m22 - m12 * m21)
+            <= DECISION_TOL * (1.0 + (m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22))
+        )
+        tr_is_2 = abs(tr - 2.0) <= DECISION_TOL * (1.0 + Mat2(s11, s12, s21, s22).max_norm)
+        return tr_is_2 & rank1
+    return Mat2(m11, m12, m21, m22).max_norm <= DECISION_TOL
+
+
+def reference_shaped_propagator(scheme, a: Mat2, tau: float) -> Mat2:
+    """The step-size check, S from reference_stage_product or
+    reference_cayley, SingularCayley and the unimodularity guard.  The
+    reference the generated shaped_propagator must equal, in value and in
+    what it raises."""
+    if not 0.0 < tau < math.inf:
+        raise step_size_error(tau)
+    if scheme.stages:
+        s = reference_stage_product(scheme.stages, a, tau)
+    else:
+        s, det, singular = reference_cayley(a, tau)
+        if singular:
+            raise SingularCayley(f"Cayley denominator determinant {det!r} at tau={tau!r}")
+    det, lost = unimodularity_lost(*s, UNIMODULAR_TOL)
+    if lost:
+        raise AssertionError(f"propagator lost unimodularity: det={det!r}")
+    return s
+
+
+def reference_verdict_predicate(scheme, a: Mat2):
+    """tau -> whether S(tau) passes the trace/rank test of A's case, False
+    where the Cayley form is singular: reference_shaped_propagator, then
+    reference_condition_holds.  The reference the generated verdicts of the
+    bisection must equal, in value and in what they raise."""
+    require_shape(scheme, a)
+    case = classify_equilibrium(a).case
+
+    def holds(tau: float) -> bool:
+        try:
+            s = reference_shaped_propagator(scheme, a, tau)
+        except SingularCayley:
+            return False
+        return reference_condition_holds(case, *s)
+
+    return holds
+
+
+def reference_find_equilibria(
+    sys: HamiltonianSystem,
+    box: tuple[tuple[float, float], tuple[float, float]] = ((-5.0, 5.0), (-5.0, 5.0)),
+    grid: int = 32,
+    tol: float = 1e-10,
+) -> list[Equilibrium]:
+    """The grid scan of find_equilibria without basins: every seed runs the
+    Newton kernel to its end, and converged points are deduplicated within
+    1e-6.  The reference find_equilibria must equal bit for bit."""
+    (p_lo, p_hi), (q_lo, q_hi) = box
+    if grid < 4:
+        raise ValueError("grid must be at least 4")
+    width, height = p_hi - p_lo, q_hi - q_lo
+    if not (width > 0.0 and height > 0.0 and math.isfinite(width + height)):
+        raise ValueError("degenerate search box")
+    ps = [p_lo + (p_hi - p_lo) * i / (grid - 1) for i in range(grid)]
+    qs = [q_lo + (q_hi - q_lo) * i / (grid - 1) for i in range(grid)]
+    margin = 1e-9 * (1.0 + max(abs(p_lo), abs(p_hi), abs(q_lo), abs(q_hi)))
+    newton_root = _newton_kernel(sys)
+    found: list[State] = []
+    for q0 in qs:
+        for p0 in ps:
+            root = newton_root(p0, q0, tol)
+            if root is None:
+                continue
+            # Newton may wander out of the box; only report roots inside it
+            if not (
+                p_lo - margin <= root.p <= p_hi + margin
+                and q_lo - margin <= root.q <= q_hi + margin
+            ):
+                continue
+            for existing in found:
+                if math.hypot(root.p - existing.p, root.q - existing.q) < 1e-6:
+                    break
+            else:
+                found.append(root)
+    found.sort(key=lambda s: (s.q, s.p))
+    linearized = []
+    for x in found:
+        try:
+            a, residual = sys.jacobian(x), sys.residual(x)
+            kind = classify_equilibrium(a)
+        except (ex.DomainError, ValueError):
+            continue  # a root the linearization is not defined at
+        linearized.append((x, a, kind, residual))
+    continuum = len(found) >= grid and all(
+        kind in _SINGULAR_KINDS for _, _, kind, _ in linearized
+    )
+    return [Equilibrium(*eq, continuum_suspected=continuum) for eq in linearized]

@@ -53,7 +53,7 @@ from symbound.systems import (
 )
 from symbound.verify import catalog_equilibria
 
-from conftest import outcome_type
+from conftest import outcome_type, reference_verdict_predicate
 
 
 def _eq_from_matrix(a: Mat2, point=State(0.0, 0.0)) -> Equilibrium:
@@ -402,6 +402,59 @@ def test_verdict_predicate_equals_check_preservation(case):
         want = outcome_type(_scalar_verdict, scheme, a, tau)
         got = holds if isinstance(holds, type) else outcome_type(holds, tau)
         assert got == want, (scheme, a, tau)
+
+
+_ODD_TAUS = (0.0, -0.0, -1.0, -math.inf, math.inf, math.nan)
+# trace-free by require_linearization, yet S(1e-3) of the midpoint row is off
+# unimodular by 1.9e-9
+_OFF_UNIMODULAR_A = Mat2(0.99e-9 * math.sqrt(1.0 + 2e6), 1e3, 1e3, 0.0)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 - the failure is part of the outcome
+        return type(err), str(err)
+
+
+def _assert_verdict_is_the_reference(scheme, a, taus):
+    want = _outcome(reference_verdict_predicate, scheme, a)
+    got = _outcome(_verdict_predicate, scheme, a)
+    if isinstance(want, tuple):
+        assert got == want, (scheme, a)
+        return
+    for tau in taus:
+        assert _outcome(got, tau) == _outcome(want, tau), (scheme, a, tau)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_cases(), st.lists(st.sampled_from(_ODD_TAUS), max_size=3))
+@example((Scheme.IMPLICIT_MIDPOINT, _OFF_UNIMODULAR_A, [1e-3, 1e-5]), [])
+@example((Scheme.IMPLICIT_MIDPOINT, _ROUNDED_A, [_ROUNDED_TAU]), [])
+def test_generated_verdict_equals_the_reference_predicate(case, odd_taus):
+    # value, exception type and message, for any tau the bisection could pass
+    scheme, a, taus = case
+    _assert_verdict_is_the_reference(scheme, a, [*taus, *odd_taus])
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_every_generated_verdict_equals_the_reference(scheme):
+    # each (row, case) pair, past the Cayley singularity and at odd taus
+    taus = [1e-3, 0.5, 1.9, 2.0, 2.1, 3.0, 1e3, 1e300, *_ODD_TAUS]
+    matrices = [
+        Mat2(0.0, -1.0, 1.0, 0.0),
+        Mat2(0.0, 1.0, 1.0, 0.0),
+        Mat2(0.0, 0.0, 1.0, 0.0),
+        Mat2.zero(),
+    ]
+    if not scheme.stages:
+        matrices += [Mat2(0.5, 1.0, -0.25, -0.5), Mat2(1.0, 2.0, 0.5, -1.0)]
+        matrices.append(_OFF_UNIMODULAR_A)
+    for a in matrices:
+        _assert_verdict_is_the_reference(scheme, a, taus)
+    with pytest.raises(AssertionError, match="lost unimodularity"):
+        reference_verdict_predicate(Scheme.IMPLICIT_MIDPOINT, _OFF_UNIMODULAR_A)(1e-3)
 
 
 def test_rounded_negative_discriminant_still_gives_an_eigenline():

@@ -823,6 +823,23 @@ def test_cli_commands_run_without_numpy(tmp_path, command, cfg):
     assert (run.returncode, run.stdout, run.stderr) == (0, "0 False\n", "")
 
 
+def test_a_sweep_whose_traces_overflow_writes_nothing_to_stderr(tmp_path):
+    # the yoshida2 saddle's s11 and s22 near 1e308: their sum overflows
+    text = (ROOT / "configs" / "pendulum.cfg").read_text()
+    for old, new in (("tau_lo = 0.1", "tau_lo = 1.5e154"),
+                     ("tau_hi = 4.0", "tau_hi = 1.6e154"),
+                     ("tau_count = 40", "tau_count = 2")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, text)
+    run = _fresh_python(
+        "from symbound.cli import main\n"
+        f"raise SystemExit(main(['sweep', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--quiet']))"
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

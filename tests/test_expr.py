@@ -355,6 +355,82 @@ def test_the_documented_functions_are_the_table():
 
 
 # ---------------------------------------------------------------------------
+# enclosure
+
+_enclosure_trees = st.recursive(
+    _leaf,
+    lambda children: st.one_of(
+        _branch(children), st.tuples(children, children).map(lambda t: Pow(*t))
+    ),
+    max_leaves=12,
+)
+_FRACTION = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _enclosure_trees,
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.lists(st.tuples(_FRACTION, _FRACTION), max_size=4),
+)
+def test_an_enclosure_holds_the_value_at_every_point_of_its_box(
+    tree, cx, cy, wx, wy, fractions
+):
+    box = {"x": (cx - wx, cx + wx), "y": (cy - wy, cy + wy)}
+    try:
+        lo, hi = ex.enclose(tree, box)
+    except DomainError:
+        return  # no enclosure claims nothing
+    corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)]
+    for fx, fy in corners + fractions:
+        point = {
+            "x": min(cx - wx + 2.0 * wx * fx, cx + wx),
+            "y": min(cy - wy + 2.0 * wy * fy, cy + wy),
+        }
+        value = evaluate(tree, point)  # no DomainError inside an enclosed box
+        assert lo <= value <= hi, (to_string(tree), point, value, lo, hi)
+
+
+@pytest.mark.parametrize("text, box, want", [
+    ("cos(x)", (-0.1, 0.2), (math.cos(0.2), 1.0)),
+    ("cos(x)", (3.0, 3.3), (-1.0, math.cos(3.3))),
+    ("sin(x)", (1.0, 2.0), (math.sin(1.0), 1.0)),
+    ("sin(x)", (-7.0, 7.0), (-1.0, 1.0)),
+    ("x^2", (-1.0, 2.0), (0.0, 4.0)),
+    ("x^3", (-1.0, 2.0), (-1.0, 8.0)),
+    ("cosh(x)", (-1.0, 0.5), (1.0, math.cosh(1.0))),
+    ("abs(x)", (-3.0, -2.0), (2.0, 3.0)),
+    ("2^x", (1.0, 3.0), (2.0, 8.0)),
+    ("1/x", (2.0, 4.0), (0.25, 0.5)),
+])
+def test_an_enclosure_is_tight_at_the_extremes(text, box, want):
+    lo, hi = ex.enclose(parse(text), {"x": box})
+    assert lo <= want[0] and want[1] <= hi
+    assert want[0] - lo <= 1e-12 * (1.0 + abs(want[0]))
+    assert hi - want[1] <= 1e-12 * (1.0 + abs(want[1]))
+
+
+@pytest.mark.parametrize("text, box", [
+    ("1/x", (-1.0, 1.0)),
+    ("x^-1", (-1.0, 1.0)),
+    ("x^0.5", (-1.0, 1.0)),
+    ("sqrt(x)", (-1.0, 1.0)),
+    ("log(x)", (0.0, 1.0)),
+    ("x^x", (0.0, 1.0)),
+    ("tan(x)", (1.0, 2.0)),
+    ("tan(x)", (0.0, 4.0)),
+    ("exp(x)", (0.0, 1000.0)),
+    ("x - x", (0.0, math.inf)),
+])
+def test_an_enclosure_is_refused_off_the_domain_or_unbounded(text, box):
+    with pytest.raises(DomainError):
+        ex.enclose(parse(text), {"x": box})
+
+
+# ---------------------------------------------------------------------------
 # compiled evaluation
 
 def test_compiled_matches_tree_eval_bitwise():

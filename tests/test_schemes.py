@@ -21,6 +21,7 @@ from symbound.schemes import (
     propagator,
     require_shape,
     scheme_from_name,
+    shaped_propagator,
     step,
     symplecticity_defect,
 )
@@ -37,6 +38,9 @@ from conftest import (
     KERNEL_SYSTEMS,
     SPECIAL_FLOATS,
     class_formulas,
+    outcome_type,
+    reference_cayley,
+    reference_shaped_propagator,
     reference_stage_product,
     reference_step,
     same_float,
@@ -382,6 +386,64 @@ def test_generated_stage_product_is_the_reference_fold(scheme, a, tau, taus):
     for g, w in zip(got, want):
         g, w = (np.broadcast_to(x, taus.shape).tolist() for x in (g, w))
         assert all(map(same_float, g, w)), (scheme, a, taus, got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    _ENTRY,
+    st.lists(_ENTRY, min_size=1, max_size=8),
+)
+@example((0.0, -1.0, 1.0, 0.0), 2.0, [2.0, 3.0])  # the singular band
+def test_generated_cayley_is_the_reference_transform(a, tau, taus):
+    # the midpoint row's s_entries, for a float and an ndarray tau: S, its
+    # denominator determinant and the singular flag bit for bit, or the same
+    # exception
+    a = Mat2(*a)
+    got = outcome_type(Scheme.IMPLICIT_MIDPOINT.s_entries, a, tau)
+    want = outcome_type(reference_cayley, a, tau)
+    if isinstance(want, type):
+        assert got == want, (a, tau)
+    else:
+        (s_got, det_got, sing_got), (s_want, det_want, sing_want) = got, want
+        assert sing_got == sing_want and same_float(det_got, det_want), (a, tau)
+        assert (s_got is None) == (s_want is None), (a, tau)
+        if s_want is not None:
+            assert all(map(same_float, s_got, s_want)), (a, tau, s_got, s_want)
+    taus = np.array(taus)
+    with np.errstate(all="ignore"):
+        got = Scheme.IMPLICIT_MIDPOINT.s_entries(a, taus)
+        want = reference_cayley(a, taus)
+    assert got[2].tolist() == want[2].tolist()
+    for g, w in zip((*got[0], got[1]), (*want[0], want[1])):
+        assert all(map(same_float, g.tolist(), w.tolist())), (a, taus, got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(ALL_SCHEMES),
+    st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY),
+    st.one_of(_ENTRY, st.sampled_from((0.5, 1.9, 2.0, 2.1, 3.0))),
+)
+@example(Scheme.IMPLICIT_MIDPOINT, (0.0, -1.0, 1.0, 0.0), 2.0)  # singular
+# trace-free to require_linearization's tolerance, yet det S(1e-3) is
+# 1 + 1.9e-9: the unimodularity guard fires
+@example(Scheme.IMPLICIT_MIDPOINT, (0.99e-9 * math.sqrt(1.0 + 2e6), 1e3, 1e3, 0.0), 1e-3)
+def test_generated_shaped_propagator_is_the_reference(scheme, a, tau):
+    # S bit for bit, or the same exception with the same message
+    a = Mat2(*a)
+
+    def outcome(fn):
+        try:
+            return fn(scheme, a, tau)
+        except Exception as err:  # noqa: BLE001 - the failure is part of the outcome
+            return type(err), str(err)
+
+    got, want = outcome(shaped_propagator), outcome(reference_shaped_propagator)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want, (scheme, a, tau)
+    else:
+        assert all(map(same_float, got, want)), (scheme, a, tau, got, want)
 
 
 def test_propagator_shape_mismatch():

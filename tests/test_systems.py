@@ -20,13 +20,14 @@ from symbound.systems import (
     collapse_continuum,
     find_equilibria,
 )
-from symbound.systems import _NEWTON, _newton_kernel
+from symbound.systems import _NEWTON, _basin, _newton_kernel
 
 from conftest import (
     KERNEL_SYSTEMS,
     SPECIAL_FLOATS,
     class_formulas,
     outcome_type,
+    reference_find_equilibria,
     reference_newton_root,
     same_float,
 )
@@ -385,3 +386,121 @@ def test_find_equilibria_takes_the_least_squares_step_bit_for_bit(monkeypatch):
     # form A^T b / |A|^2 gives (1.0, 6.484086767688023e-17) here
     direction = least_squares_step(-0.0, 9.138952456219905e-17, 1.0, 0.0, -0.7095, -1.0)
     assert direction == (1.0, 0.0) and math.copysign(1.0, direction[1]) == 1.0
+
+
+def test_a_system_emits_its_derivative_texts_once(monkeypatch):
+    # every kernel of a system shares one emission of its five derivatives
+    sys = HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)")
+    emit, emitted, depth = ex.emit, [], [0]
+
+    def counted(tree, *args):
+        if depth[0] == 0:  # emit recurses through the module global
+            emitted.append(tree)
+        depth[0] += 1
+        try:
+            return emit(tree, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "emit", counted)
+    find_equilibria(sys, grid=8)
+    for scheme in SCHEMES_BY_CLASS[sys.kind]:
+        step(scheme, sys, State(0.1, 0.2), 0.5)
+    assert len(sys.kernels) == 1 + len(SCHEMES_BY_CLASS[sys.kind])
+    assert emitted == list(sys.derivatives)
+
+
+# ---------------------------------------------------------------------------
+# basins: find_equilibria against the scan that runs every seed to its end
+
+_DEGENERATE = (
+    HamiltonianSystem.newtonian("q^3"),
+    HamiltonianSystem.newtonian("-q^3"),
+    HamiltonianSystem.newtonian("q^2"),
+    HamiltonianSystem.separable("p^2/2", "q^4"),
+)
+_SCAN_SYSTEMS = (
+    KERNEL_SYSTEMS
+    + tuple(factory() for factory in catalog.CATALOG.values())
+    + _DEGENERATE
+    + (_STEEP,)
+)
+
+
+def _assert_scan_equals_the_reference(sys, box, grid, tol):
+    got = outcome_type(find_equilibria, sys, box, grid, tol)
+    want = outcome_type(reference_find_equilibria, sys, box, grid, tol)
+    assert repr(got) == repr(want), (sys.describe(), box, grid, tol)
+
+
+_CENTRE = st.one_of(st.floats(-6.0, 6.0), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_SCAN_SYSTEMS),
+    _CENTRE,
+    _CENTRE,
+    st.floats(0.05, 8.0),
+    st.floats(0.05, 8.0),
+    st.integers(4, 20),
+    st.sampled_from((1e-12, 1e-10, 1e-8, 1e-6, 1e-3)),
+)
+def test_find_equilibria_equals_the_scan_without_basins(sys, cp, cq, wp, wq, grid, tol):
+    box = ((cp - wp, cp + wp), (cq - wq, cq + wq))
+    _assert_scan_equals_the_reference(sys, box, grid, tol)
+
+
+def test_basins_keep_the_roots_of_a_periodic_jacobian():
+    # V'' = cos q takes the same values on the rim of a ball of radius near
+    # 2 pi as at its centre; the roots 3.14 apart must all be found
+    sys = catalog.pendulum()
+    for box in (((-1.0, 1.0), (55.0, 70.0)), ((-2.0, 2.0), (-70.0, -55.0))):
+        for grid in (12, 20, 40):
+            _assert_scan_equals_the_reference(sys, box, grid, 1e-10)
+    (eq,) = find_equilibria(sys, box=((-1.0, 1.0), (59.0, 60.0)), grid=8)
+    assert math.isclose(eq.point.q, 19 * math.pi)
+    _, _, rho_sq = _basin(sys, eq.point, eq.a, 1e-10)
+    assert rho_sq < (math.pi / 2) ** 2
+
+
+def test_basins_keep_the_least_squares_roots():
+    # the box edges sit on cos(0.7012 q) = 0, where Newton meets singular
+    # Jacobians and takes the least-squares step
+    sys = HamiltonianSystem.newtonian("-0.7095*sin(0.7012*q)")
+    box = ((-1.0, 1.0), (-6.720463463184098, 6.720463463184098))
+    for grid in (12, 16, 31):
+        _assert_scan_equals_the_reference(sys, box, grid, 1e-10)
+
+
+def test_a_steep_jacobian_shrinks_the_first_radius():
+    # g' = 2 ln 2 q 2^(q^2) grows fast: theta rejects rho = 0.1 (1 + |x|)
+    (eq,) = [e for e in find_equilibria(_STEEP, box=((-1, 1), (0.5, 1.5)), grid=8)]
+    assert eq.kind is EquilibriumKind.SADDLE
+    p, q, rho_sq = _basin(_STEEP, eq.point, eq.a, 1e-10)
+    assert (p, q) == eq.point
+    assert 0.0 < rho_sq < (0.1 * (1.0 + math.hypot(*eq.point))) ** 2
+    for grid in (8, 16, 24):
+        _assert_scan_equals_the_reference(_STEEP, ((-2.0, 2.0), (-2.0, 2.0)), grid, 1e-10)
+
+
+def test_a_near_degenerate_centre_gets_no_basin():
+    # det A = 3e-9 passes as a centre, but beta * tol = tol / 3e-9 > 1e-7
+    sys = HamiltonianSystem.newtonian("-3e-9*q")
+    (eq,) = find_equilibria(sys, box=((-1.0, 1.0), (-1.0, 1.0)), grid=8)
+    assert eq.kind is EquilibriumKind.CENTER
+    assert _basin(sys, eq.point, eq.a, 1e-10) is None
+    for grid in (8, 16):
+        _assert_scan_equals_the_reference(sys, ((-1.0, 1.0), (-1.0, 1.0)), grid, 1e-10)
+
+
+def test_a_seed_in_a_basin_stops_at_once():
+    sys = catalog.pendulum()
+    newton_root = _newton_kernel(sys)
+    root = newton_root(0.1, 0.2, 1e-10)  # the seed's root without balls
+    a = sys.jacobian(root)
+    basin = _basin(sys, root, a, 1e-10)
+    assert basin is not None and basin[2] > 0.01
+    assert newton_root(0.1, 0.2, 1e-10, [basin]) is None
+    # a seed outside every ball runs as without them
+    assert newton_root(0.1, 3.0, 1e-10, [basin]) == newton_root(0.1, 3.0, 1e-10)
