@@ -53,7 +53,6 @@ from .schemes import (
     Scheme,
     ShapeMismatch,
     guarded_s_body,
-    indent,
     propagator,
     require_shape,
     step,
@@ -244,7 +243,7 @@ def _case_test(case: int, arrays: bool = False):
     """The generated test of a case, (s11, s12, s21, s22) -> holds, on
     floats or, with arrays, on ndarrays of entries."""
     return ex.define(
-        f"def _test(s11, s12, s21, s22):\n{indent(_CASE_TESTS[case], 1)}",
+        f"def _test(s11, s12, s21, s22):\n{ex.indent(_CASE_TESTS[case], 1)}",
         "_test", (), DECISION_TOL=DECISION_TOL,
         _max_abs=_max_abs if arrays else _max_norm,
     )
@@ -415,7 +414,7 @@ def _verdict(scheme: Scheme, case: int):
         "    a11, a12, a21, a22 = a",
         "    def holds(tau):",
         guarded_s_body(scheme, "return False", 2),
-        indent(_CASE_TESTS[case], 2),
+        ex.indent(_CASE_TESTS[case], 2),
         "    return holds",
     ])
     return ex.define(source, "_verdict", (), _max_abs=_max_norm, **GUARD_NAMES)
@@ -491,7 +490,10 @@ def preservation_report(
             entry.empirical = empirical_tau_max(
                 scheme, eq, tau_hi=tau_hi, tol=bisect_tol
             )
-        except (NotApplicable, NonFiniteLinearization, InconsistentPredicate) as err:
+        except (
+            NotApplicable, NonFiniteLinearization, InconsistentPredicate,
+            AssertionError,  # the propagator's unimodularity guard, at a scanned tau
+        ) as err:
             entry.error = f"{type(err).__name__}: {err}"
         x0 = eq.point
         for tau in tau_list:

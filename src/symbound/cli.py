@@ -9,6 +9,7 @@ verification produce non-zero exits.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -97,9 +98,16 @@ def _print(text: str) -> bool:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file and a rename; a failure
+    removes the temporary file and ends in a UsageError."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as err:
+        with contextlib.suppress(OSError):  # tmp may be absent, or a directory
+            tmp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {str(path)!r}: {err.strerror}") from None
 
 
 class _Ctx:

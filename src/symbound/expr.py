@@ -746,6 +746,12 @@ def define(source: str, name: str, consts, **names):
     return namespace[name]
 
 
+def indent(lines: str, level: int) -> str:
+    """Source lines indented by level blocks of four spaces."""
+    pad = "    " * level
+    return "\n".join(pad + line for line in lines.split("\n"))
+
+
 def compile_expr(expr: Expr, args: tuple[str, ...]):
     free = variables(expr)
     missing = free - set(args)

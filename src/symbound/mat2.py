@@ -12,7 +12,10 @@ TypeError, where the tuple would silently concatenate or repeat.
 """
 
 import math
+import string
 from typing import NamedTuple
+
+from . import expr as ex
 
 Vec2 = tuple[float, float]
 
@@ -115,16 +118,23 @@ class Mat2(NamedTuple):
         )
 
 
-def unimodularity_lost(s11, s12, s21, s22, tol: float):
-    """det S and whether it is off 1 by more than tol * (1 + |S|_F^2).
+# det S and whether it is off 1 by more than $tol * (1 + |S|_F^2), from the
+# locals s11, s12, s21, s22, spelled out in Mat2.det and frobenius_sq's
+# operation order.  unimodularity_lost(s11, s12, s21, s22, tol) -> (det,
+# lost) runs it on floats or on ndarrays of entries, and the guard of every
+# generated propagator (schemes.guarded_s_body) inlines it
+UNIMODULARITY = string.Template("""\
+det = s11 * s22 - s12 * s21
+lost = abs(det - 1.0) > $tol * (
+    1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
+)""")
 
-    Spelled out in Mat2.det and frobenius_sq's operation order, so it works
-    on floats or on ndarrays of entries and gives the same bits as both.
-    """
-    det = s11 * s22 - s12 * s21
-    return det, abs(det - 1.0) > tol * (
-        1.0 + (s11 * s11 + s12 * s12 + s21 * s21 + s22 * s22)
-    )
+unimodularity_lost = ex.define(
+    "def unimodularity_lost(s11, s12, s21, s22, tol):\n"
+    f"{ex.indent(UNIMODULARITY.substitute(tol='tol'), 1)}\n"
+    "    return det, lost",
+    "unimodularity_lost", (),
+)
 
 
 def eigenvector(m: Mat2, lam: float) -> Vec2:

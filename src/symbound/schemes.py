@@ -66,7 +66,7 @@ import math
 import string
 
 from . import expr as ex
-from .mat2 import DECISION_TOL, Mat2, unimodularity_lost
+from .mat2 import DECISION_TOL, UNIMODULARITY, Mat2
 from .systems import (
     HamiltonianSystem,
     NonFiniteLinearization,  # noqa: F401 - re-exported
@@ -227,12 +227,6 @@ s11, s12, s21, s22 = (
 )"""
 
 
-def indent(lines: str, level: int) -> str:
-    """Source lines indented by level blocks of four spaces."""
-    pad = "    " * level
-    return "\n".join(pad + line for line in lines.split("\n"))
-
-
 def _s_code(scheme: "Scheme", on_singular: str) -> str:
     """The row's s_lines as straight-line code from the locals a11, a12,
     a21, a22 and tau to s11, s12, s21, s22, running on_singular, which
@@ -246,7 +240,7 @@ def _new_s_entries(scheme: "Scheme"):
     source = (
         "def _s_entries(a, tau):\n"
         "    a11, a12, a21, a22 = a\n"
-        f"{indent(_s_code(scheme, 'return None, det, True'), 1)}\n"
+        f"{ex.indent(_s_code(scheme, 'return None, det, True'), 1)}\n"
         f"    return _tuple_new(Mat2, (s11, s12, s21, s22)), {tail}"
     )
     return ex.define(
@@ -387,11 +381,11 @@ def guarded_s_body(scheme: Scheme, on_singular: str, level: int) -> str:
     step-size check, the row's s_lines (on_singular where the Cayley form
     is singular) and the unimodularity guard.  shaped_propagator and the
     analyzer's verdicts run it, with GUARD_NAMES among their globals."""
-    return indent("\n".join([
+    return ex.indent("\n".join([
         "if not 0.0 < tau < _inf:",
         "    raise step_size_error(tau)",
         _s_code(scheme, on_singular),
-        "det, lost = unimodularity_lost(s11, s12, s21, s22, UNIMODULAR_TOL)",
+        UNIMODULARITY.substitute(tol="UNIMODULAR_TOL"),
         "if lost:",
         '    raise AssertionError(f"propagator lost unimodularity: det={det!r}")',
     ]), level)
@@ -400,7 +394,7 @@ def guarded_s_body(scheme: Scheme, on_singular: str, level: int) -> str:
 # the names guarded_s_body's code reads
 GUARD_NAMES = dict(
     _inf=math.inf, step_size_error=step_size_error,
-    unimodularity_lost=unimodularity_lost, UNIMODULAR_TOL=UNIMODULAR_TOL,
+    UNIMODULAR_TOL=UNIMODULAR_TOL,
     DECISION_TOL=DECISION_TOL,
 )
 

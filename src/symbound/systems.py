@@ -17,8 +17,9 @@ class.  HamiltonianSystem.kernel turns a template of the derivative texts
 into a kernel and caches it on the system; the kernels and the texts,
 emitted once for all of them, are the only state a system changes after
 construction.  A race on either only builds it twice, so systems are safe
-to share between threads.  numpy is imported only by the
-Newton search's least-squares step at a singular Jacobian.
+to share between threads.  Nothing here imports numpy: the Newton
+search's least-squares step at a singular Jacobian is a closed form of the
+2x2 SVD (_least_squares_step).
 """
 
 import enum
@@ -338,18 +339,65 @@ def _newton_root(xp, xq, tol, basins=()):
 """)
 
 
+# numpy's rcond=None rank rule for a 2x2 J: a singular value s counts as zero
+# when s <= 2 eps s_max, that is when s * 2^51 <= s_max, a product that is
+# exact short of overflow, where inf is still the right answer
+_INV_RCOND = 2.0**51
+
+
 def _least_squares_step(a11, a12, a21, a22, f0, f1):
-    """The Newton step at a singular Jacobian: the minimum-norm least-squares
-    direction, or None when an entry of the Jacobian or the field is not
-    finite, which lstsq cannot take."""
+    """The Newton step at a singular Jacobian J = [[a11, a12], [a21, a22]]:
+    the minimum-norm least-squares solution x of J x = b = (-f0, -f1), in
+    closed form from the SVD of J with numpy's rcond=None rank rule, or
+    None when an entry of J or of the field is not finite.
+
+    A zero diagonal, the shape of every separable and newtonian Jacobian,
+    has the axes for singular vectors and |a21|, |a12| for singular values,
+    so x is (b1 / a21, b0 / a12): each quotient correctly rounded, and +0.0
+    where its singular value is dropped, (0.0, 0.0) for J = 0.
+
+    Any other J and b are first scaled by powers of two, exactly, so that no
+    product below over- or underflows; x is scaled back at the end, to +-inf
+    where it overflows.  sigma_1^2 is the larger root of s^2 - |J|_F^2 s +
+    det(J)^2 and sigma_2 = |det J| / sigma_1.  With both kept, x is the exact
+    solve, by Cramer's rule.  With sigma_2 dropped, x is J^T b / |J|_F^2 =
+    (sigma_1 v_1 (u_1 . b) + sigma_2 v_2 (u_2 . b)) / (sigma_1^2 + sigma_2^2):
+    as sigma_2 <= 2 eps sigma_1, that is v_1 (u_1 . b) / sigma_1 to within
+    2 eps |b| / sigma_1, the size of the rounding of u_1 . b.
+    """
     # x * 0.0 is 0.0 for every finite x and NaN for an infinity or a NaN
     if not a11 * 0.0 + a12 * 0.0 + a21 * 0.0 + a22 * 0.0 + f0 * 0.0 + f1 * 0.0 == 0.0:
         return None
-    import numpy as np
+    b0, b1 = -f0, -f1
+    if a11 == 0.0 and a22 == 0.0:  # J x = (a12 x1, a21 x0)
+        top = max(abs(a12), abs(a21))
+        return (
+            b1 / a21 if abs(a21) * _INV_RCOND > top else 0.0,
+            b0 / a12 if abs(a12) * _INV_RCOND > top else 0.0,
+        )
+    _, ea = math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))
+    _, eb = math.frexp(max(abs(b0), abs(b1)))
+    a11, a12, a21, a22 = (math.ldexp(a, -ea) for a in (a11, a12, a21, a22))
+    b0, b1 = math.ldexp(b0, -eb), math.ldexp(b1, -eb)
+    norm_sq = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
+    det = a11 * a22 - a12 * a21
+    # max(, 0.0): the discriminant (sigma_1^2 - sigma_2^2)^2 can round below 0
+    sigma1_sq = 0.5 * (
+        norm_sq + math.sqrt(max(norm_sq * norm_sq - 4.0 * det * det, 0.0))
+    )
+    if abs(det) * _INV_RCOND > sigma1_sq:  # sigma_2 * 2^51 > sigma_1
+        x0, x1 = (b0 * a22 - a12 * b1) / det, (a11 * b1 - b0 * a21) / det
+    else:
+        x0, x1 = (a11 * b0 + a21 * b1) / norm_sq, (a12 * b0 + a22 * b1) / norm_sq
+    return _ldexp(x0, eb - ea), _ldexp(x1, eb - ea)
 
-    jm = np.array([[a11, a12], [a21, a22]])
-    sol = np.linalg.lstsq(jm, np.array([-f0, -f1]), rcond=None)[0]
-    return float(sol[0]), float(sol[1])
+
+def _ldexp(x, e):
+    """x * 2^e, correctly rounded, and +-inf where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _newton_kernel(sys: HamiltonianSystem):

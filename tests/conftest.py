@@ -40,6 +40,7 @@ from symbound.systems import (
     HamiltonianSystem,
     NotApplicable,
     State,
+    _least_squares_step,
     _newton_kernel,
     classify_equilibrium,
 )
@@ -407,7 +408,9 @@ def _implicit_midpoint(sys, x, tau, tol=1e-12, max_iter=100):
 
 def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
     """Damped Newton iteration on the vector field from one grid seed,
-    through the system's compiled accessors and Mat2.  The generic path the
+    through the system's compiled accessors and Mat2, with the singular
+    step of systems._least_squares_step (tested on its own against lstsq
+    and exact quotients).  The generic path the
     generated Newton kernel of find_equilibria must equal bitwise.  A point
     outside the domain is a DomainError, or a ValueError from math.sin, cos
     or tan at +-inf."""
@@ -430,11 +433,9 @@ def reference_newton_root(sys, seed: State, tol: float, max_iter: int = 50):
         else:
             # singular Jacobian: minimum-norm least-squares direction, unless
             # an entry is not finite, which leaves no improving step
-            if not all(math.isfinite(v) for v in (*j, *f)):
+            step = _least_squares_step(*j, *f)
+            if step is None:
                 break
-            jm = np.array([[j.a11, j.a12], [j.a21, j.a22]])
-            sol = np.linalg.lstsq(jm, np.array([-f[0], -f[1]]), rcond=None)[0]
-            step = (float(sol[0]), float(sol[1]))
         if math.hypot(*step) < 1e-15 * (1.0 + math.hypot(*x)):
             break
         # halve the step while the residual grows

@@ -46,6 +46,7 @@ from symbound.schemes import (
 from symbound.systems import (
     Equilibrium,
     EquilibriumKind,
+    HamiltonianSystem,
     NotTraceFree,
     State,
     classify_equilibrium,
@@ -787,6 +788,24 @@ def test_report_rows_record_singular_propagators_as_errors():
     assert entry.rows[0].error is None
     assert entry.rows[1].error is not None  # tau at the singularity
     assert entry.rows[2].error is not None  # beyond it
+
+
+def test_a_bisection_that_loses_unimodularity_is_an_entry_error():
+    # trace-free within tolerance, but the midpoint S of this A drifts off
+    # det 1 at the bisection's scanned taus and at tau = 1e-3 alike
+    a = Mat2(1.400071776767177e-06, 1e3, 1e3, 0.0)
+    eq = Equilibrium(State(0.0, 0.0), a, classify_equilibrium(a), 0.0)
+    sys = HamiltonianSystem.general("p*q")
+    report = preservation_report(sys, Scheme.IMPLICIT_MIDPOINT, [1e-3], [eq])
+    (entry,) = report.entries
+    assert entry.error.startswith("AssertionError: propagator lost unimodularity: det=")
+    assert entry.tau_limit is not None and entry.empirical is None
+    (row,) = entry.rows
+    assert row.error.startswith("AssertionError: propagator lost unimodularity: det=")
+    assert report_to_csv(report).splitlines()[5:] == [
+        f"# p0=0.0 q0=0.0 error: {entry.error}",
+        f"# p0=0.0 q0=0.0 tau=0.001 error: {row.error}",
+    ]
 
 
 def test_report_csv_shape():

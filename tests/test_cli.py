@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -663,6 +664,18 @@ def test_an_out_that_cannot_be_created_is_an_error(tmp_path, capsys, sub):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked", ["effective.cfg", "analyze.txt"])
+def test_an_output_that_cannot_be_written_is_one_error_line(tmp_path, capsys, blocked):
+    cfg = _write(tmp_path, PENDULUM_NH)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    assert main(["analyze", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(out / blocked)!r}: {os.strerror(errno.EISDIR)}\n"
+    assert (out / blocked).is_dir()
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_expression_error_reports_file_and_offset(tmp_path, capsys):
     cfg = _write(tmp_path, PENDULUM_NH.replace("g = -sin(q)", "g = -zin(q)"))
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -805,16 +818,46 @@ def test_importing_the_cli_does_not_import_numpy():
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
+# the system of test_find_equilibria_takes_the_least_squares_step_bit_for_bit:
+# grid seeds at cos(0.7012 q) = 0 meet exactly singular Jacobians
+SINGULAR_SEEDS = """\
+[system]
+class = newtonian
+g = -0.7095*sin(0.7012*q)
+
+[run]
+schemes = euler-b, implicit-midpoint
+tau = 0.5
+
+[search]
+p_min = -1.0
+p_max = 1.0
+q_min = -6.720463463184098
+q_max = 6.720463463184098
+grid = 12
+
+[simulate]
+n_max = 200
+escape_r = 1000.0
+offsets = 0.001, 0.0
+"""
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
         ("analyze", "configs/pendulum.cfg"),
         ("errordemo", "configs/errordemo.cfg"),
         ("simulate", "tests/golden/general.cfg"),
+        pytest.param("analyze", SINGULAR_SEEDS, id="analyze-singular-seeds"),
+        pytest.param("simulate", SINGULAR_SEEDS, id="simulate-singular-seeds"),
     ],
 )
 def test_cli_commands_run_without_numpy(tmp_path, command, cfg):
-    # none of these reaches verdict_grid, verify or the least-squares step
+    # none of these reaches verdict_grid or verify; the Newton search's
+    # least-squares step at a singular Jacobian needs no numpy either
+    if cfg == SINGULAR_SEEDS:
+        cfg = _write(tmp_path, cfg)
     run = _fresh_python(
         "import sys\nfrom symbound.cli import main\n"
         f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"

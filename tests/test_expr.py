@@ -483,22 +483,27 @@ def test_define_is_the_only_generated_code_path():
         assert calls == [], (path.name, calls)
 
 
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+# the modules with arrays: verdict_grid's and verify's
+_NUMPY_USERS = ("analyzer.py", "verify.py")
+
+
 def test_only_verify_imports_numpy_at_module_level():
     # numpy costs most of a CLI process's start; the modules that need it
-    # only on some paths import it inside the function that does
+    # only on some paths import it inside the function that does, and the
+    # rest (systems.py's Newton search among them) never import it
     src = Path(ex.__file__).parent
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        numpy_imports = [
-            node.lineno
-            for node in tree.body
-            if (
-                isinstance(node, ast.Import)
-                and any(a.name.split(".")[0] == "numpy" for a in node.names)
-            )
-            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
-        ]
+        numpy_imports = [node.lineno for node in tree.body if _imports_numpy(node)]
         assert numpy_imports == [] or path.name == "verify.py", (path.name, numpy_imports)
+        anywhere = [node.lineno for node in ast.walk(tree) if _imports_numpy(node)]
+        assert anywhere == [] or path.name in _NUMPY_USERS, (path.name, anywhere)
 
 
 def _broad_handlers(tree: ast.AST):

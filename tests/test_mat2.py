@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symbound.mat2 import Mat2, normalized
+from symbound.mat2 import UNIMODULARITY, Mat2, normalized, unimodularity_lost
+from symbound.schemes import Scheme, guarded_s_body
 
 
 def _to_np(m: Mat2):
@@ -85,3 +86,22 @@ def test_immutable_hashable_and_equal_by_entries():
     assert hash(m) == hash(Mat2(1.0, 2.0, 3.0, 4.0))
     assert hash(Mat2(1.0, 0.0, 0.0, 1.0)) == hash(Mat2.identity())
     assert len({m, Mat2(1.0, 2.0, 3.0, 4.0), Mat2.identity()}) == 2
+
+
+def test_unimodularity_lost_is_det_and_frobenius_sq_on_floats_and_arrays():
+    rng = np.random.default_rng(5)
+    ms = [_rand(rng) for _ in range(50)] + [Mat2(2.0, 1.0, 1.0, 1.0), Mat2(1.0, 1e-9, 0.0, 1.0)]
+    for tol in (1e-10, 1e-9, 0.5):
+        for m in ms:
+            want = (m.det, abs(m.det - 1.0) > tol * (1.0 + m.frobenius_sq))
+            assert unimodularity_lost(*m, tol) == want
+        det, lost = unimodularity_lost(*np.array(ms).T, tol)
+        assert det.tolist() == [m.det for m in ms]
+        assert lost.tolist() == [unimodularity_lost(*m, tol)[1] for m in ms]
+
+
+def test_the_propagator_guard_inlines_the_unimodularity_text():
+    # one definition: the text unimodularity_lost runs is the guard's
+    text = UNIMODULARITY.substitute(tol="UNIMODULAR_TOL")
+    for scheme in Scheme:
+        assert text in guarded_s_body(scheme, "return False", 0)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
@@ -386,6 +387,82 @@ def test_find_equilibria_takes_the_least_squares_step_bit_for_bit(monkeypatch):
     # form A^T b / |A|^2 gives (1.0, 6.484086767688023e-17) here
     direction = least_squares_step(-0.0, 9.138952456219905e-17, 1.0, 0.0, -0.7095, -1.0)
     assert direction == (1.0, 0.0) and math.copysign(1.0, direction[1]) == 1.0
+
+
+_EPS = 2.0**-52
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _rounded_quotient(b: float, a: float) -> float:
+    """b / a, the exact rational rounded once; +-inf past the float range."""
+    q = Fraction(b) / Fraction(a)
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_FINITE, _FINITE, _FINITE, _FINITE,
+       st.sampled_from((0.0, -0.0)), st.sampled_from((0.0, -0.0)))
+@example(9.138952456219905e-17, 1.0, -0.7095, -1.0, -0.0, 0.0)
+@example(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+@example(1e-300, 5e-324, 1.0, 1e300, 0.0, -0.0)
+def test_the_step_at_a_zero_diagonal_is_the_rounded_exact_quotients(
+    a12, a21, f0, f1, a11, a22
+):
+    # J x = (a12 x1, a21 x0), so x = (b1 / a21, b0 / a12) with b = -f,
+    # and a singular value at most 2 eps times the larger one is dropped
+    got = systems._least_squares_step(a11, a12, a21, a22, f0, f1)
+    top = max(abs(Fraction(a12)), abs(Fraction(a21)))
+    for x, b, a in zip(got, (-f1, -f0), (a21, a12)):
+        if abs(Fraction(a)) > 2 * Fraction(_EPS) * top:
+            assert x == _rounded_quotient(b, a), (a11, a12, a21, a22, f0, f1, got)
+        else:
+            assert (x, math.copysign(1.0, x)) == (0.0, 1.0), (a12, a21, f0, f1, got)
+
+
+# exactly rank-1 Jacobians: the outer product of two 20-bit integer vectors,
+# exact in floats, times a power of two
+_RANK_ONE = st.builds(
+    lambda u0, u1, v0, v1, e: tuple(
+        math.ldexp(float(x * y), e) for x, y in ((u0, v0), (u0, v1), (u1, v0), (u1, v1))
+    ),
+    *[st.integers(-2**20, 2**20)] * 4, st.integers(-400, 400),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE), _RANK_ONE),
+       _FINITE, _FINITE)
+@example((1.0, 2.0, 2.0, 4.0), 1.0, -3.0)
+@example((1e-10, 0.0, 0.0, 1e10), 1.0, 1.0)
+@example((0.5, 0.5, -0.5, -0.5), 1.0, 0.0)
+def test_the_step_is_within_the_perturbation_bound_of_lstsq(j, f0, f1):
+    a11, a12, a21, a22 = j
+    jm, b = np.array([[a11, a12], [a21, a22]]), np.array([-f0, -f1])
+    with np.errstate(all="ignore"):
+        try:
+            sigma = np.linalg.svd(jm, compute_uv=False).tolist()
+            want = np.linalg.lstsq(jm, b, rcond=None)[0].tolist()
+        except np.linalg.LinAlgError:
+            assume(False)
+    assume(all(map(math.isfinite, [*sigma, *want])) and sigma[0] > 0.0)
+    ratio = sigma[1] / sigma[0]
+    # away from numpy's rank threshold 2 eps, where a rounding decides the rank
+    assume(not 2 * _EPS / 16 <= ratio <= 2 * _EPS * 16)
+    kappa = 1.0 / ratio if ratio > 2 * _EPS else 1.0  # of the kept part of J
+    got = systems._least_squares_step(a11, a12, a21, a22, f0, f1)
+    bound = 64 * _EPS * kappa * (math.hypot(*want) + math.hypot(f0, f1) / sigma[0])
+    assert math.hypot(got[0] - want[0], got[1] - want[1]) <= bound, (j, f0, f1, got, want)
+
+
+def test_the_step_needs_finite_entries():
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in range(6):
+            args = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+            args[i] = bad
+            assert systems._least_squares_step(*args) is None
 
 
 def test_a_system_emits_its_derivative_texts_once(monkeypatch):
