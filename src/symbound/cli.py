@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .analyzer import (
     InconsistentPredicate,
+    VerdictGrid,
     empirical_tau_max,
     fmt_float,
     preservation_report,
@@ -223,19 +224,33 @@ def _tau_cells(taus: list[float]) -> list[str]:
     return [f"{fmt_float(tau)}," for tau in taus]
 
 
-def _sweep_rows(
-    scheme: Scheme, a: Mat2, taus: list[float], cells: list[str]
-) -> list[str]:
-    """tau,traceS,holds rows; a singular Cayley row reads nan,false.
+def _sweep_rows(grid: VerdictGrid, cells: list[str]) -> str:
+    """The grid's tau,traceS,holds rows, joined by newlines; a singular
+    Cayley row reads nan,false.
 
-    cells are _tau_cells(taus), built once per config and shared by all
-    of its files.  The traces are floats, for which repr is fmt_float.
+    cells are _tau_cells of the grid's taus.  The traces are floats, for
+    which repr is fmt_float.
     """
-    grid = verdict_grid(scheme, a, taus)
-    return [
+    return "\n".join([
         f"{cell}{trace!r},{'true' if holds else 'false'}"
         for cell, trace, holds in zip(cells, grid.trace.tolist(), grid.holds.tolist())
-    ]
+    ])
+
+
+def _sweep_table(grid: VerdictGrid, cells: list[str], tables: dict[bytes, str]) -> str:
+    """_sweep_rows(grid, cells), formatted once per distinct grid.
+
+    tables lives for one sweep command, whose grids all share one taus and
+    cells, and maps a grid's trace and holds bytes to its rows.  A row's
+    text is a function of its cell, its trace bits and its holds flag, so
+    grids with equal bytes (mirrored equilibria, schemes with equal traces)
+    have equal rows, and the key needs no tau.
+    """
+    key = grid.trace.tobytes() + grid.holds.tobytes()
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _sweep_rows(grid, cells)
+    return table
 
 
 def cmd_sweep(ctx: _Ctx) -> int:
@@ -248,18 +263,23 @@ def cmd_sweep(ctx: _Ctx) -> int:
         )
     ctx.prepare_out(cfg)
     eqs = collapse_continuum(_equilibria(cfg, sys_obj))
+    if not eqs:
+        ctx.say("sweep: no equilibria found in the search box")
+        return 0
     taus = cfg.sweep.taus()
     cells = _tau_cells(taus)
+    tables: dict[bytes, str] = {}
+    system_line = f"# system = {sys_obj.describe()}"
     for scheme in schemes:
         for j, eq in enumerate(eqs):
             lines = [
-                f"# system = {sys_obj.describe()}",
+                system_line,
                 f"# scheme = {scheme.value}",
                 f"# equilibrium p0={fmt_float(eq.point.p)} q0={fmt_float(eq.point.q)}",
                 "tau,traceS,holds",
+                _sweep_table(verdict_grid(scheme, eq.a, taus), cells, tables),
+                "# transition (bisection-refined)",
             ]
-            lines += _sweep_rows(scheme, eq.a, taus, cells)
-            lines.append("# transition (bisection-refined)")
             try:
                 transition = empirical_tau_max(
                     scheme, eq, tau_hi=cfg.empirical_tau_hi, tol=cfg.bisect_tol
@@ -272,9 +292,9 @@ def cmd_sweep(ctx: _Ctx) -> int:
                 if math.isinf(transition):
                     lines.append("inf,nan,true")
                 else:
-                    lines += _sweep_rows(
-                        scheme, eq.a, [transition], _tau_cells([transition])
-                    )
+                    # its own tau, so never served from tables
+                    grid = verdict_grid(scheme, eq.a, [transition])
+                    lines.append(_sweep_rows(grid, _tau_cells([transition])))
             _write_atomic(
                 ctx.out / f"sweep_{scheme.value}_eq{j}.csv", "\n".join(lines) + "\n"
             )

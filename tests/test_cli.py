@@ -1,13 +1,15 @@
 import errno
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from symbound.analyzer import CSV_HEADER, check_preservation, fmt_float
-from symbound.cli import main
+from symbound.analyzer import CSV_HEADER, VerdictGrid, check_preservation, fmt_float
+from symbound.cli import _sweep_rows, _sweep_table, _tau_cells, main
 from symbound.config import load_config
 from symbound.schemes import SingularCayley, propagator, scheme_from_name
 from symbound.systems import EquilibriumKind, find_equilibria
@@ -282,6 +284,84 @@ def test_degenerate_sweep_rows_equal_the_scalar_path(
                 assert [transition] == _scalar_sweep_rows(scheme, eq.a, [tau])
     if EquilibriumKind.SADDLE in kinds:
         assert singular_rows > 0
+
+
+def _grid(trace, holds):
+    trace = np.array(trace)
+    return VerdictGrid(trace, np.array(holds), np.isnan(trace))
+
+
+def test_each_distinct_verdict_grid_gets_its_own_table():
+    cells = _tau_cells([0.5, 1.0])
+    tables = {}
+    first = _sweep_table(_grid([1.5, -0.0], [False, True]), cells, tables)
+    assert first == "0.5,1.5,false\n1.0,-0.0,true"
+    grids = [
+        _grid([1.5, -0.0], [False, False]),  # one holds flag
+        _grid([1.5, 0.0], [False, True]),  # +0.0 against -0.0
+        _grid([math.nan, -0.0], [False, True]),  # a singular row
+    ]
+    texts = [first] + [_sweep_table(grid, cells, tables) for grid in grids]
+    assert texts[1:] == [_sweep_rows(grid, cells) for grid in grids]
+    assert len(set(texts)) == len(tables) == 4
+    # an equal grid in new arrays is served the stored text itself
+    assert _sweep_table(_grid([1.5, -0.0], [False, True]), cells, tables) is first
+    assert len(tables) == 4
+
+
+def test_each_sweep_writes_its_own_tau_column(tmp_path):
+    # H = 0: A = 0 gives trace 2.0 and true at every tau, so both grids have
+    # the same trace and holds bytes; a table that outlived its command
+    # would write the first grid's tau cells into the second's files
+    schemes = ("euler-b", "yoshida2", "implicit-midpoint")
+    for lo, hi in ((0.1, 1.0), (0.2, 3.0)):
+        text = (
+            "[system]\nclass = separable\nt = 0\nv = 0\n\n[run]\n"
+            f"schemes = {', '.join(schemes)}\n"
+            f"tau_lo = {lo}\ntau_hi = {hi}\ntau_count = 5\n\n[search]\ngrid = 4\n"
+        )
+        cfg = _write(tmp_path, text, f"{lo}.cfg")
+        out = tmp_path / f"out{lo}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        rows = [f"{fmt_float(tau)},2.0,true" for tau in load_config(cfg).sweep.taus()]
+        for name in schemes:
+            lines = (out / f"sweep_{name}_eq0.csv").read_text().splitlines()
+            assert lines[4:] == rows + ["# transition (bisection-refined)", "inf,nan,true"]
+
+
+def test_each_transition_row_has_its_own_tau(tmp_path, capsys):
+    # with bisect_tol = 0 the centres of g = -q(q - 1)(q - 3), det A = 3 and
+    # 6, both end their bisection at the same trace and verdict, but at
+    # different taus: a transition row served from the sweep's tables would
+    # carry the first centre's tau into the second's file
+    text = (
+        "[system]\nclass = newtonian\ng = -q*(q-1)*(q-3)\n\n[run]\nschemes = euler-b\n"
+        "tau_lo = 0.1\ntau_hi = 1.0\ntau_count = 2\nbisect_tol = 0\n\n"
+        "[search]\nq_min = -1.0\nq_max = 4.0\ngrid = 16\n"
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    results = [line.rsplit(" = ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    assert sorted(results)[:2] == ["0.816496580927726", "1.1547005383792515"]
+    for j, result in enumerate(results):
+        last = (out / f"sweep_euler-b_eq{j}.csv").read_text().splitlines()[-1]
+        if result == "inf":
+            assert last == "inf,nan,true"
+        else:
+            assert last == f"{result},-1.9999999999999996,true"
+
+
+def test_sweep_without_equilibria_says_so(tmp_path, capsys):
+    # g = 1 + q^2 has no root: analyze prints "none found in the search box"
+    # and simulate ends in a config error
+    text = (
+        "[system]\nclass = newtonian\ng = 1 + q^2\n\n[run]\nschemes = euler-b\n"
+        "tau_lo = 0.1\ntau_hi = 1.0\ntau_count = 3\n\n[search]\ngrid = 4\n"
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("sweep: no equilibria found in the search box\n", "")
+    assert [path.name for path in out.iterdir()] == ["effective.cfg"]
 
 
 def test_sweep_with_zero_bisect_tol_terminates(tmp_path):
