@@ -1,19 +1,21 @@
 """Symbolic scalar expressions with exact differentiation.
 
-Grammar, tightest binding first:
+Nodes: Const, Var, Neg (unary minus), Binary (an operator of _BINARY by
+its token) and Func (a function of _FUNCS by its name).
 
-    atom   := number | name | name '(' expr ')' | '(' expr ')'
-    power  := atom ('^' unary)?          right-associative
-    unary  := ('-' | '+') unary | power
-    term   := unary (('*' | '/') unary)* left-associative
-    expr   := term (('+' | '-') term)*   left-associative
+Grammar: _BINARY's prec and right columns.  An operator binds tighter
+than one of a lower prec; a row whose right operand may be of lower prec
+than itself (^, whose exponent may be negated) is right-associative, and
+the others are left-associative.  Unary minus binds below ^ and above
+* and /; an atom is a finite number, a name, name(expr) or (expr).
 
 Known functions: sin cos tan exp log sqrt sinh cosh tanh abs.
 
-Two tables define the language: _BINARY, one row per binary operator (how
-to_string prints it and the source emit writes for it), and _FUNCS, one
-row per function (its guarded value, its derivative rule and its image of
-an interval, which enclose uses).
+Two tables define the language: _BINARY, one row per binary operator (its
+precedences, how to_string prints it, the source emit writes for it and
+the value simplify folds it to), and _FUNCS, one row per function (its
+guarded value, its derivative rule and its image of an interval, which
+enclose uses).
 
 compile_expr evaluates in IEEE double precision with real-valued
 semantics: log and sqrt of non-positive/negative arguments, division by
@@ -30,6 +32,7 @@ be shared freely across threads.
 
 import functools
 import math
+import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -95,33 +98,10 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class Binary(Expr):
+    op: str  # the operator's token, its key in _BINARY
     left: Expr
     right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: Expr
 
 
 @dataclass(frozen=True)
@@ -192,7 +172,9 @@ def _cosh(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # The two tables.  to_string prints a node bare where its precedence is at
-# least the one its context asks for, and in parentheses otherwise.
+# least the one its context asks for, and in parentheses otherwise; parse
+# reads the right operand of a binary operator at its row's right
+# precedence, the one to_string prints it bare at.
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
@@ -203,14 +185,15 @@ class _Binary(NamedTuple):
     left: int  # the least precedence each operand prints bare at
     right: int
     source: str  # what emit writes, formatted with the operands' sources
+    value: Callable[[float, float], float]  # what simplify folds constants by
 
 
 _BINARY = {
-    Add: _Binary(" + ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1, "({} + {})"),
-    Sub: _Binary(" - ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1, "({} - {})"),
-    Mul: _Binary(" * ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1, "({} * {})"),
-    Div: _Binary(" / ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1, "_div({}, {})"),
-    Pow: _Binary("^", _PREC_POW, _PREC_ATOM, _PREC_NEG, "_pow({}, {})"),
+    "+": _Binary(" + ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1, "({} + {})", operator.add),
+    "-": _Binary(" - ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1, "({} - {})", operator.sub),
+    "*": _Binary(" * ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1, "({} * {})", operator.mul),
+    "/": _Binary(" / ", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1, "_div({}, {})", _div),
+    "^": _Binary("^", _PREC_POW, _PREC_ATOM, _PREC_NEG, "_pow({}, {})", _pow),
 }
 
 
@@ -271,20 +254,21 @@ def _tan_image(lo, hi):
 
 
 _FUNCS = {
-    "sin": _Function(math.sin, lambda u, du: Mul(Func("cos", u), du),
+    "sin": _Function(math.sin, lambda u, du: Binary("*", Func("cos", u), du),
                      _wave(math.sin, 0.5 * math.pi)),
-    "cos": _Function(math.cos, lambda u, du: Mul(Neg(Func("sin", u)), du),
+    "cos": _Function(math.cos, lambda u, du: Binary("*", Neg(Func("sin", u)), du),
                      _wave(math.cos, 0.0)),
-    "tan": _Function(math.tan, lambda u, du: Mul(
-        Div(Const(1.0), Pow(Func("cos", u), Const(2.0))), du), _tan_image),
-    "exp": _Function(_exp, lambda u, du: Mul(Func("exp", u), du), _increasing(_exp)),
-    "log": _Function(_log, lambda u, du: Div(du, u), _increasing(_log)),
-    "sqrt": _Function(_sqrt, lambda u, du: Div(du, Mul(Const(2.0), Func("sqrt", u))),
-                      _increasing(_sqrt)),
-    "sinh": _Function(_sinh, lambda u, du: Mul(Func("cosh", u), du), _increasing(_sinh)),
-    "cosh": _Function(_cosh, lambda u, du: Mul(Func("sinh", u), du), _even(_cosh)),
-    "tanh": _Function(math.tanh, lambda u, du: Mul(
-        Div(Const(1.0), Pow(Func("cosh", u), Const(2.0))), du), _increasing(math.tanh)),
+    "tan": _Function(math.tan, lambda u, du: Binary("*", Binary(
+        "/", Const(1.0), Binary("^", Func("cos", u), Const(2.0))), du), _tan_image),
+    "exp": _Function(_exp, lambda u, du: Binary("*", Func("exp", u), du), _increasing(_exp)),
+    "log": _Function(_log, lambda u, du: Binary("/", du, u), _increasing(_log)),
+    "sqrt": _Function(_sqrt, lambda u, du: Binary(
+        "/", du, Binary("*", Const(2.0), Func("sqrt", u))), _increasing(_sqrt)),
+    "sinh": _Function(_sinh, lambda u, du: Binary("*", Func("cosh", u), du), _increasing(_sinh)),
+    "cosh": _Function(_cosh, lambda u, du: Binary("*", Func("sinh", u), du), _even(_cosh)),
+    "tanh": _Function(math.tanh, lambda u, du: Binary("*", Binary(
+        "/", Const(1.0), Binary("^", Func("cosh", u), Const(2.0))), du),
+        _increasing(math.tanh)),
     "abs": _Function(math.fabs, None, _even(math.fabs)),
 }
 FUNCTIONS = frozenset(_FUNCS)
@@ -309,7 +293,8 @@ MAX_DEPTH = 32
 
 
 class _Parser:
-    """Recursive descent; each rule returns (tree, depth).  self.nesting
+    """Precedence climbing over _BINARY (_expr), above unary minus and the
+    atoms; each rule returns (tree, depth).  self.nesting
     counts the nested rules open around the current token, so that a deep
     input fails before the recursion does."""
 
@@ -342,10 +327,10 @@ class _Parser:
             )
         return depth + 1
 
-    def _nested(self, rule, pos: int):
-        """rule() with one more rule open below this one."""
+    def _nested(self, rule, pos: int, *args):
+        """rule(*args) with one more rule open below this one."""
         self.nesting = self._deeper(self.nesting, pos)
-        result = rule()
+        result = rule(*args)
         self.nesting -= 1
         return result
 
@@ -359,23 +344,19 @@ class _Parser:
             )
         return e
 
-    def _expr(self):
-        e, depth = self._term()
-        while self.kind == "op" and self.value in "+-":
-            op, pos = self.value, self.tok_pos
-            self._advance()
-            rhs, rhs_depth = self._term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-            depth = self._deeper(max(depth, rhs_depth), pos)
-        return e, depth
-
-    def _term(self):
+    def _expr(self, min_prec: int = 0):
+        """A unary, then each operator of prec at least min_prec with its
+        right operand, read at the row's right precedence: an operator of
+        the same prec binds in it only where right <= prec."""
         e, depth = self._unary()
-        while self.kind == "op" and self.value in "*/":
+        while (row := _BINARY.get(self.value)) and row.prec >= min_prec:
             op, pos = self.value, self.tok_pos
             self._advance()
-            rhs, rhs_depth = self._unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+            if row.right <= row.prec:  # right-associative: the exponent
+                rhs, rhs_depth = self._nested(self._expr, pos, row.right)
+            else:
+                rhs, rhs_depth = self._expr(row.right)
+            e = Binary(op, e, rhs)
             depth = self._deeper(max(depth, rhs_depth), pos)
         return e, depth
 
@@ -385,23 +366,15 @@ class _Parser:
         if self.kind == "op" and self.value == "-":
             pos = self.tok_pos
             self._advance()
-            arg, depth = self._nested(self._unary, pos)
+            arg, depth = self._nested(self._expr, pos, _PREC_NEG)
             return Neg(arg), self._deeper(depth, pos)
-        return self._power()
-
-    def _power(self):
-        base, depth = self._atom()
-        if self.kind == "op" and self.value == "^":
-            pos = self.tok_pos
-            self._advance()
-            # the exponent admits unary minus: x^-2
-            exponent, exp_depth = self._nested(self._unary, pos)
-            return Pow(base, exponent), self._deeper(max(depth, exp_depth), pos)
-        return base, depth
+        return self._atom()
 
     def _atom(self):
         if self.kind == "num":
             value = float(self.value)
+            if not math.isfinite(value):
+                raise ParseError(f"number {self.value} overflows to infinity", self.tok_pos)
             self._advance()
             return Const(value), 1
         if self.kind == "name":
@@ -450,7 +423,7 @@ def variables(expr: Expr) -> frozenset[str]:
             return frozenset({name})
         case Neg(arg) | Func(_, arg):
             return variables(arg)
-        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
+        case Binary(_, l, r):
             return variables(l) | variables(r)
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -472,38 +445,30 @@ def differentiate(expr: Expr, var: str) -> Expr:
             return Const(1.0 if name == var else 0.0)
         case Neg(arg):
             return Neg(differentiate(arg, var))
-        case Add(left, right) | Sub(left, right):
-            return type(expr)(differentiate(left, var), differentiate(right, var))
-        case Mul(left, right):
-            return Add(
-                Mul(differentiate(left, var), right),
-                Mul(left, differentiate(right, var)),
-            )
-        case Div(left, Const(c)):
-            return Div(differentiate(left, var), Const(c))
-        case Div(left, right):
-            return Div(
-                Sub(
-                    Mul(differentiate(left, var), right),
-                    Mul(left, differentiate(right, var)),
-                ),
-                Pow(right, Const(2.0)),
-            )
-        case Pow(base, Const(c)):
-            # power rule keeps trees small and avoids log(base) domain issues
-            return Mul(
-                Mul(Const(c), Pow(base, Const(c - 1.0))),
-                differentiate(base, var),
-            )
-        case Pow(base, exponent):
+        case Binary(op, left, right):
+            dl, dr = differentiate(left, var), differentiate(right, var)
+            if op in ("+", "-"):
+                return Binary(op, dl, dr)
+            if op == "*":
+                return Binary("+", Binary("*", dl, right), Binary("*", left, dr))
+            if op == "/":
+                if isinstance(right, Const):
+                    return Binary("/", dl, right)
+                return Binary(
+                    "/",
+                    Binary("-", Binary("*", dl, right), Binary("*", left, dr)),
+                    Binary("^", right, Const(2.0)),
+                )
+            if isinstance(right, Const):
+                # power rule keeps trees small and avoids log(base) domain issues
+                lower = Binary("^", left, Const(right.value - 1.0))
+                return Binary("*", Binary("*", right, lower), dl)
             # d(u^v) = u^v * (v' log u + v u' / u)
-            return Mul(
-                Pow(base, exponent),
-                Add(
-                    Mul(differentiate(exponent, var), Func("log", base)),
-                    Div(Mul(exponent, differentiate(base, var)), base),
-                ),
-            )
+            return Binary("*", expr, Binary(
+                "+",
+                Binary("*", dr, Func("log", left)),
+                Binary("/", Binary("*", right, dl), left),
+            ))
         case Func(name, arg):
             derivative = _FUNCS[name].derivative
             if derivative is None:
@@ -534,6 +499,11 @@ def _is_const(e: Expr, value: float) -> bool:
     return isinstance(e, Const) and e.value == value
 
 
+def _is_scaled(e: Expr) -> bool:
+    """Whether e is a product with a constant left factor."""
+    return isinstance(e, Binary) and e.op == "*" and isinstance(e.left, Const)
+
+
 def simplify(expr: Expr) -> Expr:
     match expr:
         case Const() | Var():
@@ -545,57 +515,40 @@ def simplify(expr: Expr) -> Expr:
             if isinstance(a, Neg):
                 return a.arg
             return Neg(a)
-        case Add(left, right):
+        case Binary(op, left, right):
             l, r = simplify(left), simplify(right)
-            if _is_const(l, 0.0):
-                return r
-            if _is_const(r, 0.0):
+            if op == "+":
+                if _is_const(l, 0.0):
+                    return r
+                if _is_const(r, 0.0):
+                    return l
+            elif op == "-":
+                if _is_const(r, 0.0):
+                    return l
+                if _is_const(l, 0.0):
+                    return Const(-r.value) if isinstance(r, Const) else Neg(r)
+            elif op == "*":
+                if _is_const(l, 0.0) or _is_const(r, 0.0):
+                    return Const(0.0)
+                if _is_const(l, 1.0):
+                    return r
+                if _is_const(r, 1.0):
+                    return l
+                if isinstance(r, Const) and not isinstance(l, Const):
+                    l, r = r, l  # exact: IEEE multiplication commutes
+                if isinstance(l, Const) and _is_scaled(r):
+                    # coalesce nested constant factors to keep derivative trees flat
+                    return simplify(Binary("*", Const(l.value * r.left.value), r.right))
+            elif op == "/":
+                if _is_const(r, 1.0):
+                    return l
+                if isinstance(r, Const) and r.value != 0.0 and _is_scaled(l):
+                    return simplify(Binary("*", Const(l.left.value / r.value), l.right))
+            elif _is_const(r, 1.0):  # op is ^ from here on
                 return l
-            return _fold(Add(l, r), lambda a, b: a + b, l, r)
-        case Sub(left, right):
-            l, r = simplify(left), simplify(right)
-            if _is_const(r, 0.0):
-                return l
-            if _is_const(l, 0.0):
-                return Const(-r.value) if isinstance(r, Const) else Neg(r)
-            return _fold(Sub(l, r), lambda a, b: a - b, l, r)
-        case Mul(left, right):
-            l, r = simplify(left), simplify(right)
-            if _is_const(l, 0.0) or _is_const(r, 0.0):
-                return Const(0.0)
-            if _is_const(l, 1.0):
-                return r
-            if _is_const(r, 1.0):
-                return l
-            if isinstance(r, Const) and not isinstance(l, Const):
-                l, r = r, l  # exact: IEEE multiplication commutes
-            if (
-                isinstance(l, Const)
-                and isinstance(r, Mul)
-                and isinstance(r.left, Const)
-            ):
-                # coalesce nested constant factors to keep derivative trees flat
-                return simplify(Mul(Const(l.value * r.left.value), r.right))
-            return _fold(Mul(l, r), lambda a, b: a * b, l, r)
-        case Div(left, right):
-            l, r = simplify(left), simplify(right)
-            if _is_const(r, 1.0):
-                return l
-            if (
-                isinstance(r, Const)
-                and r.value != 0.0
-                and isinstance(l, Mul)
-                and isinstance(l.left, Const)
-            ):
-                return simplify(Mul(Const(l.left.value / r.value), l.right))
-            return _fold(Div(l, r), _div, l, r)
-        case Pow(base, exponent):
-            b, e = simplify(base), simplify(exponent)
-            if _is_const(e, 1.0):
-                return b
-            if _is_const(e, 0.0):
+            elif _is_const(r, 0.0):
                 return Const(1.0)
-            return _fold(Pow(b, e), _pow, b, e)
+            return _fold(Binary(op, l, r), _BINARY[op].value, l, r)
         case Func(name, arg):
             a = simplify(arg)
             return _fold(Func(name, a), _FUNCS[name].value, a)
@@ -631,39 +584,34 @@ def enclose(expr: Expr, box: dict[str, tuple[float, float]]) -> tuple[float, flo
         case Neg(arg):
             lo, hi = enclose(arg, box)
             return -hi, -lo
-        case Add(l, r):
-            (a, b), (c, d) = enclose(l, box), enclose(r, box)
-            return _outward(a + c, b + d)
-        case Sub(l, r):
-            (a, b), (c, d) = enclose(l, box), enclose(r, box)
-            return _outward(a - d, b - c)
-        case Mul(l, r):
-            (a, b), (c, d) = enclose(l, box), enclose(r, box)
-            return _span(a * c, a * d, b * c, b * d)
-        case Div(l, r):
-            (a, b), (c, d) = enclose(l, box), enclose(r, box)
-            if c <= 0.0 <= d:
-                raise DomainError("the divisor may be zero")
-            return _span(a / c, a / d, b / c, b / d)
-        case Pow(base, Const(n)):
-            # x^n is monotone on either side of 0, where _pow defines it
-            lo, hi = enclose(base, box)
-            ends = _pow(lo, n), _pow(hi, n)
-            if lo < 0.0 < hi:  # so n is an integer
-                if n < 0.0:
-                    raise DomainError("zero raised to a negative power")
-                if n % 2.0 == 0.0:
-                    return _outward(0.0, max(ends))
-            return _span(*ends)
-        case Pow(base, exponent):
-            # exp(exponent * log(base)), for a base positive throughout
-            lo, hi = enclose(base, box)
-            if not lo > 0.0:
-                raise DomainError("a base that may not be positive")
-            a, b = _outward(math.log(lo), math.log(hi))
-            c, d = enclose(exponent, box)
+        case Binary(op, l, r):
+            a, b = enclose(l, box)
+            if op == "^" and isinstance(r, Const):
+                # x^n is monotone on either side of 0, where _pow defines it
+                n = r.value
+                ends = _pow(a, n), _pow(b, n)
+                if a < 0.0 < b:  # so n is an integer
+                    if n < 0.0:
+                        raise DomainError("zero raised to a negative power")
+                    if n % 2.0 == 0.0:
+                        return _outward(0.0, max(ends))
+                return _span(*ends)
+            if op == "^":
+                # exp(exponent * log(base)), for a base positive throughout
+                if not a > 0.0:
+                    raise DomainError("a base that may not be positive")
+                a, b = _outward(math.log(a), math.log(b))
+            c, d = enclose(r, box)
+            if op == "+":
+                return _outward(a + c, b + d)
+            if op == "-":
+                return _outward(a - d, b - c)
+            if op == "/":
+                if c <= 0.0 <= d:
+                    raise DomainError("the divisor may be zero")
+                return _span(a / c, a / d, b / c, b / d)
             lo, hi = _span(a * c, a * d, b * c, b * d)
-            return _outward(_exp(lo), _exp(hi))
+            return (lo, hi) if op == "*" else _outward(_exp(lo), _exp(hi))
         case Func(name, arg):
             return _outward(*_FUNCS[name].image(*enclose(arg, box)))
     raise TypeError(f"not an expression node: {expr!r}")
@@ -685,8 +633,8 @@ def _fmt(e: Expr, min_prec: int) -> str:
             return f"{name}({_fmt(arg, 0)})"
         case Neg(arg):
             s, prec = "-" + _fmt(arg, _PREC_NEG), _PREC_NEG
-        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
-            row = _BINARY[type(e)]
+        case Binary(op, l, r):
+            row = _BINARY[op]
             s, prec = _fmt(l, row.left) + row.text + _fmt(r, row.right), row.prec
         case _:
             raise TypeError(f"not an expression node: {e!r}")
@@ -694,7 +642,9 @@ def _fmt(e: Expr, min_prec: int) -> str:
 
 
 def to_string(expr: Expr) -> str:
-    """Render an AST as a parseable expression string."""
+    """Render an AST as an expression string that parse reads back to a
+    tree of the same value, where every constant is finite (an infinite
+    one prints as inf, which parse reads as a variable)."""
     return _fmt(expr, 0)
 
 
@@ -725,9 +675,9 @@ def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
             return name
         case Neg(arg):
             return f"(-{emit(arg, consts, slot)})"
-        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r) | Pow(l, r):
+        case Binary(op, l, r):
             left = emit(l, consts, slot)  # first, so consts keeps tree order
-            return _BINARY[type(expr)].source.format(left, emit(r, consts, slot))
+            return _BINARY[op].source.format(left, emit(r, consts, slot))
         case Func(name, arg):
             return f"_f_{name}({emit(arg, consts, slot)})"
     raise TypeError(f"not an expression node: {expr!r}")

@@ -118,7 +118,7 @@ def _energy_trees(kind: SystemClass, *exprs: ex.Expr):
         t, v = exprs
         _check_vars(t, {"p"}, "T")
         _check_vars(v, {"q"}, "V")
-        return ex.Add(t, v), _diff(t, "p"), _diff(v, "q"), _ZERO
+        return ex.Binary("+", t, v), _diff(t, "p"), _diff(v, "q"), _ZERO
     (g,) = exprs
     _check_vars(g, {"q"}, "g")
     return None, ex.Var("p"), ex.Neg(g), _ZERO

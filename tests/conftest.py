@@ -55,6 +55,16 @@ def pytest_configure(config):
     )
 
 
+# the reference's own arithmetic per operator, apart from _BINARY's value column
+_ARITHMETIC = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": ex._div,
+    "^": ex._pow,
+}
+
+
 def evaluate(expr: ex.Expr, bindings: dict[str, float]) -> float:
     """The value of a tree by direct recursion, through the same guarded
     kernels as compile_expr: the reference compiled code must equal bitwise."""
@@ -68,16 +78,8 @@ def evaluate(expr: ex.Expr, bindings: dict[str, float]) -> float:
                 raise ex.UnboundVariable(f"unbound variable {name!r}") from None
         case ex.Neg(arg):
             return -evaluate(arg, bindings)
-        case ex.Add(left, right):
-            return evaluate(left, bindings) + evaluate(right, bindings)
-        case ex.Sub(left, right):
-            return evaluate(left, bindings) - evaluate(right, bindings)
-        case ex.Mul(left, right):
-            return evaluate(left, bindings) * evaluate(right, bindings)
-        case ex.Div(left, right):
-            return ex._div(evaluate(left, bindings), evaluate(right, bindings))
-        case ex.Pow(base, exponent):
-            return ex._pow(evaluate(base, bindings), evaluate(exponent, bindings))
+        case ex.Binary(op, left, right):
+            return _ARITHMETIC[op](evaluate(left, bindings), evaluate(right, bindings))
         case ex.Func(name, arg):
             return ex._FUNCS[name].value(evaluate(arg, bindings))
     raise TypeError(f"not an expression node: {expr!r}")
@@ -114,23 +116,14 @@ def random_tree(rng: np.random.Generator, depth: int, var_names=("x", "y")) -> e
             return ex.Const(float(np.round(rng.uniform(-3.0, 3.0), 3)))
         return ex.Var(str(rng.choice(var_names)))
     kind = rng.integers(0, 8)
-    if kind == 0:
-        return ex.Add(random_tree(rng, depth - 1, var_names),
-                      random_tree(rng, depth - 1, var_names))
-    if kind == 1:
-        return ex.Sub(random_tree(rng, depth - 1, var_names),
-                      random_tree(rng, depth - 1, var_names))
-    if kind == 2:
-        return ex.Mul(random_tree(rng, depth - 1, var_names),
-                      random_tree(rng, depth - 1, var_names))
-    if kind == 3:
-        return ex.Div(random_tree(rng, depth - 1, var_names),
-                      random_tree(rng, depth - 1, var_names))
+    if kind < 4:
+        return ex.Binary("+-*/"[kind], random_tree(rng, depth - 1, var_names),
+                         random_tree(rng, depth - 1, var_names))
     if kind == 4:
         return ex.Neg(random_tree(rng, depth - 1, var_names))
     if kind == 5:
-        return ex.Pow(random_tree(rng, depth - 1, var_names),
-                      ex.Const(float(rng.integers(0, 4))))
+        return ex.Binary("^", random_tree(rng, depth - 1, var_names),
+                         ex.Const(float(rng.integers(0, 4))))
     name = str(rng.choice(SAFE_FUNCS))
     return ex.Func(name, random_tree(rng, depth - 1, var_names))
 

@@ -763,6 +763,17 @@ def test_expression_error_reports_file_and_offset(tmp_path, capsys):
     assert "run.cfg" in err and "zin" in err and "offset" in err
 
 
+def test_an_overflowing_number_is_a_config_error(tmp_path, capsys):
+    # read as inf, it would print back as a variable named inf
+    cfg = _write(tmp_path, PENDULUM_NH.replace("g = -sin(q)", "g = -1e999*q + q^3"))
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: {cfg}: bad system expression: "
+        "number 1e999 overflows to infinity (at offset 1)\n"
+    )
+
+
 def test_non_differentiable_expression_is_a_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, PENDULUM_NH.replace("g = -sin(q)", "g = abs(q) - 1"))
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

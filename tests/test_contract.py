@@ -1,10 +1,11 @@
 """The input contract of the CLI: every config ends in a result (exit 0) or
 in one typed error line (exit 1), never in a traceback.
 
-Configs are drawn from a fixed menu of schemes, small expressions of each
-system class and extreme reals, and run in-process through cli.main on
-analyze, sweep and simulate.  The runs are kept small (grid = 4, n_max at
-most 200, tau_count at most 5) so the test stays a few seconds long.
+Configs are drawn from a fixed menu of schemes and extreme reals, with
+the expressions of each system class drawn as trees over a menu of terms,
+and run in-process through cli.main on analyze, sweep and simulate.  The
+runs are kept small (grid = 4, n_max at most 200, tau_count at most 5) so
+the test stays a few seconds long.
 """
 
 import io
@@ -22,15 +23,23 @@ SCHEMES = {
     "separable": ("euler-b", "yoshida2", "implicit-midpoint"),
     "newtonian": ("euler-b", "yoshida2", "stormer-verlet", "implicit-midpoint"),
 }
-# functions of one variable, formatted with p or q
+# functions of one variable, formatted with p or q; the last overflows, so
+# that now and then a system is a parse error
 _TERMS = ("{0}^2/2", "-cos({0})", "sin({0})", "exp({0})", "log({0})", "sqrt({0})",
-          "{0}^-1", "2^({0}*{0})")
+          "{0}^-1", "2^({0}*{0})", "1e999*{0}")
 REALS = ("5e-324", "1e-300", "0.5", "2.0", "1e155", "1e300",
          "1.7976931348623157e308")
 
 
-def _term(var: str):
-    return st.sampled_from(_TERMS).map(lambda e: e.format(var))
+def _term(var: str, depth: int = 3):
+    """A term of the menu, or two joined by + - * / or ^, to depth levels."""
+    leaf = st.sampled_from(_TERMS).map(lambda e: e.format(var))
+    if depth == 0:
+        return leaf
+    sub = _term(var, depth - 1)
+    return leaf | st.tuples(sub, st.sampled_from("+-*/^"), sub).map(
+        "({0[0]}) {0[1]} ({0[2]})".format
+    )
 
 
 @st.composite

@@ -5,22 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from symbound import expr as ex
 from symbound.expr import (
-    Add,
+    Binary,
     Const,
     DomainError,
-    Div,
     Func,
-    Mul,
     Neg,
     NonDifferentiableNode,
     ParseError,
-    Pow,
-    Sub,
     UnbalancedParens,
     UnboundVariable,
     UnexpectedToken,
@@ -41,9 +37,10 @@ from conftest import central_diff, evaluate, random_bindings, random_tree, try_e
 
 def test_parse_separable_hamiltonian_shape():
     tree = parse("p^2/2 + q^2/2")
-    expected = Add(
-        Div(Pow(Var("p"), Const(2.0)), Const(2.0)),
-        Div(Pow(Var("q"), Const(2.0)), Const(2.0)),
+    expected = Binary(
+        "+",
+        Binary("/", Binary("^", Var("p"), Const(2.0)), Const(2.0)),
+        Binary("/", Binary("^", Var("q"), Const(2.0)), Const(2.0)),
     )
     assert tree == expected
 
@@ -125,6 +122,16 @@ def test_scientific_notation_and_exponent_signs():
     assert evaluate(parse("1e-5"), {}) == 1e-5
     assert evaluate(parse("2.5e+2"), {}) == 250.0
     assert evaluate(parse("x^-2"), {"x": 2.0}) == 0.25
+
+
+def test_a_number_must_be_finite():
+    # an underflow to 0.0 is a number; an overflow to inf is an error at the literal
+    assert parse("1e-400") == Const(0.0)
+    assert parse("1.7976931348623157e308") == Const(1.7976931348623157e308)
+    for text, offset in (("1e999*q", 0), ("q + 2e308", 4), ("sin(1" + "0" * 309 + ")", 4)):
+        with pytest.raises(ParseError, match="overflows to infinity") as err:
+            parse(text)
+        assert err.value.position == offset
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +235,11 @@ def test_derivative_against_finite_differences_bulk():
 
 def test_simplify_identities():
     q = Var("q")
-    assert simplify(Mul(Const(1.0), q)) == q
-    assert simplify(Add(Const(2.0), Const(3.0))) == Const(5.0)
-    assert simplify(Mul(Const(0.0), Func("sin", q))) == Const(0.0)
-    assert simplify(Pow(q, Const(1.0))) == q
-    assert simplify(Sub(q, Const(0.0))) == q
+    assert simplify(Binary("*", Const(1.0), q)) == q
+    assert simplify(Binary("+", Const(2.0), Const(3.0))) == Const(5.0)
+    assert simplify(Binary("*", Const(0.0), Func("sin", q))) == Const(0.0)
+    assert simplify(Binary("^", q, Const(1.0))) == q
+    assert simplify(Binary("-", q, Const(0.0))) == q
     assert simplify(Neg(Neg(q))) == q
 
 
@@ -289,13 +296,11 @@ _leaf = st.one_of(
 
 def _branch(children):
     return st.one_of(
-        st.tuples(children, children).map(lambda t: Add(*t)),
-        st.tuples(children, children).map(lambda t: Sub(*t)),
-        st.tuples(children, children).map(lambda t: Mul(*t)),
-        st.tuples(children, children).map(lambda t: Div(*t)),
+        *(st.tuples(children, children).map(lambda t, op=op: Binary(op, *t))
+          for op in "+-*/"),
         children.map(Neg),
         st.tuples(children, st.integers(0, 3)).map(
-            lambda t: Pow(t[0], Const(float(t[1])))
+            lambda t: Binary("^", t[0], Const(float(t[1])))
         ),
         st.tuples(st.sampled_from(list(ex.FUNCTIONS)), children).map(
             lambda t: Func(t[0], t[1])
@@ -321,9 +326,43 @@ def test_print_parse_round_trip_hypothesis(tree, x, y):
     assert a == b or (math.isnan(a) and math.isnan(b))
 
 
+_spaces = st.sampled_from(("", " ", "  "))
+
+
+def _text_branch(children):
+    return st.one_of(
+        st.tuples(children, _spaces, st.sampled_from(sorted(ex._BINARY)), _spaces,
+                  children).map("".join),
+        st.tuples(st.sampled_from(("-", "+", "--", "+-")), _spaces, children).map("".join),
+        st.tuples(children, st.just("^-"), children).map("".join),
+        st.tuples(_spaces, children, _spaces).map(lambda t: f"({''.join(t)})"),
+        st.tuples(st.sampled_from(sorted(ex.FUNCTIONS)), children).map("{0[0]}({0[1]})".format),
+    )
+
+
+# texts of the grammar, with redundant spaces, parentheses and signs
+expr_texts = st.recursive(
+    st.sampled_from(("x", "y", "0", "2", "3.5", ".5", "1.", "2.5e+2", "1e-5", "5e-324",
+                     "1.7976931348623157e308")),
+    _text_branch,
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_texts)
+def test_parse_print_parse_round_trip_from_text(text):
+    try:
+        tree = parse(text)
+    except ParseError as err:  # the one error a grammar text can meet
+        assert "deeper than" in str(err), text
+        reject()
+    assert parse(to_string(tree)) == tree, text
+
+
 def test_negative_zero_power_base_keeps_its_parentheses():
     # (-0.0)^0.0 is 1; printed without parentheses it would parse as -(0.0^0.0)
-    tree = Neg(Pow(Const(-0.0), Const(0.0)))
+    tree = Neg(Binary("^", Const(-0.0), Const(0.0)))
     assert to_string(tree) == "-(-0.0)^0.0"
     assert evaluate(parse(to_string(tree)), {}) == evaluate(tree, {}) == -1.0
 
@@ -335,7 +374,7 @@ def test_negative_zero_power_base_keeps_its_parentheses():
 def test_every_function_has_a_value_a_kernel_and_a_derivative_rule(name):
     row = ex._FUNCS[name]
     assert ex._KERNELS[f"_f_{name}"] is row.value
-    tree = Func(name, Mul(Const(0.5), Var("x")))
+    tree = Func(name, Binary("*", Const(0.5), Var("x")))
     assert _run(to_string(tree), x=0.7) == row.value(0.35)
     try:
         d = differentiate(tree, "x")
@@ -344,6 +383,22 @@ def test_every_function_has_a_value_a_kernel_and_a_derivative_rule(name):
         return
     exact = evaluate(d, {"x": 0.7})
     assert abs(exact - central_diff(tree, {"x": 0.7}, "x")) <= 1e-6 * (1.0 + abs(exact))
+
+
+@pytest.mark.parametrize("op", sorted(ex._BINARY))
+def test_every_operator_parses_prints_compiles_and_has_a_derivative_rule(op):
+    tree = parse(f"x {op} y")
+    assert tree == Binary(op, Var("x"), Var("y"))
+    assert to_string(tree).replace(" ", "") == f"x{op}y" and parse(to_string(tree)) == tree
+    assert _run(f"x {op} y", x=1.5, y=2.0) == evaluate(tree, {"x": 1.5, "y": 2.0})
+    for var in ("x", "y"):
+        evaluate(differentiate(tree, var), {"x": 1.5, "y": 2.0})
+    ex.enclose(tree, {"x": (1.0, 2.0), "y": (1.0, 2.0)})
+    # the language is the tables: no operator or node kind besides them
+    tokens = (ex._TOKEN_RE.fullmatch(chr(c)) for c in range(128))
+    ops = {m.group() for m in tokens if m and m.lastgroup == "op"}
+    assert ops == set(ex._BINARY) | {"(", ")"}
+    assert set(ex.Expr.__subclasses__()) == {Const, Var, Neg, Binary, Func}
 
 
 def test_the_documented_functions_are_the_table():
@@ -360,7 +415,7 @@ def test_the_documented_functions_are_the_table():
 _enclosure_trees = st.recursive(
     _leaf,
     lambda children: st.one_of(
-        _branch(children), st.tuples(children, children).map(lambda t: Pow(*t))
+        _branch(children), st.tuples(children, children).map(lambda t: Binary("^", *t))
     ),
     max_leaves=12,
 )

@@ -182,7 +182,7 @@ def test_classify_rejects_trace():
 
 def test_separable_reduces_to_general():
     sep = catalog.pendulum()
-    gen = HamiltonianSystem.general(ex.Add(sep.exprs["t"], sep.exprs["v"]))
+    gen = HamiltonianSystem.general(ex.Binary("+", sep.exprs["t"], sep.exprs["v"]))
     rng = np.random.default_rng(23)
     for _ in range(50):
         x = State(*map(float, rng.uniform(-3, 3, 2)))
