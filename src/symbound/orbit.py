@@ -89,6 +89,8 @@ def simulate(
     r0 = math.hypot(x0.p, x0.q)
     if not escape_radius > r0:
         raise ValueError("escape radius must exceed the initial radius")
+    # the greatest float at most, so that an infinite radius escapes too
+    escape = min(escape_radius, math.nextafter(math.inf, 0.0))
     steps = [0]
     states = [x0]
     x = x0
@@ -99,7 +101,7 @@ def simulate(
             steps.append(n)
             states.append(y)
 
-    hypot, isfinite = math.hypot, math.isfinite
+    hypot = math.hypot
     for n in range(1, n_max + 1):
         try:
             y = step(scheme, sys, x, tau)
@@ -111,19 +113,18 @@ def simulate(
             return OrbitTrace(x0, scheme, tau, steps, states, verdict)
         yp, yq = y
         r = hypot(yp, yq)
-        if not isfinite(r):
-            if math.isnan(yp) or math.isnan(yq):  # hypot(inf, nan) is inf
-                record(n - 1, x)
-                verdict = LeftDomain(n - 1, "the step gave a NaN state")
-                return OrbitTrace(x0, scheme, tau, steps, states, verdict)
-            record(n, y)
-            return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, math.inf))
-        x = y
-        if r > max_radius:
+        # one comparison while r stays within max_radius, which is finite;
+        # a NaN r fails every comparison
+        if not r <= max_radius:
+            if not r <= escape:
+                if math.isnan(yp) or math.isnan(yq):  # hypot(inf, nan) is inf
+                    record(n - 1, x)
+                    verdict = LeftDomain(n - 1, "the step gave a NaN state")
+                    return OrbitTrace(x0, scheme, tau, steps, states, verdict)
+                record(n, y)
+                return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, r))
             max_radius = r
-        if r > escape_radius:
-            record(n, x)
-            return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, r))
+        x = y
         if n % stride == 0:
             record(n, x)
     record(n_max, x)

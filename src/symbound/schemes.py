@@ -14,8 +14,9 @@ with the system's derivatives, so one fold serves every class: H_q = V'(q),
 H_p = T'(p) for a separable system, H_q = -g(q), H_p = p for a newtonian
 one.
 
-Each row builds its step template from its stages when it is defined: one
-straight line per kick or drift, holding $h_q or $h_p.  step runs the kernel
+Each row builds its step template from its stages when it is defined:
+c * tau once per distinct fraction c, then one straight line per kick or
+drift, holding $h_q or $h_p.  step runs the kernel
 HamiltonianSystem.kernel makes of it for the system, which reads the
 system's constants as locals bound once and builds the new State with
 tuple.__new__, skipping the named tuple's Python-level __new__.  At a
@@ -98,10 +99,12 @@ UNIMODULAR_TOL = 1e-10  # propagator's bound on |det S - 1| / (1 + |S|_F^2)
 # at which the derivative texts are evaluated; (pn, qn) is the iterate, and
 # p, q stay its midpoint from one Newton iteration to the next.  The full
 # step (lam = 1.0, as 1.0 * d == d) is tried before the halving loop.  The
-# Newton matrix is spelled out in Mat2's det, frobenius_sq and solve order.
+# Newton matrix is spelled out in Mat2's det, frobenius_sq and solve order;
+# ht and nht are its factors 0.5 * tau and -0.5 * tau, computed once a step.
 _MIDPOINT = string.Template("""\
 def _step(x, tau):
     xp, xq = x
+    ht, nht = 0.5 * tau, -0.5 * tau
     pn, qn = xp, xq
     p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
     r0, r1 = pn - xp + tau * $h_q, qn - xq - tau * $h_p
@@ -114,10 +117,10 @@ def _step(x, tau):
             return _tuple_new(State, (pn, qn))
         h_pq = $h_pq
         a11, a12, a21, a22 = (
-            1.0 + 0.5 * tau * h_pq,
-            0.5 * tau * $h_qq,
-            -0.5 * tau * $h_pp,
-            1.0 - 0.5 * tau * h_pq,
+            1.0 + ht * h_pq,
+            ht * $h_qq,
+            nht * $h_pp,
+            1.0 - ht * h_pq,
         )
         det = a11 * a22 - a12 * a21
         if abs(det) <= DECISION_TOL * (
@@ -158,16 +161,20 @@ def _step(x, tau):
 
 
 def _stage_step(stages) -> string.Template:
-    """The step template of a stage row: one straight line per kick or
-    drift."""
+    """The step template of a stage row: c * tau once per distinct fraction
+    c (tau itself for c = 1.0, as 1.0 * tau == tau), then one straight line
+    per kick or drift."""
+    distinct = dict.fromkeys(c for _, c in stages)
+    factors = {c: "tau" if c == 1.0 else f"tau{i}" for i, c in enumerate(distinct)}
     moves = [
-        f"    p = p - ({c!r} * tau) * $h_q" if move is KICK
-        else f"    q = q + ({c!r} * tau) * $h_p"
+        f"    p = p - {factors[c]} * $h_q" if move is KICK
+        else f"    q = q + {factors[c]} * $h_p"
         for move, c in stages
     ]
     return string.Template("\n".join(
-        ["def _step(x, tau):", "    p, q = x", *moves,
-         "    return _tuple_new(State, (p, q))"]
+        ["def _step(x, tau):", "    p, q = x",
+         *(f"    {name} = {c!r} * tau" for c, name in factors.items() if c != 1.0),
+         *moves, "    return _tuple_new(State, (p, q))"]
     ))
 
 

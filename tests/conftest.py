@@ -95,10 +95,12 @@ KERNEL_SYSTEMS = (
     HamiltonianSystem.general("p^2/2 + q^4/4 - q^2/2 + 0.3*p*q"),
     HamiltonianSystem.general("sqrt(1 + p^2) + log(2 + sin(q)) + p*q^2/5"),
     HamiltonianSystem.general("exp(p*q/4) + p^2/2 + q^2/2"),
+    HamiltonianSystem.general("cosh(p) - 1.3*cos(q) + 0.4*p*sin(q)"),
     HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)"),
     HamiltonianSystem.separable("sqrt(1 + p^2)", "log(q + 3) - q/2"),
     catalog.pendulum_newtonian(),
     HamiltonianSystem.newtonian("q - q^3"),
+    HamiltonianSystem.newtonian("q - q^9"),
     HamiltonianSystem.newtonian("1 - sqrt(q + 1)"),
     HamiltonianSystem.newtonian("-q/(1 + q^2)"),
 )

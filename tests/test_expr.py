@@ -1,6 +1,8 @@
 import ast
 import math
 import re
+import string
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +30,17 @@ from symbound.expr import (
     simplify,
     to_string,
 )
+from symbound.systems import HamiltonianSystem
 
-from conftest import central_diff, evaluate, random_bindings, random_tree, try_eval
+from conftest import (
+    central_diff,
+    evaluate,
+    outcome_type,
+    random_bindings,
+    random_tree,
+    same_float,
+    try_eval,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +524,85 @@ def test_evaluation_is_deterministic():
     fn = compile_expr(parse("sin(x) * exp(y) - x^3 / (1 + y^2)"), ("x", "y"))
     first = fn(0.7381, -1.25)
     assert all(fn(0.7381, -1.25) == first for _ in range(5))
+
+
+# emit's inline paths, held to the guarded kernels at their edges: each
+# bound, the overflow thresholds just past it and the floats on either side
+# of each, with both signs, and the values where the kernels' guards turn
+_EDGE_SPECIALS = (5e-324, -5e-324, 0.0, -0.0, math.inf, -math.inf, math.nan)
+_FLOAT_MAX = sys.float_info.max
+_INLINE_POWERS = (1, 2, 3, 4, 7, 341, 342, 1023, 1024)
+
+
+def _edges(*bounds: float) -> list[float]:
+    around = [
+        y for b in bounds
+        for y in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))
+    ]
+    return [*_EDGE_SPECIALS, *around, *(-y for y in around)]
+
+
+def _power_edges(k: float) -> list[float]:
+    # the bound 2^(1023 // k), and where x^k overflows: past 2^(1024 / k)
+    return _edges(*(2.0 ** e for e in (1023 // k, 1024 // k, 1024 / k) if e < 1024))
+
+
+# the bound 709, and where exp (log of the greatest float), and sinh and
+# cosh (its acosh) overflow
+_FUNC_EDGES = _edges(709.0, 710.0, math.log(_FLOAT_MAX), math.acosh(_FLOAT_MAX))
+
+
+def _assert_same_outcomes(got, want, values):
+    for x in values:
+        a, b = outcome_type(got, x), outcome_type(want, x)
+        floats = isinstance(a, float) and isinstance(b, float)
+        assert same_float(a, b) if floats else a is b, (x, a, b)
+
+
+@pytest.mark.parametrize("k", _INLINE_POWERS)
+def test_an_inline_power_gives_the_guarded_value_at_its_edges(k):
+    tree = Binary("^", Var("x"), Const(float(k)))
+    assert " ** " in ex.emit(tree, [])
+    fn = compile_expr(tree, ("x",))
+    _assert_same_outcomes(fn, lambda x: evaluate(tree, {"x": x}), _power_edges(k))
+    # the same text with its constants bound as a kernel's locals
+    system = HamiltonianSystem.newtonian(f"q^{k}")
+    h_q = system.kernel(string.Template("def _f(p, q):\n    return $h_q"), "_f")
+    _assert_same_outcomes(
+        lambda q: h_q(0.0, q),
+        lambda q: evaluate(system.derivatives[1], {"p": 0.0, "q": q}),
+        _power_edges(k),
+    )
+
+
+@pytest.mark.parametrize("k", (2.5, -2.0))
+def test_a_fractional_or_negative_power_keeps_the_guarded_call(k):
+    tree = Binary("^", Var("x"), Const(k))
+    assert ex.emit(tree, []) == "_pow(x, _c[0])"
+    _assert_same_outcomes(
+        compile_expr(tree, ("x",)), lambda x: evaluate(tree, {"x": x}),
+        [*_power_edges(2.0), *_FUNC_EDGES],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(n for n, row in ex._FUNCS.items() if row.inline))
+def test_an_inline_function_gives_the_guarded_value_at_its_edges(name):
+    tree = Func(name, Var("x"))
+    assert f"_m_{name}(x)" in ex.emit(tree, [])
+    _assert_same_outcomes(
+        compile_expr(tree, ("x",)), lambda x: evaluate(tree, {"x": x}), _FUNC_EDGES
+    )
+    # H_p, H_q and H_pp of H = f(p) + f(q) are f'(p), f'(q) and f''(p), all
+    # inline paths
+    system = HamiltonianSystem.general(f"{name}(p) + {name}(q)")
+    texts = string.Template("def _f(p, q):\n    return $h_p, $h_q, $h_pp")
+    kernel = system.kernel(texts, "_f")
+    for i in range(3):
+        _assert_same_outcomes(
+            lambda x: kernel(x, x)[i],
+            lambda x: evaluate(system.derivatives[i], {"p": x, "q": x}),
+            _FUNC_EDGES,
+        )
 
 
 # each callee and the one module that may call it: only expr compiles or

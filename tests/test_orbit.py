@@ -214,9 +214,14 @@ def test_simulate_equals_the_reference_loop(sys, tau, p, q, n_max, stride, escap
         (HamiltonianSystem.newtonian("exp(q) - exp(q)"), Scheme.EULER_B,
          State(0.0, 1000.0), 0.1, {"n_max": 10},
          lambda v: v == LeftDomain(0, "the step gave a NaN state")),
+        # the kick takes p to inf and the drift q to inf - inf: the state
+        # (inf, nan) has the radius hypot(inf, nan) = inf, not NaN
+        (HamiltonianSystem.separable("p*p/2 - p*p/2", "-exp(q)"), Scheme.EULER_B,
+         State(0.0, 800.0), 0.1, {"n_max": 10},
+         lambda v: v == LeftDomain(0, "the step gave a NaN state")),
     ],
     ids=["bounded", "escaped", "escaped-to-inf", "solver-failed",
-         "left-domain", "nan-state"],
+         "left-domain", "nan-state", "inf-nan-state"],
 )
 def test_each_ending_equals_the_reference_loop(sys, scheme, x0, tau, kwargs, is_ending):
     trace = simulate(sys, scheme, x0, tau, **kwargs)
