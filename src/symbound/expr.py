@@ -15,7 +15,7 @@ Two tables define the language: _BINARY, one row per binary operator (its
 precedences, how to_string prints it, the source emit writes for it and
 the value simplify folds it to), and _FUNCS, one row per function (its
 guarded value, its derivative rule, its image of an interval, which
-enclose uses, and for exp, sinh and cosh the math function emit inlines).
+enclose uses, and for sinh and cosh the math function emit inlines).
 
 compile_expr evaluates in IEEE double precision with real-valued
 semantics: log and sqrt of non-positive/negative arguments, division by
@@ -31,8 +31,8 @@ fire, and keeps the guarded call for every other value, NaN and the
 infinities included, so each value and each DomainError stays the guarded
 call's.  v^k with a constant integer k >= 1 is v ** k inside
 |v| < 2.0 ** (1023 // k), where |v|^k < 2^1023 cannot overflow and _pow
-would return v ** k itself; exp, sinh and cosh of v call the math
-function inside |v| < 709.0, below where any of them overflows.
+would return v ** k itself; sinh and cosh of v call the math function
+inside |v| < 709.0, below where either overflows.
 
 Trees are immutable and every operation here is pure, so expressions can
 be shared freely across threads.
@@ -216,9 +216,9 @@ class _Function(NamedTuple):
     inline: Callable[[float], float] | None = None
 
 
-# exp overflows past log(2 ** 1024) = 709.78..., sinh and cosh a little
-# further out; inside (-709.0, 709.0) math.exp, math.sinh and math.cosh
-# return a finite value, the one their guarded kernels return
+# sinh and cosh overflow past acosh(2 ** 1024) = 710.47...; inside
+# (-709.0, 709.0) math.sinh and math.cosh return a finite value, the one
+# their guarded kernels return
 _INLINE_BOUND = 709.0
 
 
@@ -277,8 +277,7 @@ _FUNCS = {
                      _wave(math.cos, 0.0)),
     "tan": _Function(math.tan, lambda u, du: Binary("*", Binary(
         "/", Const(1.0), Binary("^", Func("cos", u), Const(2.0))), du), _tan_image),
-    "exp": _Function(_exp, lambda u, du: Binary("*", Func("exp", u), du), _increasing(_exp),
-                     math.exp),
+    "exp": _Function(_exp, lambda u, du: Binary("*", Func("exp", u), du), _increasing(_exp)),
     "log": _Function(_log, lambda u, du: Binary("/", du, u), _increasing(_log)),
     "sqrt": _Function(_sqrt, lambda u, du: Binary(
         "/", du, Binary("*", Const(2.0), Func("sqrt", u))), _increasing(_sqrt)),
@@ -703,14 +702,14 @@ def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
           appended to consts after k.  Inside the bound |v|^k < 2^1023, so
           ** cannot overflow, and an integral k >= 1 passes _pow's checks on
           a zero or a negative base: _pow itself returns v ** k.
-      exp(v), sinh(v), cosh(v):
+      sinh(v), cosh(v):
           (_m_f(v) if -709.0 < v < 709.0 else _f_f(v)), _m_f the math
           function, which cannot overflow there (_INLINE_BOUND).
 
     NaN and the infinities fail both comparisons and take the guarded call.
     v^2 is not v * v: CPython's v ** 2.0 is libm pow, which differs from
-    v * v in the last bit on 172 of 200,000 doubles drawn uniformly from
-    (-10, 10)."""
+    v * v in the last bit on 172 of 200,000 doubles drawn by
+    random.Random(0).uniform(-10, 10)."""
     match expr:
         case Const(value):
             consts.append(value)

@@ -14,9 +14,8 @@ with the system's derivatives, so one fold serves every class: H_q = V'(q),
 H_p = T'(p) for a separable system, H_q = -g(q), H_p = p for a newtonian
 one.
 
-Each row builds its step template from its stages when it is defined:
-c * tau once per distinct fraction c, then one straight line per kick or
-drift, holding $h_q or $h_p.  step runs the kernel
+Each row builds its step template from its stages when it is defined: one
+straight line per kick or drift, holding $h_q or $h_p.  step runs the kernel
 HamiltonianSystem.kernel makes of it for the system, which reads the
 system's constants as locals bound once and builds the new State with
 tuple.__new__, skipping the named tuple's Python-level __new__.  At a
@@ -161,20 +160,16 @@ def _step(x, tau):
 
 
 def _stage_step(stages) -> string.Template:
-    """The step template of a stage row: c * tau once per distinct fraction
-    c (tau itself for c = 1.0, as 1.0 * tau == tau), then one straight line
-    per kick or drift."""
-    distinct = dict.fromkeys(c for _, c in stages)
-    factors = {c: "tau" if c == 1.0 else f"tau{i}" for i, c in enumerate(distinct)}
-    moves = [
-        f"    p = p - {factors[c]} * $h_q" if move is KICK
-        else f"    q = q + {factors[c]} * $h_p"
-        for move, c in stages
-    ]
+    """The step template of a stage row: one straight line per kick or
+    drift, by (c * tau), or by tau itself for c = 1.0, as 1.0 * tau == tau."""
+    moves = []
+    for move, c in stages:
+        factor = "tau" if c == 1.0 else f"({c!r} * tau)"
+        moves.append(f"    p = p - {factor} * $h_q" if move is KICK
+                     else f"    q = q + {factor} * $h_p")
     return string.Template("\n".join(
-        ["def _step(x, tau):", "    p, q = x",
-         *(f"    {name} = {c!r} * tau" for c, name in factors.items() if c != 1.0),
-         *moves, "    return _tuple_new(State, (p, q))"]
+        ["def _step(x, tau):", "    p, q = x", *moves,
+         "    return _tuple_new(State, (p, q))"]
     ))
 
 

@@ -201,9 +201,11 @@ class HamiltonianSystem:
         State, _tuple_new (tuple.__new__, which builds a State without its
         Python-level __new__) and names as its globals.  The texts read
         constant i as the local _ki, a parameter default _ki=_c[i] added to
-        the def line that opens template: bound once per kernel, while the
-        source still depends only on the shapes of the trees.  Generated
-        the first time, then cached in kernels under template."""
+        the def line that opens template: bound once per kernel, so the
+        source depends only on the shapes of the trees, with each power of
+        a variable to an integral constant of at least 1 a shape of its own
+        (emit).  Generated the first time, then cached in kernels under
+        template."""
         kernel = self.kernels.get(template)
         if kernel is None:
             texts, defaults, consts = self._texts

@@ -231,7 +231,8 @@ def test_midpoint_line_search_branches_equal_the_reference(sys, tau, x):
 
 def test_kernels_of_one_tree_shape_share_compiled_code():
     # the constants are bound per system, so the source, and with it the
-    # compiled code, depends only on the shapes of the trees
+    # compiled code, depends only on the shapes of the trees (with each
+    # power of a variable to an integral constant >= 1 a shape of its own)
     slow = HamiltonianSystem.newtonian("-2*sin(q)")
     fast = HamiltonianSystem.newtonian("-3*sin(q)")
     x = State(0.1, 0.2)
