@@ -30,9 +30,12 @@ emit inlines a guarded kernel of a variable v where its guards cannot
 fire, and keeps the guarded call for every other value, NaN and the
 infinities included, so each value and each DomainError stays the guarded
 call's.  v^k with a constant integer k >= 1 is v ** k inside
-|v| < 2.0 ** (1023 // k), where |v|^k < 2^1023 cannot overflow and _pow
-would return v ** k itself; sinh and cosh of v call the math function
-inside |v| < 709.0, below where either overflows.
+|v| < L = 2.0 ** min(1023 // k, 511), tested as v * v < L * L, where
+|v|^k < 2^1023 cannot overflow and _pow would return v ** k itself; sinh
+and cosh of v call the math function inside |v| < 709.0, below where
+either overflows.  Given the calls that repeat among texts evaluated at
+one point (SharedCalls), emit binds each to a local where it is first
+evaluated and reads the local after.
 
 Trees are immutable and every operation here is pure, so expressions can
 be shared freely across threads.
@@ -688,7 +691,47 @@ _KERNELS.update({f"_f_{name}": row.value for name, row in _FUNCS.items()})
 _KERNELS.update({f"_m_{name}": row.inline for name, row in _FUNCS.items() if row.inline})
 
 
-def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
+def _is_call(e: Expr) -> bool:
+    """Whether emit writes e as a guarded call or an inline path."""
+    return isinstance(e, Func) or (isinstance(e, Binary) and e.op in ("/", "^"))
+
+
+class SharedCalls:
+    """The guarded calls and inline paths that repeat when trees are
+    evaluated in order at one point, told apart by their text (to_string,
+    which tells every constant apart, -0.0 from 0.0 too).  names maps each
+    node met with such a text, by id, to the local _v0, _v1, ... the text
+    gets in the order of first use.  A call inside a repeat is read with
+    it, so it is not met there.  No call sits in an arm of a conditional:
+    emit's inline paths take a variable."""
+
+    def __init__(self, trees):
+        met: dict[str, list[Expr]] = {}  # in the order of first use
+
+        def walk(e: Expr) -> None:
+            if _is_call(e):
+                nodes = met.setdefault(to_string(e), [])
+                nodes.append(e)
+                if len(nodes) > 1:
+                    return
+            if isinstance(e, Binary):
+                walk(e.left)
+                walk(e.right)
+            elif isinstance(e, (Neg, Func)):
+                walk(e.arg)
+
+        for tree in trees:
+            walk(tree)
+        repeats = [nodes for nodes in met.values() if len(nodes) > 1]
+        self.names = {
+            id(node): f"_v{i}" for i, nodes in enumerate(repeats) for node in nodes
+        }
+        self.bound: set[str] = set()
+        self._nodes = repeats  # keeps every id in names to its node
+
+
+def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]",
+         shared: SharedCalls | None = None) -> str:
     """Python source evaluating expr, with each variable read as the local
     name it has in the tree; each constant is appended to consts and read
     as slot.format(i), i its index in consts.
@@ -698,18 +741,40 @@ def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
     guarded call's:
 
       v^k, k a constant integer >= 1:
-          (v ** k if -L < v < L else _pow(v, k)), L = 2.0 ** (1023 // k)
-          appended to consts after k.  Inside the bound |v|^k < 2^1023, so
-          ** cannot overflow, and an integral k >= 1 passes _pow's checks on
-          a zero or a negative base: _pow itself returns v ** k.
+          (v ** k if v * v < B else _pow(v, k)), B = L * L with
+          L = 2.0 ** min(1023 // k, 511), appended to consts after k.  For
+          L a power of two no greater than 2^511, fl(v * v) < L * L exactly
+          when |v| < L.  Inside that bound |v|^k < 2^1023, so ** cannot
+          overflow, and an integral k >= 1 passes _pow's checks on a zero or
+          a negative base: _pow itself returns v ** k.
       sinh(v), cosh(v):
           (_m_f(v) if -709.0 < v < 709.0 else _f_f(v)), _m_f the math
           function, which cannot overflow there (_INLINE_BOUND).
 
-    NaN and the infinities fail both comparisons and take the guarded call.
+    NaN and the infinities fail the comparisons and take the guarded call.
     v^2 is not v * v: CPython's v ** 2.0 is libm pow, which differs from
     v * v in the last bit on 172 of 200,000 doubles drawn by
-    random.Random(0).uniform(-10, 10)."""
+    random.Random(0).uniform(-10, 10).  -(c * x) and c * (-x), c a
+    constant, are written (-c) * x: negation and rounding to nearest are
+    sign-symmetric, so the value is the same (the sign of a NaN aside).
+
+    With shared, emitting the trees it was made of in its order, a call of
+    shared.names is bound to its local where it is first emitted,
+    (_v0 := call), and read as _v0 after; the constants of every
+    occurrence are appended all the same, so each slot is the one of the
+    text emitted without shared."""
+    if shared is None or (name := shared.names.get(id(expr))) is None:
+        return _emit(expr, consts, slot, shared)
+    if name in shared.bound:
+        _emit(expr, consts, slot, None)
+        return name
+    shared.bound.add(name)
+    return f"({name} := {_emit(expr, consts, slot, shared)})"
+
+
+def _emit(expr: Expr, consts: list[float], slot: str, shared) -> str:
+    """emit's text of the node expr, its operands emitted with shared."""
+    sub = _emit if shared is None else emit  # emit only when there is sharing to do
     match expr:
         case Const(value):
             consts.append(value)
@@ -717,19 +782,25 @@ def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]") -> str:
         case Var(name):
             return name
         case Neg(arg):
-            return f"(-{emit(arg, consts, slot)})"
+            if _is_scaled(arg):  # -(c * x)
+                return _emit(Binary("*", Const(-arg.left.value), arg.right),
+                             consts, slot, shared)
+            return f"(-{sub(arg, consts, slot, shared)})"
         case Binary("^", Var(v), Const(k)) if k >= 1.0 and k % 1.0 == 0.0:
-            consts.extend((k, 2.0 ** (1023 // k)))
-            power, bound = slot.format(len(consts) - 2), slot.format(len(consts) - 1)
-            return f"({v} ** {power} if -{bound} < {v} < {bound} else _pow({v}, {power}))"
+            bound = 2.0 ** min(1023 // k, 511)
+            consts.extend((k, bound * bound))
+            power, square = slot.format(len(consts) - 2), slot.format(len(consts) - 1)
+            return f"({v} ** {power} if {v} * {v} < {square} else _pow({v}, {power}))"
         case Binary(op, l, r):
-            left = emit(l, consts, slot)  # first, so consts keeps tree order
-            return _BINARY[op].source.format(left, emit(r, consts, slot))
+            if op == "*" and isinstance(l, Const) and isinstance(r, Neg):  # c * (-x)
+                return _emit(Binary("*", Const(-l.value), r.arg), consts, slot, shared)
+            left = sub(l, consts, slot, shared)  # first, so consts keeps tree order
+            return _BINARY[op].source.format(left, sub(r, consts, slot, shared))
         case Func(name, Var(v)) if _FUNCS[name].inline:
             bound = _INLINE_BOUND
             return f"(_m_{name}({v}) if -{bound!r} < {v} < {bound!r} else _f_{name}({v}))"
         case Func(name, arg):
-            return f"_f_{name}({emit(arg, consts, slot)})"
+            return f"_f_{name}({sub(arg, consts, slot, shared)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 

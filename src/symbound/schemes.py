@@ -36,10 +36,14 @@ The implicit midpoint rule has no stages:
   implicit-midpoint  P = p - tau*H_q(mid), Q = q + tau*H_p(mid), mid = (x+X)/2,
                      solved by damped Newton
 
-Its step template, _MIDPOINT, is that solve with the five derivative texts
-inlined and the 2x2 Newton matrix spelled out in Mat2's operation order, so
-it gives the same bits and raises the same errors at the same points as the
-solve written on the compiled accessors and Mat2.
+Its step template, _MIDPOINT, is that solve with the 2x2 Newton matrix
+spelled out in Mat2's operation order, so it gives the same bits and raises
+the same errors at the same points as the solve written on the compiled
+accessors and Mat2.  It evaluates a guarded call that repeats among the
+texts read at one Newton point once there, and the Newton matrix entries
+that come from constant trees once a step (_newton_block).  Where H_pq is
+the constant 0.0, the diagonal is 1.0 exactly for every 0 < tau < inf, the
+only step sizes step admits, and its products fold away.
 
 Its s_lines are the Cayley transform (I - (tau/2)A)^-1 (I + (tau/2)A);
 it ceases to exist at the first tau where the denominator determinant
@@ -94,53 +98,118 @@ _EXPLICIT = frozenset({SystemClass.SEPARABLE, SystemClass.NEWTONIAN})
 UNIMODULAR_TOL = 1e-10  # propagator's bound on |det S - 1| / (1 + |S|_F^2)
 
 
+def _times(x: str, y: str) -> str:
+    """The source of x * y, with a factor 1.0 left out: 1.0 * y == y for
+    every float y."""
+    return y if x == "1.0" else x if y == "1.0" else f"{x} * {y}"
+
+
+def _newton_block(texts) -> dict[str, str]:
+    """_MIDPOINT's Newton block for one system, from the kernel mapping
+    texts (HamiltonianSystem.kernel): the matrix [[a11, a12], [a21, a22]] =
+    I + (tau/2) [[H_pq, H_qq], [-H_pp, -H_pq]] at the midpoint, its det and
+    singular test, and the solve's numerators $dp and $dq.
+
+    An entry from a constant tree is computed once a step ($per_step), and
+    so is a square, det or the singular test where all its entries are;
+    the rest is computed once a Newton iteration ($matrix), evaluating the
+    point texts of H_pq, H_qq and H_pp in that order.  Where H_pq is the
+    constant 0.0 (either sign), the diagonal 1.0 + ht * 0.0 is 1.0 exactly
+    for every 0 < tau < inf, the step sizes step admits, and the products
+    by it fold away (_times)."""
+    constant = texts["constant"]
+    step, point = [], []
+    once = {"1.0"}  # the sources computed once a step
+
+    def assign(name: str, source: str, per_step: bool) -> str:
+        (step if per_step else point).append(f"{name} = {source}")
+        if per_step:
+            once.add(name)
+        return name
+
+    folded = constant.get("h_pq") == 0.0
+    if not folded:
+        assign("h_pq", texts["at_h_pq"], "h_pq" in constant)
+    a12 = assign("a12", f"ht * {texts['at_h_qq']}", "h_qq" in constant)
+    a21 = assign("a21", f"nht * {texts['at_h_pp']}", "h_pp" in constant)
+    if folded:
+        a11 = a22 = "1.0"
+    else:
+        a11 = assign("a11", "1.0 + ht * h_pq", "h_pq" in constant)
+        a22 = assign("a22", "1.0 - ht * h_pq", "h_pq" in constant)
+    entries = (a11, a12, a21, a22)
+    linear = once.issuperset(entries)
+    assign("det", f"{_times(a11, a22)} - {_times(a12, a21)}", linear)
+    squares = []
+    for e in entries:
+        square = _times(e, e)
+        if e in once and square != "1.0" and not linear:  # s12 = a12 * a12
+            square = assign(f"s{e[1:]}", square, True)
+        squares.append(square)
+    singular = f"abs(det) <= DECISION_TOL * (1.0 + ({' + '.join(squares)}))"
+    if linear:
+        singular = assign("singular", singular, True)
+    return dict(
+        per_step=ex.indent("\n".join(step), 1),
+        matrix=ex.indent("\n".join(point), 2),
+        singular=singular,
+        dp=f"{_times('b0', a22)} - {_times(a12, 'b1')}",
+        dq=f"{_times(a11, 'b1')} - {_times('b0', a21)}",
+    )
+
+
+class _NewtonTemplate(string.Template):
+    """_MIDPOINT: a step template whose Newton block _newton_block builds
+    for each system, before the texts are substituted."""
+
+    def substitute(self, texts):
+        return super().substitute(texts, **_newton_block(texts))
+
+
 # The implicit midpoint rule's damped Newton solve.  p, q are the midpoint,
-# at which the derivative texts are evaluated; (pn, qn) is the iterate, and
-# p, q stay its midpoint from one Newton iteration to the next.  The full
-# step (lam = 1.0, as 1.0 * d == d) is tried before the halving loop.  The
-# Newton matrix is spelled out in Mat2's det, frobenius_sq and solve order;
-# ht and nht are its factors 0.5 * tau and -0.5 * tau, computed once a step.
-_MIDPOINT = string.Template("""\
+# at which the point texts are evaluated: the residual's $at_h_q and
+# $at_h_p, then the next Newton matrix's ($matrix), so that a call they
+# repeat is bound to a local at its first use and read from it after.
+# (pn, qn) is the iterate, and p, q stay its midpoint from one Newton
+# iteration to the next.  The full step (lam = 1.0, as 1.0 * d == d) is
+# tried before the halving loop.  The Newton matrix is spelled out in
+# Mat2's det, frobenius_sq and solve order; ht and nht are its factors
+# 0.5 * tau and -0.5 * tau, computed once a step, as are rx and 1.0 + rx
+# and what $per_step computes from the constant trees.
+_MIDPOINT = _NewtonTemplate("""\
 def _step(x, tau):
     xp, xq = x
     ht, nht = 0.5 * tau, -0.5 * tau
-    pn, qn = xp, xq
-    p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
-    r0, r1 = pn - xp + tau * $h_q, qn - xq - tau * $h_p
-    rn = _hypot(r0, r1)
     # absolute 1e-12 is unreachable at large amplitudes; scale accordingly
     rx = _hypot(xp, xq)
-    target = 1e-12 * (1.0 + rx + rx)  # pn, qn == xp, xq here
+    orx = 1.0 + rx
+$per_step
+    pn, qn = xp, xq
+    p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
+    r0, r1 = pn - xp + tau * $at_h_q, qn - xq - tau * $at_h_p
+    rn = _hypot(r0, r1)
+    target = 1e-12 * (orx + rx)  # pn, qn == xp, xq here
     for _ in range(100):
         if rn <= target:
             return _tuple_new(State, (pn, qn))
-        h_pq = $h_pq
-        a11, a12, a21, a22 = (
-            1.0 + ht * h_pq,
-            ht * $h_qq,
-            nht * $h_pp,
-            1.0 - ht * h_pq,
-        )
-        det = a11 * a22 - a12 * a21
-        if abs(det) <= DECISION_TOL * (
-            1.0 + (a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
-        ):
+$matrix
+        if $singular:
             raise ImplicitSolveFailed(f"singular Newton matrix at tau={tau!r}")
         # Mat2.solve's zero check cannot fire here: the test above catches a zero
         # det unless its bound is NaN, which takes a NaN entry, and then
         # det is NaN too
         b0, b1 = -r0, -r1
-        dp, dq = (b0 * a22 - a12 * b1) / det, (a11 * b1 - b0 * a21) / det
+        dp, dq = ($dp) / det, ($dq) / det
         cp, cq = pn + dp, qn + dq
         p, q = 0.5 * (xp + cp), 0.5 * (xq + cq)
-        c0, c1 = cp - xp + tau * $h_q, cq - xq - tau * $h_p
+        c0, c1 = cp - xp + tau * $at_h_q, cq - xq - tau * $at_h_p
         rcn = _hypot(c0, c1)
         if not (rcn < rn or rcn <= target):
             lam = 0.5
             for _ in range(59):
                 cp, cq = pn + lam * dp, qn + lam * dq
                 p, q = 0.5 * (xp + cp), 0.5 * (xq + cq)
-                c0, c1 = cp - xp + tau * $h_q, cq - xq - tau * $h_p
+                c0, c1 = cp - xp + tau * $at_h_q, cq - xq - tau * $at_h_p
                 rcn = _hypot(c0, c1)
                 if rcn < rn or rcn <= target:
                     break
@@ -149,8 +218,10 @@ def _step(x, tau):
                 raise ImplicitSolveFailed(
                     f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
                 )
-        pn, qn, r0, r1, rn = cp, cq, c0, c1, rcn
-        target = 1e-12 * (1.0 + rx + _hypot(pn, qn))
+        pn, qn = cp, cq
+        r0, r1 = c0, c1
+        rn = rcn
+        target = 1e-12 * (orx + _hypot(pn, qn))
     if rn <= target:
         return _tuple_new(State, (pn, qn))
     raise ImplicitSolveFailed(

@@ -104,6 +104,9 @@ _ZERO = ex.Const(0.0)
 _PQ = ("p", "q")  # the arguments of every compiled tree
 # the template names of the derivative texts, in the order of derivatives
 _DERIVATIVE_NAMES = ("h_p", "h_q", "h_pp", "h_pq", "h_qq")
+# the texts the implicit midpoint kernel evaluates at one point, in order:
+# its residual's H_q and H_p, then its Newton matrix's H_pq, H_qq and H_pp
+_POINT_ORDER = ("h_q", "h_p", "h_pq", "h_qq", "h_pp")
 
 
 def _energy_trees(kind: SystemClass, *exprs: ex.Expr):
@@ -188,24 +191,47 @@ class HamiltonianSystem:
 
     @functools.cached_property
     def _texts(self):
-        """The derivative texts by template name, the def-line defaults that
-        bind their constants, and the constants: emitted once per system."""
+        """The template mapping, the def-line defaults that bind its
+        constants, and the constants: emitted once per system.  The mapping
+        holds each derivative text by its template name; under at_<name>,
+        the texts of _POINT_ORDER emitted as one group, each call that
+        repeats among them bound to a local where it is first evaluated and
+        read from it after (ex.SharedCalls); and under constant, the value
+        of each derivative tree that is a constant, by template name."""
         consts: list[float] = []
-        texts = [ex.emit(tree, consts, "_k{}") for tree in self.derivatives]
+        trees = dict(zip(_DERIVATIVE_NAMES, self.derivatives))
+        texts, starts = {}, {}
+        for name, tree in trees.items():
+            starts[name] = len(consts)
+            texts[name] = ex.emit(tree, consts, "_k{}")
+        shared = ex.SharedCalls(trees[name] for name in _POINT_ORDER)
+        for name in _POINT_ORDER:
+            # from the tree's own first slot, so that it reads the same slots;
+            # with no call to share it is the derivative text
+            texts[f"at_{name}"] = ex.emit(
+                trees[name], consts[:starts[name]], "_k{}", shared
+            ) if shared.names else texts[name]
+        texts["constant"] = {
+            name: tree.value for name, tree in trees.items()
+            if isinstance(tree, ex.Const)
+        }
         defaults = "".join(f", _k{i}=_c[{i}]" for i in range(len(consts)))
-        return dict(zip(_DERIVATIVE_NAMES, texts)), defaults, consts
+        return texts, defaults, consts
 
     def kernel(self, template: string.Template, name: str, **names):
         """The function that template's source binds to name, with the
-        derivative texts substituted for $h_p $h_q $h_pp $h_pq $h_qq, and
-        State, _tuple_new (tuple.__new__, which builds a State without its
-        Python-level __new__) and names as its globals.  The texts read
-        constant i as the local _ki, a parameter default _ki=_c[i] added to
-        the def line that opens template: bound once per kernel, so the
-        source depends only on the shapes of the trees, with each power of
-        a variable to an integral constant of at least 1 a shape of its own
-        (emit).  Generated the first time, then cached in kernels under
-        template."""
+        mapping of _texts substituted (template.substitute(texts)): the
+        derivative texts for $h_p $h_q $h_pp $h_pq $h_qq, their point texts
+        for $at_h_q $at_h_p $at_h_pq $at_h_qq $at_h_pp, in that order of
+        evaluation at one point.  State, _tuple_new (tuple.__new__, which
+        builds a State without its Python-level __new__) and names are its
+        globals.  The texts read constant i as the local _ki, a parameter
+        default _ki=_c[i] added to the def line that opens template: bound
+        once per kernel, so the source depends only on the shapes of the
+        trees, with each power of a variable to an integral constant of at
+        least 1 a shape of its own (emit), on which calls repeat among the
+        point texts and on what a template makes of the constant trees.
+        Generated the first time, then cached in kernels under template."""
         kernel = self.kernels.get(template)
         if kernel is None:
             texts, defaults, consts = self._texts

@@ -87,6 +87,10 @@ def evaluate(expr: ex.Expr, bindings: dict[str, float]) -> float:
 
 SAFE_FUNCS = ("sin", "cos", "tanh", "exp", "sinh", "cosh", "sqrt", "log")
 
+# the midpoint point texts of this system share sqrt(p) and log(q), two
+# calls with different domains: outside both, the one evaluated first raises
+SHARED_DOMAINS = HamiltonianSystem.general("sqrt(p)*log(q) + p^2/2 + q^2/2")
+
 # systems of the three classes, with domain edges, that the generated
 # kernels are held to their references on
 KERNEL_SYSTEMS = (
@@ -103,6 +107,7 @@ KERNEL_SYSTEMS = (
     HamiltonianSystem.newtonian("q - q^9"),
     HamiltonianSystem.newtonian("1 - sqrt(q + 1)"),
     HamiltonianSystem.newtonian("-q/(1 + q^2)"),
+    SHARED_DOMAINS,
 )
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300)
 

@@ -543,8 +543,11 @@ def _edges(*bounds: float) -> list[float]:
 
 
 def _power_edges(k: float) -> list[float]:
-    # the bound 2^(1023 // k), and where x^k overflows: past 2^(1024 / k)
-    return _edges(*(2.0 ** e for e in (1023 // k, 1024 // k, 1024 / k) if e < 1024))
+    # the bound L = 2^min(1023 // k, 511) of the test v * v < L * L, the
+    # bound 2^(1023 // k) of |v|^k < 2^1023, and where x^k overflows: past
+    # 2^(1024 / k)
+    exponents = (min(1023 // k, 511), 1023 // k, 1024 // k, 1024 / k)
+    return _edges(*(2.0 ** e for e in exponents if e < 1024))
 
 
 # the bound 709, and where exp (log of the greatest float), and sinh and

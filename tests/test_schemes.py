@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
+from symbound import expr as ex
 from symbound.expr import DomainError
 from symbound.mat2 import Mat2
 from symbound.schemes import (
@@ -36,6 +38,7 @@ from symbound.systems import (
 
 from conftest import (
     KERNEL_SYSTEMS,
+    SHARED_DOMAINS,
     SPECIAL_FLOATS,
     class_formulas,
     outcome_type,
@@ -176,6 +179,7 @@ _TAU = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(KERNEL_SYSTEMS), _COORD, _COORD, _TAU)
+@example(SHARED_DOMAINS, -1.0, -1.0, 0.5)  # outside the domains of both shared calls
 def test_step_kernels_equal_the_reference_bitwise(sys, p, q, tau):
     # every scheme, inapplicable ones included: states bit for bit (any NaN
     # equals any NaN), failures by exception type and message
@@ -199,6 +203,12 @@ def test_a_math_domain_error_in_a_step_is_a_domain_error():
 
 
 _PENDULUM = HamiltonianSystem.newtonian("-sin(q)")
+# H_pq is 0.0, so the Newton matrix has the diagonal 1.0 folded in
+_FOLDED = HamiltonianSystem.separable("p^4/4 + p^2/2", "q^3/3 - cos(q)")
+# linear: every Newton matrix entry, its det and its singular test are
+# computed once a step, with the diagonal folded (g = q) or not
+_LINEAR_FOLDED = HamiltonianSystem.newtonian("q")
+_LINEAR = HamiltonianSystem.general("p^2/2 + 0.3*p*q - q^2/2")
 
 
 @pytest.mark.parametrize(
@@ -216,9 +226,23 @@ _PENDULUM = HamiltonianSystem.newtonian("-sin(q)")
         # no convergence after 100 iterations
         (HamiltonianSystem.general("cosh(p) - cos(q)"), 1.4191838208186764,
          State(2.1570639215592413, 4.179234572892788)),
+        (_FOLDED, 0.3131280363919957, State(3.9207100968188477, -1.78168275423235)),
+        (_FOLDED, 4.041655449707726, State(-4.869808904083335, -3.1573740790992577)),
+        (_FOLDED, 1.8803931630130877, State(-2.1428339182592957, -4.877457956906737)),
+        (_FOLDED, 0.5007633758500376, State(-2.5120740409501874, -0.6485544889106523)),
+        # a linear Newton step lands on its root: of the failures only a
+        # singular matrix was found, in 40,000 draws near the singular tau
+        (_LINEAR_FOLDED, 0.7465451461971923,
+         State(0.8671417038193461, -1.2837938231323411)),
+        (_LINEAR_FOLDED, 1.9999999999057707,
+         State(267.9386774280116, 284142.57500576327)),
+        (_LINEAR, 1.9156577090046816, State(2.9760502907821262, -0.21371346725342288)),
+        (_LINEAR, 1.9156525692301662, State(81760.91455959089, 260572.017050957)),
     ],
     ids=["full-step", "one-halving", "four-halvings", "stalled", "singular",
-         "no-convergence"],
+         "no-convergence", "folded-eight-halvings", "folded-stalled",
+         "folded-singular", "folded-no-convergence", "linear-folded-full-step",
+         "linear-folded-singular", "linear-full-step", "linear-singular"],
 )
 def test_midpoint_line_search_branches_equal_the_reference(sys, tau, x):
     got = _outcome(step, Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
@@ -229,10 +253,59 @@ def test_midpoint_line_search_branches_equal_the_reference(sys, tau, x):
         assert got == want
 
 
+def test_a_singular_linear_newton_matrix_is_tested_only_after_the_residual():
+    # g = q at tau = 2: the Newton matrix [[1, -1], [-1, 1]], computed once
+    # a step, is singular; at the equilibrium the residual meets its target
+    # first and the step returns, as the reference does
+    sys, midpoint = _LINEAR_FOLDED, Scheme.IMPLICIT_MIDPOINT
+    for x in (State(0.0, 0.0), State(1e-3, 0.0)):
+        got = _outcome(step, midpoint, sys, x, 2.0)
+        assert got == _outcome(reference_step, midpoint, sys, x, 2.0)
+    assert step(midpoint, sys, State(0.0, 0.0), 2.0) == State(0.0, 0.0)
+    with pytest.raises(ImplicitSolveFailed, match=r"^singular Newton matrix at tau=2\.0$"):
+        step(midpoint, sys, State(1e-3, 0.0), 2.0)
+
+
+@pytest.mark.parametrize(
+    "h, names, x, tau",
+    [
+        # H_q, H_p, H_pq and H_qq read sin(q) and cos(q) three times each
+        # per Newton iteration
+        ("cosh(p) - 1.3*cos(q) + 0.4*p*sin(q)", ("_f_sin", "_f_cos"),
+         State(2.1570639215592413, 4.179234572892788), 0.9),
+        # sqrt(p) is first read inside a call that repeats too
+        ("sqrt(p)*log(q) + p^2/2 + q^2/2", ("_f_sqrt", "_f_log"), State(1.0, 2.0), 0.5),
+    ],
+    ids=["cosh", "nested"],
+)
+def test_the_midpoint_kernel_calls_each_shared_function_once_per_point(
+    monkeypatch, h, names, x, tau
+):
+    # the kernel calls each once per point at which it evaluates the
+    # texts, as often as the reference evaluates H_q
+    calls = collections.Counter()
+    for name in names:
+        monkeypatch.setitem(
+            ex._KERNELS, name,
+            lambda v, f=ex._KERNELS[name], name=name: calls.update([name]) or f(v),
+        )
+    sys = HamiltonianSystem.general(h)  # built after the wrapping
+    got = step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    kernel_calls = dict(calls)
+    points, h_q = [], sys.h_q
+    monkeypatch.setattr(sys, "h_q", lambda p, q: points.append((p, q)) or h_q(p, q))
+    assert got == reference_step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    assert len(points) > 3
+    assert kernel_calls == {name: len(points) for name in names}
+
+
 def test_kernels_of_one_tree_shape_share_compiled_code():
     # the constants are bound per system, so the source, and with it the
     # compiled code, depends only on the shapes of the trees (with each
-    # power of a variable to an integral constant >= 1 a shape of its own)
+    # power of a variable to an integral constant >= 1 a shape of its own),
+    # and for the implicit midpoint rule on which calls repeat among its
+    # point texts, on which Jacobian trees are constants and on whether
+    # H_pq is 0.0
     slow = HamiltonianSystem.newtonian("-2*sin(q)")
     fast = HamiltonianSystem.newtonian("-3*sin(q)")
     x = State(0.1, 0.2)
