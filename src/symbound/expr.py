@@ -755,8 +755,9 @@ def emit(expr: Expr, consts: list[float], slot: str = "_c[{}]",
     v^2 is not v * v: CPython's v ** 2.0 is libm pow, which differs from
     v * v in the last bit on 172 of 200,000 doubles drawn by
     random.Random(0).uniform(-10, 10).  -(c * x) and c * (-x), c a
-    constant, are written (-c) * x: negation and rounding to nearest are
-    sign-symmetric, so the value is the same (the sign of a NaN aside).
+    constant, are written (-c) * x, -((-c) * x) is written c * x and -(-x)
+    is written x: negation and rounding to nearest are sign-symmetric, so
+    the value is the same (the sign of a NaN aside).
 
     With shared, emitting the trees it was made of in its order, a call of
     shared.names is bound to its local where it is first emitted,
@@ -781,6 +782,10 @@ def _emit(expr: Expr, consts: list[float], slot: str, shared) -> str:
             return slot.format(len(consts) - 1)
         case Var(name):
             return name
+        case Neg(Neg(arg)):  # -(-x)
+            return sub(arg, consts, slot, shared)
+        case Neg(Binary("*", Neg(Const(c)), x)):  # -((-c) * x)
+            return _emit(Binary("*", Const(c), x), consts, slot, shared)
         case Neg(arg):
             if _is_scaled(arg):  # -(c * x)
                 return _emit(Binary("*", Const(-arg.left.value), arg.right),

@@ -102,32 +102,35 @@ def simulate(
             states.append(y)
 
     hypot = math.hypot
-    for n in range(1, n_max + 1):
-        try:
-            y = step(scheme, sys, x, tau)
-        except ImplicitSolveFailed:
-            return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
-        except DomainError as err:
-            record(n - 1, x)
-            verdict = LeftDomain(n - 1, str(err))
-            return OrbitTrace(x0, scheme, tau, steps, states, verdict)
-        yp, yq = y
-        r = hypot(yp, yq)
-        # one comparison while r stays within max_radius, which is finite;
-        # a NaN r fails every comparison
-        if not r <= max_radius:
-            if not r <= escape:
-                if math.isnan(yp) or math.isnan(yq):  # hypot(inf, nan) is inf
-                    record(n - 1, x)
-                    verdict = LeftDomain(n - 1, "the step gave a NaN state")
-                    return OrbitTrace(x0, scheme, tau, steps, states, verdict)
-                record(n, y)
-                return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, r))
-            max_radius = r
-        x = y
-        if n % stride == 0:
-            record(n, x)
-    record(n_max, x)
+    n = 0
+    while n < n_max:
+        # one chunk: stride steps, or the steps left before n_max, so that
+        # it ends at a multiple of stride or at n_max, the states recorded;
+        # no step tests n % stride
+        for n in range(n + 1, min(n + stride, n_max) + 1):
+            try:
+                y = step(scheme, sys, x, tau)
+            except ImplicitSolveFailed:
+                return OrbitTrace(x0, scheme, tau, steps, states, SolverFailed(n - 1))
+            except DomainError as err:
+                record(n - 1, x)
+                verdict = LeftDomain(n - 1, str(err))
+                return OrbitTrace(x0, scheme, tau, steps, states, verdict)
+            yp, yq = y
+            r = hypot(yp, yq)
+            # one comparison while r stays within max_radius, which is finite;
+            # a NaN r fails every comparison
+            if not r <= max_radius:
+                if not r <= escape:
+                    if math.isnan(yp) or math.isnan(yq):  # hypot(inf, nan) is inf
+                        record(n - 1, x)
+                        verdict = LeftDomain(n - 1, "the step gave a NaN state")
+                        return OrbitTrace(x0, scheme, tau, steps, states, verdict)
+                    record(n, y)
+                    return OrbitTrace(x0, scheme, tau, steps, states, Escaped(n, r))
+                max_radius = r
+            x = y
+        record(n, x)
     return OrbitTrace(x0, scheme, tau, steps, states, Bounded(n_max, max_radius))
 
 

@@ -174,8 +174,15 @@ class _NewtonTemplate(string.Template):
 # iteration to the next.  The full step (lam = 1.0, as 1.0 * d == d) is
 # tried before the halving loop.  The Newton matrix is spelled out in
 # Mat2's det, frobenius_sq and solve order; ht and nht are its factors
-# 0.5 * tau and -0.5 * tau, computed once a step, as are rx and 1.0 + rx
-# and what $per_step computes from the constant trees.
+# 0.5 * tau and -0.5 * tau, computed once a step, as are rx, orx = 1.0 + rx,
+# lo = 1e-12 * orx and what $per_step computes from the constant trees.
+# The starting iterate is tested against its target before the loop, and
+# each accepted iterate (cp, cq) once, at the end of its iteration: first
+# against lo, then, only where its residual rcn exceeds lo, against its
+# target 1e-12 * (orx + |(cp, cq)|).  The norm is never negative and
+# rounding is monotone, so the target is at least lo and the first test
+# returns only where the second would; a NaN or infinite rcn fails both.
+# The iteration cap is _ITERATIONS, range(100), bound once per kernel.
 _MIDPOINT = _NewtonTemplate("""\
 def _step(x, tau):
     xp, xq = x
@@ -183,15 +190,16 @@ def _step(x, tau):
     # absolute 1e-12 is unreachable at large amplitudes; scale accordingly
     rx = _hypot(xp, xq)
     orx = 1.0 + rx
+    lo = 1e-12 * orx
 $per_step
     pn, qn = xp, xq
     p, q = 0.5 * (xp + pn), 0.5 * (xq + qn)
     r0, r1 = pn - xp + tau * $at_h_q, qn - xq - tau * $at_h_p
     rn = _hypot(r0, r1)
     target = 1e-12 * (orx + rx)  # pn, qn == xp, xq here
-    for _ in range(100):
-        if rn <= target:
-            return _tuple_new(State, (pn, qn))
+    if rn <= target:
+        return _tuple_new(State, (pn, qn))
+    for _ in _ITERATIONS:
 $matrix
         if $singular:
             raise ImplicitSolveFailed(f"singular Newton matrix at tau={tau!r}")
@@ -218,12 +226,14 @@ $matrix
                 raise ImplicitSolveFailed(
                     f"damped Newton stalled at residual {rn:.3e} (tau={tau!r})"
                 )
+        if rcn <= lo:
+            return _tuple_new(State, (cp, cq))
+        target = 1e-12 * (orx + _hypot(cp, cq))
+        if rcn <= target:
+            return _tuple_new(State, (cp, cq))
         pn, qn = cp, cq
         r0, r1 = c0, c1
         rn = rcn
-        target = 1e-12 * (orx + _hypot(pn, qn))
-    if rn <= target:
-        return _tuple_new(State, (pn, qn))
     raise ImplicitSolveFailed(
         f"no convergence after 100 iterations (tau={tau!r})"
     )
@@ -385,7 +395,10 @@ def step(scheme: Scheme, sys: HamiltonianSystem, x: State, tau: float) -> State:
     # NaN: one comparison per step, against a constant
     if not tau * 0.0 + tau > 0.0:
         raise step_size_error(tau)
-    kernel = sys.kernels.get(scheme.template) or _new_kernel(scheme, sys)
+    try:
+        kernel = sys.kernels[scheme.template]
+    except KeyError:
+        kernel = _new_kernel(scheme, sys)
     try:
         return kernel(x, tau)
     except ValueError as err:
@@ -401,7 +414,7 @@ def _new_kernel(scheme: Scheme, sys: HamiltonianSystem):
         )
     return sys.kernel(
         scheme.template, "_step", ImplicitSolveFailed=ImplicitSolveFailed,
-        _hypot=math.hypot, DECISION_TOL=DECISION_TOL,
+        _hypot=math.hypot, DECISION_TOL=DECISION_TOL, _ITERATIONS=range(100),
     )
 
 

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbound import catalog
@@ -174,6 +174,15 @@ def assert_same_trace(got: OrbitTrace, want: OrbitTrace) -> None:
         assert same_float(a, b) if isinstance(b, float) else a == b, (a, b)
 
 
+# the chunks of simulate's loop at their edges, and each early ending on a
+# stride boundary and one step after one: euler-b escapes at step 6, euler-b
+# leaves the domain of sqrt in the step from state 6, and the midpoint solve
+# fails in the step from state 6
+_CUBIC = HamiltonianSystem.newtonian("q - q^3")
+_SQRT = HamiltonianSystem.newtonian("1 - sqrt(q + 1)")
+_LOG = HamiltonianSystem.separable("sqrt(1 + p^2)", "log(q + 3) - q/2")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(KERNEL_SYSTEMS),
@@ -184,6 +193,18 @@ def assert_same_trace(got: OrbitTrace, want: OrbitTrace) -> None:
     st.integers(min_value=1, max_value=50),
     st.sampled_from((10.0, 1e6, math.inf)),
 )
+@example(catalog.pendulum(), 0.5, 0.1, 0.0, 7, 50, 1e6)  # stride > n_max
+@example(catalog.pendulum(), 0.5, 0.1, 0.0, 40, 40, 1e6)  # stride == n_max
+@example(catalog.pendulum(), 0.5, 0.1, 0.0, 60, 20, 1e6)  # n_max a multiple of stride
+@example(catalog.pendulum(), 0.5, 0.1, 0.0, 61, 20, 1e6)  # one step past one
+@example(_CUBIC, 0.7, 1.5, 1.1, 300, 6, 10.0)  # Escaped(6)
+@example(_CUBIC, 0.7, 1.5, 1.1, 300, 5, 10.0)
+@example(_SQRT, 0.8, 1.0, 2.3, 300, 6, 10.0)  # LeftDomain(6)
+@example(_SQRT, 0.8, 1.0, 2.3, 300, 5, 10.0)
+@example(_SQRT, 0.8, 1.0, 2.3, 300, 7, 10.0)
+@example(_LOG, 0.15, 0.7, -2.7, 300, 6, math.inf)  # SolverFailed(6)
+@example(_LOG, 0.15, 0.7, -2.7, 300, 5, math.inf)
+@example(_LOG, 0.15, 0.7, -2.7, 300, 7, math.inf)
 def test_simulate_equals_the_reference_loop(sys, tau, p, q, n_max, stride, escape_radius):
     x0 = State(p, q)
     for scheme in SCHEMES_BY_CLASS[sys.kind]:

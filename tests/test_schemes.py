@@ -267,19 +267,22 @@ def test_a_singular_linear_newton_matrix_is_tested_only_after_the_residual():
 
 
 @pytest.mark.parametrize(
-    "h, names, x, tau",
+    "make, formula, names, x, tau",
     [
         # H_q, H_p, H_pq and H_qq read sin(q) and cos(q) three times each
         # per Newton iteration
-        ("cosh(p) - 1.3*cos(q) + 0.4*p*sin(q)", ("_f_sin", "_f_cos"),
-         State(2.1570639215592413, 4.179234572892788), 0.9),
+        (HamiltonianSystem.general, "cosh(p) - 1.3*cos(q) + 0.4*p*sin(q)",
+         ("_f_sin", "_f_cos"), State(2.1570639215592413, 4.179234572892788), 0.9),
         # sqrt(p) is first read inside a call that repeats too
-        ("sqrt(p)*log(q) + p^2/2 + q^2/2", ("_f_sqrt", "_f_log"), State(1.0, 2.0), 0.5),
+        (HamiltonianSystem.general, "sqrt(p)*log(q) + p^2/2 + q^2/2",
+         ("_f_sqrt", "_f_log"), State(1.0, 2.0), 0.5),
+        # H_q = -(-exp(q)) is emitted as the call H_qq repeats
+        (HamiltonianSystem.newtonian, "-exp(q)", ("_f_exp",), State(0.3, 0.5), 0.5),
     ],
-    ids=["cosh", "nested"],
+    ids=["cosh", "nested", "double-negation"],
 )
 def test_the_midpoint_kernel_calls_each_shared_function_once_per_point(
-    monkeypatch, h, names, x, tau
+    monkeypatch, make, formula, names, x, tau
 ):
     # the kernel calls each once per point at which it evaluates the
     # texts, as often as the reference evaluates H_q
@@ -289,7 +292,7 @@ def test_the_midpoint_kernel_calls_each_shared_function_once_per_point(
             ex._KERNELS, name,
             lambda v, f=ex._KERNELS[name], name=name: calls.update([name]) or f(v),
         )
-    sys = HamiltonianSystem.general(h)  # built after the wrapping
+    sys = make(formula)  # built after the wrapping
     got = step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
     kernel_calls = dict(calls)
     points, h_q = [], sys.h_q
@@ -297,6 +300,56 @@ def test_the_midpoint_kernel_calls_each_shared_function_once_per_point(
     assert got == reference_step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
     assert len(points) > 3
     assert kernel_calls == {name: len(points) for name in names}
+
+
+def _midpoint_residual(sys, x: State, y: State, tau: float) -> float:
+    """|r| of the midpoint equations at the iterate y, as the kernel and
+    reference_step compute it."""
+    mp, mq = 0.5 * (x.p + y.p), 0.5 * (x.q + y.q)
+    return math.hypot(y.p - x.p + tau * sys.h_q(mp, mq), y.q - x.q - tau * sys.h_p(mp, mq))
+
+
+@pytest.mark.parametrize(
+    "sys, x, tau",
+    [
+        (catalog.pendulum(), State(-1500.0, 2100.0), 0.3),
+        (catalog.pendulum_newtonian(), State(2.6, 2.5), 1.85),
+    ],
+    ids=["large-amplitude", "folded"],
+)
+def test_a_midpoint_iterate_above_lo_is_accepted_by_its_target(sys, x, tau):
+    # the accepted residual lies in (lo, target]: the first exit test
+    # passes it on, and the target, with the iterate's own norm, decides
+    midpoint = Scheme.IMPLICIT_MIDPOINT
+    got = step(midpoint, sys, x, tau)
+    assert all(map(same_float, got, reference_step(midpoint, sys, x, tau)))
+    orx = 1.0 + math.hypot(*x)
+    rn = _midpoint_residual(sys, x, got, tau)
+    assert 1e-12 * orx < rn <= 1e-12 * (orx + math.hypot(*got))
+
+
+def test_a_midpoint_step_that_shrinks_the_state_equals_the_reference():
+    # an iterate inside |x| has a target below the starting iterate's
+    # 1e-12 * (1 + 2|x|), and here an iterate's residual falls between the
+    # two: it must not end the solve
+    sys, x, tau = catalog.pendulum(), State(0.5, 1.7), 1.35
+    got = step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    assert math.hypot(*got) < math.hypot(*x)
+    assert all(map(same_float, got, reference_step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)))
+
+
+def test_a_converged_linear_midpoint_step_takes_three_norms(monkeypatch):
+    # |x|, the starting residual and the Newton iterate's residual, which
+    # meets lo: the iterate's own norm, for its target, is not taken
+    norms = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda a, b: norms.append((a, b)) or hypot(a, b))
+    sys = HamiltonianSystem.general("p^2/2 + 0.3*p*q - q^2/2")  # built after the wrapping
+    x, tau = State(0.3, -0.2), 0.5
+    got = step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    assert len(norms) == 3
+    assert got == reference_step(Scheme.IMPLICIT_MIDPOINT, sys, x, tau)
+    assert _midpoint_residual(sys, x, got, tau) <= 1e-12 * (1.0 + math.hypot(*x))
 
 
 def test_kernels_of_one_tree_shape_share_compiled_code():

@@ -27,9 +27,11 @@ from conftest import (
     KERNEL_SYSTEMS,
     SPECIAL_FLOATS,
     class_formulas,
+    evaluate,
     outcome_type,
     reference_find_equilibria,
     reference_newton_root,
+    reference_step,
     same_float,
 )
 
@@ -485,6 +487,32 @@ def test_a_system_emits_its_derivative_texts_once(monkeypatch):
         step(scheme, sys, State(0.1, 0.2), 0.5)
     assert len(sys.kernels) == 1 + len(SCHEMES_BY_CLASS[sys.kind])
     assert emitted == list(sys.derivatives)
+
+
+@pytest.mark.parametrize(
+    "g, h_q, consts",
+    [
+        # H_q = -g, with g parsed as (-1.2) * sin(0.9 * q)
+        ("-1.2*sin(0.9*q)", "(_k0 * _f_sin((_k1 * q)))", [1.2, 0.9]),
+        ("-sin(q)", "_f_sin(q)", []),  # catalog.pendulum_newtonian
+    ],
+    ids=["scaled", "double"],
+)
+def test_a_newtonian_h_q_is_emitted_without_its_negations(g, h_q, consts):
+    # -((-c) * x) is c * x and -(-x) is x, exactly, so the texts drop both
+    # negations, and every point text reads the derivative text's slots
+    sys = HamiltonianSystem.newtonian(g)
+    texts, _, emitted = sys._texts
+    assert texts["h_q"] == texts["at_h_q"] == h_q
+    assert emitted[:len(consts)] == consts
+    tree = sys.derivatives[1]
+    for q in (0.4, -2.5, 1e300, 0.0, -0.0):
+        assert same_float(sys.h_q(0.0, q), evaluate(tree, {"p": 0.0, "q": q}))
+    for scheme in SCHEMES_BY_CLASS[sys.kind]:
+        for x, tau in ((State(0.3, 0.7), 0.5), (State(-1.0, 2.9), 1.9)):
+            got = step(scheme, sys, x, tau)
+            want = reference_step(scheme, sys, x, tau)
+            assert all(map(same_float, got, want)), (scheme, x, tau)
 
 
 # ---------------------------------------------------------------------------
